@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--experiment", type=int, default=1, choices=(1, 2))
     ap.add_argument("--sizes", default=None, help="comma list; default from config")
     ap.add_argument("--dt", type=float, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
@@ -40,8 +39,6 @@ def main():
         "--target-t", str(cfg["target_t"]),
         "--out", out,
     ]
-    if args.threads is not None:
-        cmd += ["--threads", str(args.threads)]
     return subprocess.call(cmd)
 
 

@@ -11,8 +11,6 @@ the algebraic connectivity falls.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -208,15 +206,6 @@ def _experiment_family(experiment: int) -> str:
     raise ValueError(f"experiment must be 1 or 2, got {experiment}")
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("CONSENSUS_LAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_horizon):
     net = benchmark_topology(n)
     x0 = lcg_initial_conditions(lcg, n)
@@ -249,7 +238,6 @@ def run_experiment(
     target_v=0.05,
     target_t=1.0,
     lcg=None,
-    threads=None,
 ):
     """Calibrate at n=25 and sweep both directions over the given sizes.
 
@@ -271,10 +259,8 @@ def run_experiment(
         calibration[direction.value] = {"k": k, "achieved_settling": achieved}
 
     base_horizon = _snap_horizon(max(4 * target_t, 20 * dt), dt)
-    tasks = [(n, d) for n in sizes for d in directions]
 
-    def worker(task):
-        n, direction = task
+    def row(n, direction):
         k = calibration[direction.value]["k"]
         t_star, e_tot = _sweep_row(
             family, direction, k, n, epsilon, dt, lcg, base_horizon
@@ -291,12 +277,7 @@ def run_experiment(
             epsilon=epsilon,
         )
 
-    workers = min(_resolve_threads(threads), len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, tasks))
-    else:
-        rows = [worker(t) for t in tasks]
+    rows = [row(n, d) for n in sizes for d in directions]
 
     meta = {
         "experiment": experiment,

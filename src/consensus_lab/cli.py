@@ -146,7 +146,6 @@ def cmd_benchmark(args) -> int:
         epsilon=args.epsilon,
         target_v=args.target_v,
         target_t=args.target_t,
-        threads=args.threads,
     )
     os.makedirs(args.out, exist_ok=True)
     write_results_csv(os.path.join(args.out, "results.csv"), rows)
@@ -238,8 +237,6 @@ def build_parser() -> _Parser:
     pb.add_argument("--epsilon", type=float, default=0.05)
     pb.add_argument("--target-v", type=float, default=0.05)
     pb.add_argument("--target-t", type=float, default=1.0)
-    pb.add_argument("--threads", type=int, default=None,
-                    help="row parallelism (default: CONSENSUS_LAB_THREADS or CPU count)")
     pb.add_argument("--out", default=".")
     pb.set_defaults(func=cmd_benchmark)
 

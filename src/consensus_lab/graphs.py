@@ -4,7 +4,9 @@ Conventions. An edge (i, j, w) points i -> j and carries weight a_ji = w,
 so the adjacency entry A[i, j] holds the weight of edge (j, i): row i of A
 lists the in-neighborhood of vertex i. Undirected graphs store both
 directions explicitly with equal weights. Graphs are immutable after
-construction; derived matrices are cached on the instance.
+construction; derived structures are cached on the instance. The edge
+arrays (src, dst, w) are how a graph acts on a state; the dense adjacency
+and Laplacian serve only the public matrix and spectral functions.
 """
 
 from __future__ import annotations
@@ -93,10 +95,6 @@ class WeightedDigraph:
         return np.diag(A.sum(axis=1)) - A
 
     @cached_property
-    def _neg_laplacian(self):
-        return -self._laplacian
-
-    @cached_property
     def _edge_arrays(self):
         if not self.edges:
             z = np.zeros(0, dtype=np.intp)
@@ -107,21 +105,6 @@ class WeightedDigraph:
             np.array(dst, dtype=np.intp),
             np.array(w),
         )
-
-    @cached_property
-    def _scatter_weighted(self):
-        # S @ f(diffs) accumulates w_e * f(x_src - x_dst) into the dst row
-        src, dst, w = self._edge_arrays
-        S = np.zeros((self.n, len(src)))
-        S[dst, np.arange(len(src))] = w
-        return S
-
-    @cached_property
-    def _scatter_unit(self):
-        src, dst, _ = self._edge_arrays
-        S = np.zeros((self.n, len(src)))
-        S[dst, np.arange(len(src))] = 1.0
-        return S
 
     @cached_property
     def _reachability(self):

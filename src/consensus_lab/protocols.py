@@ -4,7 +4,9 @@ A node function f maps a scalar disagreement to a control contribution and
 is odd with f(0) = 0. The per-edge direction applies f to every pairwise
 difference before the weighted sum; the aggregated direction applies f once
 to the stacked consensus error e = -Q x. Both coincide for the linear law
-and differ otherwise.
+and differ otherwise. Both directions sum the edge differences
+x_src - x_dst into their destination rows with np.bincount, so every row
+is exactly zero at consensus whatever the weights.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
 
 def _signed_power(x, alpha):
     # |x|^alpha sign(x), the odd power that keeps f(0) = 0
-    return np.sign(x) * np.abs(x) ** alpha
+    return np.copysign(np.abs(x) ** alpha, x)
 
 
 @dataclass(frozen=True)
@@ -128,27 +130,40 @@ def eval_f(f, x):
     raise TypeError(f"not a node function: {f!r}")
 
 
-def consensus_error(g: WeightedDigraph, x) -> np.ndarray:
-    """Stacked consensus error e = -Q x, e_i = sum_j a_ij (x_j - x_i)."""
+def _check_state(g, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"state has shape {x.shape}, graph has {g.n} nodes")
-    return g._neg_laplacian @ x
+    return x
+
+
+def _into_rows(dst, values, n):
+    # sum per-edge values into their destination rows; bincount would give
+    # integer zeros for an edgeless graph
+    if not dst.size:
+        return np.zeros(n)
+    return np.bincount(dst, values, minlength=n)
+
+
+def consensus_error(g: WeightedDigraph, x) -> np.ndarray:
+    """Stacked consensus error e = -Q x, e_i = sum_j a_ij (x_j - x_i)."""
+    x = _check_state(g, x)
+    src, dst, w = g._edge_arrays
+    return _into_rows(dst, w * (x[src] - x[dst]), g.n)
 
 
 def control(protocol: Protocol, g: WeightedDigraph, x) -> np.ndarray:
     """Control input of every node under the given protocol on graph g."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"state has shape {x.shape}, graph has {g.n} nodes")
-    if protocol.direction is Direction.AGGREGATED:
-        return eval_f(protocol.f, g._neg_laplacian @ x)
-    src, dst, _ = g._edge_arrays
+    x = _check_state(g, x)
+    src, dst, w = g._edge_arrays
     diffs = x[src] - x[dst]
-    if isinstance(protocol.f, Sign):
+    f = protocol.f
+    if protocol.direction is Direction.AGGREGATED:
+        return eval_f(f, _into_rows(dst, w * diffs, g.n))
+    if isinstance(f, Sign):
         # per-edge sign sums bare signs of the differences, weights drop out
-        return protocol.f.k * (g._scatter_unit @ np.sign(diffs))
-    return g._scatter_weighted @ eval_f(protocol.f, diffs)
+        return f.k * _into_rows(dst, np.sign(diffs), g.n)
+    return _into_rows(dst, w * eval_f(f, diffs), g.n)
 
 
 def homogeneity_degree_estimate(f, x_samples, lam_samples):

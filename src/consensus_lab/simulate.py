@@ -116,7 +116,8 @@ def _step_indexer(signal, dt):
 def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Trajectory:
     """Integrate the closed loop from x0 until t_end or the sticky stop.
 
-    Per step k at time t_k: metrics are recorded for the current state, the
+    Per step k at time t_k: the state is checked against the divergence
+    guard and metrics are recorded for it (also at the final step), the
     active graph is resolved, u = control(...) is applied, effort integrals
     advance by the left-endpoint rule, and x steps by dt*u. The sticky stop
     ends the run once the spread stayed at or below stop_epsilon for
@@ -162,7 +163,7 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Tra
     run_below = 0
     last_step = total_steps
 
-    for k in range(total_steps):
+    for k in range(total_steps + 1):
         x_max = float(x.max())
         x_min = float(x.min())
         v = x_max - x_min
@@ -177,6 +178,8 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Tra
             if run_below >= STICKY_STEPS:
                 last_step = k
                 break
+        if k == total_steps:
+            break
         idx = indexer(k)
         if idx != cur_idx:
             events.append((float(times_all[k]), cur_idx, idx))
@@ -191,16 +194,6 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Tra
         e_i_now = np.sqrt(s_accum)
         e_tot_now = float(e_i_now.sum())
         x = x + dt * u
-    else:
-        x_max = float(x.max())
-        x_min = float(x.min())
-        v = x_max - x_min
-        if not math.isfinite(v) or x_max > DIVERGENCE_LIMIT or x_min < -DIVERGENCE_LIMIT:
-            raise DivergenceError(times_all[total_steps], max(abs(x_max), abs(x_min)))
-        V_all[total_steps] = v
-        E_tot_all[total_steps] = e_tot_now
-        if E_i_all is not None:
-            E_i_all[total_steps] = e_i_now
 
     # final sample, also covering early stops that fall between strides
     u_final = control(protocol, net.graphs[indexer(last_step)], x)

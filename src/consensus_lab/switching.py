@@ -119,9 +119,6 @@ class DynamicNetwork:
         self.signal = signal
         self.n = n
 
-    def active_graph(self, t):
-        return self.graphs[active_index(self.signal, t)]
-
 
 def is_tau_jointly_connected(net, tau, horizon):
     """Check every window [t_bar, t_bar+tau] unions to a connected graph.

@@ -25,13 +25,18 @@ def undirected_graphs(draw, min_n=2, max_n=8, unit_weights=False, p_edge=0.5):
     return WeightedDigraph(n, edges, undirected=True)
 
 
+# Arbitrary positive weights, mostly not dyadic, for properties that must
+# hold in any summation order.
+ANY_WEIGHTS = st.floats(min_value=1e-3, max_value=1e3)
+
+
 @st.composite
-def digraphs(draw, min_n=2, max_n=8):
+def digraphs(draw, min_n=2, max_n=8, weights=st.sampled_from(DYADIC_WEIGHTS)):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [
-        (i, j, draw(st.sampled_from(DYADIC_WEIGHTS)))
+        (i, j, draw(weights))
         for (i, j), k in zip(pairs, keep)
         if k
     ]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from consensus_lab.graphs import WeightedDigraph, circulant_graph, laplacian
 from consensus_lab.protocols import (
@@ -19,10 +19,12 @@ from consensus_lab.protocols import (
     protocol_to_json,
 )
 
-from gen import digraphs
+from gen import ANY_WEIGHTS, digraphs
 
 X_SAMPLES = (0.3, 1.0, 2.7, -1.3, -0.4)
 LAM_SAMPLES = (0.25, 0.5, 2.0, 4.0, 10.0)
+ALL_FAMILIES = (Linear(1.0), Sign(2.0), Power(1.0, 0.5), FixedTime(1.0, 1.0, 0.5, 1.5))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 node_functions = st.one_of(
     st.builds(Linear, k=st.sampled_from([0.5, 1.0, 3.0])),
@@ -114,10 +116,13 @@ class TestConsensusError:
         g = WeightedDigraph.undirected(2, [(0, 1)])
         assert consensus_error(g, [1.0, 0.0]).tolist() == [-1.0, 1.0]
 
-    def test_consensus_kernel(self):
-        # dyadic consensus value so the cancellation is float-exact
-        g = circulant_graph(5, {1, 2})
-        assert not consensus_error(g, np.full(5, 3.5)).any()
+    @settings(max_examples=100)
+    @given(digraphs(weights=ANY_WEIGHTS), finite_floats)
+    @example(circulant_graph(5, {1, 2}), 3.5)
+    def test_consensus_kernel(self, g, c):
+        # edge differences c - c are exactly zero, so no weight or summation
+        # order can leave a rounding residue at consensus
+        assert not consensus_error(g, np.full(g.n, c)).any()
 
     def test_c4(self):
         g = circulant_graph(4, {1})
@@ -163,12 +168,24 @@ class TestControl:
         u = control(Protocol(Direction.AGGREGATED, Power(1.0, 0.5)), g, [1.0, 0.0])
         assert u.tolist() == [-1.0, 1.0]
 
-    def test_consensus_is_equilibrium(self):
-        g = circulant_graph(6, {1, 2})
-        x = np.full(6, -2.5)
-        for f in (Linear(1.0), Sign(2.0), Power(1.0, 0.5), FixedTime(1.0, 1.0, 0.5, 1.5)):
+    @settings(max_examples=100)
+    @given(digraphs(weights=ANY_WEIGHTS), finite_floats)
+    @example(circulant_graph(6, {1, 2}), -2.5)
+    def test_consensus_is_equilibrium(self, g, c):
+        # a residue in e would make aggregated Sign output +-k at consensus
+        x = np.full(g.n, c)
+        for f in ALL_FAMILIES:
             for d in Direction:
                 assert not control(Protocol(d, f), g, x).any()
+
+    def test_edgeless_graph_gives_float_zeros(self):
+        g = WeightedDigraph(3, [])
+        x = [1.0, -2.0, 0.5]
+        assert consensus_error(g, x).dtype == float
+        for f in ALL_FAMILIES:
+            for d in Direction:
+                u = control(Protocol(d, f), g, x)
+                assert u.dtype == float and not u.any()
 
     def test_per_edge_sign_ignores_weights(self):
         # the printed per-edge sign rule carries no a_ij factor

@@ -202,6 +202,15 @@ class TestDivergence:
             simulate(net, p, x0, SimConfig(t_end=1.0, dt=1e-3))
         assert err.value.time >= 0.0
 
+    def test_guard_trips_on_final_step(self):
+        # the only Euler step takes the pair from [1, -1] to [1 - 2e12, 2e12 - 1]
+        g = WeightedDigraph.undirected(2, [(0, 1)])
+        cfg = SimConfig(t_end=1e-3, dt=1e-3)
+        with pytest.raises(DivergenceError) as err:
+            simulate(static_net(g), Protocol(AGG, Linear(1e15)), [1.0, -1.0], cfg)
+        assert err.value.time == cfg.t_end
+        assert err.value.max_abs == 2e12 - 1
+
 
 class TestStickyStop:
     def test_early_exit(self):
