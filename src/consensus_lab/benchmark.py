@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .metrics import settling_time
 from .protocols import Direction, FixedTime, Power, Protocol
-from .simulate import DivergenceError, SimConfig, simulate
+# bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
+from .simulate import DivergenceError, _Run, _step_count, simulate  # noqa: F401
 from .switching import DynamicNetwork, FloorModulo
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 GAIN_BRACKET = (1e-3, 1e3)
+RETIRED = "> target_t + band"
 BISECTION_STEPS = 48
 H_RULE = "largest h <= floor(n/2) with gcd(h, n) = 1; member 1 = C_n{1, h}"
 
@@ -122,10 +124,17 @@ def _snap_horizon(horizon: float, dt: float) -> float:
     return max(1, math.ceil(horizon / dt - 1e-9)) * dt
 
 
-def _run_once(family, direction, k, net, x0, epsilon, t_end, dt):
-    protocol = benchmark_protocol(family, direction, k)
-    cfg = SimConfig(t_end=t_end, dt=dt, stop_epsilon=epsilon, record_stride=10**9)
-    return simulate(net, protocol, x0, cfg)
+def _cut_step(t0, dt, target_t, band, last_step):
+    """First step c < last_step whose successor time t_{c+1} is past target_t
+    and fails the acceptance band test; None if no such step exists.
+
+    The times and the test are the float expressions the settling time and
+    the bisection use, so a run still above target_v at step c settles at
+    t_{c+1} or later and can pass neither `T <= target_t` nor the band.
+    """
+    t = t0 + dt * np.arange(1, last_step + 1)
+    past = (t > target_t) & ~(np.abs(t - target_t) <= band)
+    return int(np.argmax(past)) if past.any() else None
 
 
 def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
@@ -134,7 +143,15 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     k = k1 = k2 for the fixed-time family. Returns (gain, achieved time);
     the bisection exits early once the achieved time is within 10 dt of the
     target. Raises CalibrationError when the bracket endpoints do not
-    straddle the target. Probes that diverge count as never settling.
+    straddle the target; its report of the pre-scan gives None for probes
+    that diverged or never settled and RETIRED for retired ones.
+
+    Each probe first runs to the cut step (see _cut_step). If V is still
+    above target_v there, the probe retires: its settling time lies past
+    target_t + band, which every pre-scan and bisection test treats like
+    a probe that never settles, so the rest of the horizon is skipped.
+    Other probes run the full 4 target_t horizon. The returned gain and
+    time are therefore those of full-horizon probes.
     """
     if target_v <= 0 or target_t <= 0:
         raise ValueError("target_v and target_t must be positive")
@@ -144,13 +161,22 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     x0 = lcg_initial_conditions(lcg, n)
     horizon = _snap_horizon(max(4 * target_t, 20 * dt), dt)
     band = 10 * dt
+    last = _step_count(horizon, net.signal.t0, dt)
+    cut = _cut_step(net.signal.t0, dt, target_t, band, last)
 
     def probe(k):
+        # math.inf stands for a retired probe: past the band, exact time unknown
+        protocol = benchmark_protocol(family, direction, k)
+        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9)
         try:
-            traj = _run_once(family, direction, k, net, x0, target_v, horizon, dt)
+            if cut is not None:
+                run.advance(cut)
+                if run.metrics().V[-1] > target_v:
+                    return math.inf
+            run.advance(last)
         except DivergenceError:
             return None
-        return settling_time(traj.metrics, target_v)
+        return settling_time(run.metrics(), target_v)
 
     # T(k) falls like 1/k in the useful range but stops settling again at
     # extreme gains, where the Euler chatter amplitude outgrows target_v.
@@ -176,9 +202,10 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
             break
         lo = g
     if bracket is None:
+        report = {g: RETIRED if t == math.inf else t for g, t in scanned.items()}
         raise CalibrationError(
             f"no gain in {GAIN_BRACKET} settles within target_t={target_t}; "
-            f"scanned {scanned}"
+            f"scanned {report}"
         )
     lo, hi, t_hi = bracket
     for _ in range(BISECTION_STEPS):
@@ -207,22 +234,36 @@ def _experiment_family(experiment: int) -> str:
 
 
 def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_horizon):
-    net = benchmark_topology(n)
-    x0 = lcg_initial_conditions(lcg, n)
+    """Settling time and E_tot of one sweep row.
+
+    One run is advanced to base_horizon and then on through doubled
+    horizons, up to ten times, until it settles. Each horizon resumes where
+    the last one stopped; the numbers are those of a fresh run at the final
+    horizon, since a run's prefix does not depend on where it ends.
+    """
+    run = _Run(
+        benchmark_topology(n),
+        benchmark_protocol(family, direction, k),
+        lcg_initial_conditions(lcg, n),
+        dt,
+        stop_epsilon=epsilon,
+        record_stride=10**9,
+    )
     horizon = base_horizon
     for _ in range(11):
         try:
-            traj = _run_once(family, direction, k, net, x0, epsilon, horizon, dt)
+            run.advance(_step_count(horizon, run.t0, dt))
         except DivergenceError as exc:
             raise DivergenceError(
                 exc.time,
                 exc.max_abs,
                 context=f"benchmark row n={n} direction={direction.value}",
             ) from exc
-        t_star = settling_time(traj.metrics, epsilon)
+        metrics = run.metrics()
+        t_star = settling_time(metrics, epsilon)
         if t_star is not None:
-            idx = int(round((t_star - traj.metrics.times[0]) / dt))
-            return t_star, float(traj.metrics.E_tot[idx])
+            idx = int(round((t_star - metrics.times[0]) / dt))
+            return t_star, float(metrics.E_tot[idx])
         horizon *= 2
     raise RuntimeError(
         f"benchmark row n={n} direction={direction.value} did not settle "

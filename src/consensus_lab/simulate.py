@@ -81,6 +81,19 @@ class Trajectory:
     events: List[Tuple[float, int, int]] = field(default_factory=list)
 
 
+def _step_count(t_end, t0, dt):
+    """Number of steps from t0 to t_end, which must be a whole number."""
+    if t_end <= t0:
+        raise ValueError(f"t_end = {t_end} must exceed the signal start t0 = {t0}")
+    span = (t_end - t0) / dt
+    steps = int(round(span))
+    if steps < 1 or abs(span - steps) > 1e-6:
+        raise ValueError(
+            f"t_end - t0 = {t_end - t0} is not a whole number of steps at dt = {dt}"
+        )
+    return steps
+
+
 def _step_indexer(signal, dt):
     """Map a step counter k (time t0 + k dt) to the active family index.
 
@@ -113,107 +126,158 @@ def _step_indexer(signal, dt):
     raise TypeError(f"unknown signal type: {signal!r}")
 
 
+class _Run:
+    """One closed-loop integration from x0 that can be advanced in pieces.
+
+    advance(last_step) integrates up to step last_step and may be called
+    again with a later step; the pieces give exactly the numbers of one
+    uninterrupted run. Per step k at time t_k: the state is checked
+    against the divergence guard and metrics are recorded for it, the
+    active graph is resolved, u = control(...) is applied, effort
+    integrals advance by the left-endpoint rule, and x steps by dt*u.
+    The sticky stop ends the run for good once the spread stayed at or
+    below stop_epsilon for STICKY_STEPS consecutive steps.
+    """
+
+    def __init__(
+        self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, track_per_node=False
+    ):
+        x = np.array(x0, dtype=float)
+        if x.shape != (net.n,):
+            raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
+        if not np.isfinite(x).all():
+            raise ValueError("x0 must be finite")
+        self.net = net
+        self.protocol = protocol
+        self.dt = dt
+        self.t0 = net.signal.t0
+        self.stopped = False
+        self._indexer = _step_indexer(net.signal, dt)
+        self._eps = stop_epsilon
+        self._stride = record_stride
+        self._next = 0  # first step not yet observed
+        self._x = x
+        self._V = np.empty(0)
+        self._E_tot = np.empty(0)
+        self._E_i = np.empty((0, net.n)) if track_per_node else None
+        self._s_accum = np.zeros(net.n)
+        self._e_i = np.zeros(net.n)
+        self._e_tot = 0.0
+        self._cur_idx = self._indexer(0)
+        self._run_below = 0
+        self._events: List[Tuple[float, int, int]] = []
+        self._rec_steps: List[int] = []
+        self._rec_states: List[np.ndarray] = []
+        self._rec_controls: List[np.ndarray] = []
+
+    def advance(self, last_step):
+        """Integrate to step last_step, or to the sticky stop if it comes first."""
+        if self.stopped or last_step < self._next:
+            return
+        if len(self._V) <= last_step:
+            self._grow(last_step + 1)
+        ctrl = control
+        indexer, graphs, protocol = self._indexer, self.net.graphs, self.protocol
+        dt, t0, eps, stride = self.dt, self.t0, self._eps, self._stride
+        V_all, E_tot_all, E_i_all = self._V, self._E_tot, self._E_i
+        events = self._events
+        rec_steps, rec_states, rec_controls = self._rec_steps, self._rec_states, self._rec_controls
+        x, s_accum, e_i_now, e_tot_now = self._x, self._s_accum, self._e_i, self._e_tot
+        cur_idx, run_below = self._cur_idx, self._run_below
+        g_active = graphs[cur_idx]
+
+        for k in range(self._next, last_step + 1):
+            if k:
+                # Euler step from t_{k-1} on the graph active over [t_{k-1}, t_k)
+                j = k - 1
+                idx = indexer(j)
+                if idx != cur_idx:
+                    events.append((t0 + dt * j, cur_idx, idx))
+                    cur_idx = idx
+                    g_active = graphs[idx]
+                u = ctrl(protocol, g_active, x)
+                if j % stride == 0:
+                    rec_steps.append(j)
+                    rec_states.append(x.copy())
+                    rec_controls.append(u)
+                s_accum += u * u * dt
+                e_i_now = np.sqrt(s_accum)
+                e_tot_now = float(e_i_now.sum())
+                x = x + dt * u
+            x_max = float(x.max())
+            x_min = float(x.min())
+            v = x_max - x_min
+            if not math.isfinite(v) or x_max > DIVERGENCE_LIMIT or x_min < -DIVERGENCE_LIMIT:
+                raise DivergenceError(t0 + dt * k, max(abs(x_max), abs(x_min)))
+            V_all[k] = v
+            E_tot_all[k] = e_tot_now
+            if E_i_all is not None:
+                E_i_all[k] = e_i_now
+            if eps is not None:
+                run_below = run_below + 1 if v <= eps else 0
+                if run_below >= STICKY_STEPS:
+                    self.stopped = True
+                    break
+
+        self._next = k + 1
+        self._x, self._s_accum, self._e_i, self._e_tot = x, s_accum, e_i_now, e_tot_now
+        self._cur_idx, self._run_below = cur_idx, run_below
+
+    def _grow(self, size):
+        keep = self._next
+        for name in ("_V", "_E_tot", "_E_i"):
+            old = getattr(self, name)
+            if old is None:
+                continue
+            new = np.empty((size,) + old.shape[1:])
+            new[:keep] = old[:keep]
+            setattr(self, name, new)
+
+    def metrics(self) -> MetricSeries:
+        """Per-step record of the steps observed so far."""
+        end = self._next
+        # t0 + dt k, built in one buffer
+        times = np.arange(end, dtype=float)
+        times *= self.dt
+        times += self.t0
+        return MetricSeries(
+            times=times,
+            V=self._V[:end],
+            E_tot=self._E_tot[:end],
+            E_i=self._E_i[:end] if self._E_i is not None else None,
+        )
+
+    def trajectory(self) -> Trajectory:
+        """Package the run so far; the current state is always the last sample."""
+        last = self._next - 1
+        u_final = control(self.protocol, self.net.graphs[self._indexer(last)], self._x)
+        steps = self._rec_steps + [last]
+        return Trajectory(
+            times=self.t0 + self.dt * np.array(steps),
+            states=np.vstack(self._rec_states + [self._x.copy()]),
+            controls=np.vstack(self._rec_controls + [u_final]),
+            metrics=self.metrics(),
+            events=list(self._events),
+        )
+
+
 def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Trajectory:
     """Integrate the closed loop from x0 until t_end or the sticky stop.
 
-    Per step k at time t_k: the state is checked against the divergence
-    guard and metrics are recorded for it (also at the final step), the
-    active graph is resolved, u = control(...) is applied, effort integrals
-    advance by the left-endpoint rule, and x steps by dt*u. The sticky stop
-    ends the run once the spread stayed at or below stop_epsilon for
-    STICKY_STEPS consecutive steps.
+    The step rules are those of _Run; the final state is always a sample,
+    also when an early stop falls between strides.
     """
-    x = np.array(x0, dtype=float)
-    if x.shape != (net.n,):
-        raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
-
-    sig = net.signal
-    t0 = sig.t0
-    dt = cfg.dt
-    if cfg.t_end <= t0:
-        raise ValueError(f"t_end = {cfg.t_end} must exceed the signal start t0 = {t0}")
-    span = (cfg.t_end - t0) / dt
-    total_steps = int(round(span))
-    if total_steps < 1 or abs(span - total_steps) > 1e-6:
-        raise ValueError(
-            f"t_end - t0 = {cfg.t_end - t0} is not a whole number of steps at dt = {dt}"
-        )
-
-    indexer = _step_indexer(sig, dt)
-    n = net.n
-    times_all = t0 + dt * np.arange(total_steps + 1)
-    V_all = np.empty(total_steps + 1)
-    E_tot_all = np.empty(total_steps + 1)
-    E_i_all = np.empty((total_steps + 1, n)) if cfg.track_per_node else None
-
-    rec_steps: List[int] = []
-    rec_states: List[np.ndarray] = []
-    rec_controls: List[np.ndarray] = []
-    events: List[Tuple[float, int, int]] = []
-
-    s_accum = np.zeros(n)
-    e_i_now = np.zeros(n)
-    e_tot_now = 0.0
-    eps = cfg.stop_epsilon
-    stride = cfg.record_stride
-    cur_idx = indexer(0)
-    g_active = net.graphs[cur_idx]
-    run_below = 0
-    last_step = total_steps
-
-    for k in range(total_steps + 1):
-        x_max = float(x.max())
-        x_min = float(x.min())
-        v = x_max - x_min
-        if not math.isfinite(v) or x_max > DIVERGENCE_LIMIT or x_min < -DIVERGENCE_LIMIT:
-            raise DivergenceError(times_all[k], max(abs(x_max), abs(x_min)))
-        V_all[k] = v
-        E_tot_all[k] = e_tot_now
-        if E_i_all is not None:
-            E_i_all[k] = e_i_now
-        if eps is not None:
-            run_below = run_below + 1 if v <= eps else 0
-            if run_below >= STICKY_STEPS:
-                last_step = k
-                break
-        if k == total_steps:
-            break
-        idx = indexer(k)
-        if idx != cur_idx:
-            events.append((float(times_all[k]), cur_idx, idx))
-            cur_idx = idx
-            g_active = net.graphs[idx]
-        u = control(protocol, g_active, x)
-        if k % stride == 0:
-            rec_steps.append(k)
-            rec_states.append(x.copy())
-            rec_controls.append(u)
-        s_accum += u * u * dt
-        e_i_now = np.sqrt(s_accum)
-        e_tot_now = float(e_i_now.sum())
-        x = x + dt * u
-
-    # final sample, also covering early stops that fall between strides
-    u_final = control(protocol, net.graphs[indexer(last_step)], x)
-    rec_steps.append(last_step)
-    rec_states.append(x.copy())
-    rec_controls.append(u_final)
-
-    metrics = MetricSeries(
-        times=times_all[: last_step + 1],
-        V=V_all[: last_step + 1],
-        E_tot=E_tot_all[: last_step + 1],
-        E_i=E_i_all[: last_step + 1] if E_i_all is not None else None,
+    run = _Run(
+        net,
+        protocol,
+        x0,
+        cfg.dt,
+        stop_epsilon=cfg.stop_epsilon,
+        record_stride=cfg.record_stride,
+        track_per_node=cfg.track_per_node,
     )
-    return Trajectory(
-        times=times_all[rec_steps],
-        states=np.vstack(rec_states),
-        controls=np.vstack(rec_controls),
-        metrics=metrics,
-        events=events,
-    )
+    run.advance(_step_count(cfg.t_end, run.t0, cfg.dt))
+    return run.trajectory()
 
 
 def replay_check(traj: Trajectory, net: DynamicNetwork, protocol: Protocol, cfg: SimConfig):

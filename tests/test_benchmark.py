@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from consensus_lab.benchmark import (
+    BISECTION_STEPS,
+    GAIN_BRACKET,
+    RETIRED,
     CalibrationError,
     LcgConfig,
+    _snap_horizon,
+    _sweep_row,
+    benchmark_protocol,
     benchmark_topology,
     calibrate_gain,
     coprime_offset,
@@ -15,10 +21,11 @@ from consensus_lab.benchmark import (
 from consensus_lab.graphs import circulant_graph, is_connected
 from consensus_lab.metrics import settling_time
 from consensus_lab.protocols import Direction, Power, Protocol
-from consensus_lab.simulate import SimConfig, simulate
+from consensus_lab.simulate import DivergenceError, SimConfig, simulate
 from consensus_lab.switching import FloorModulo
 
 AGG = Direction.AGGREGATED
+PE = Direction.PER_EDGE
 
 
 class TestLcg:
@@ -99,6 +106,48 @@ def _settle_at_gain(k, n=10, dt=1e-3):
     return settling_time(traj.metrics, 0.05)
 
 
+def _reference_calibration(family, direction, n, target_v, target_t, dt):
+    """Geometric pre-scan, then bisection, every probe a full-horizon simulate."""
+    net = benchmark_topology(n)
+    x0 = lcg_initial_conditions(LcgConfig(), n)
+    cfg = SimConfig(
+        t_end=_snap_horizon(max(4 * target_t, 20 * dt), dt),
+        dt=dt,
+        stop_epsilon=target_v,
+        record_stride=10**9,
+    )
+    band = 10 * dt
+
+    def probe(k):
+        try:
+            traj = simulate(net, benchmark_protocol(family, direction, k), x0, cfg)
+        except DivergenceError:
+            return None
+        return settling_time(traj.metrics, target_v)
+
+    def fast(t):
+        return t is not None and t <= target_t
+
+    grid = [GAIN_BRACKET[0]]
+    while grid[-1] < GAIN_BRACKET[1]:
+        grid.append(min(grid[-1] * 10.0, GAIN_BRACKET[1]))
+    times = [probe(g) for g in grid]
+    assert not fast(times[0])
+    i = next(i for i, t in enumerate(times) if fast(t))
+    lo, hi, t_hi = grid[i - 1], grid[i], times[i]
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        t_mid = probe(mid)
+        if t_mid is not None and abs(t_mid - target_t) <= band:
+            return mid, t_mid
+        if fast(t_mid):
+            hi, t_hi = mid, t_mid
+        else:
+            lo = mid
+    assert abs(t_hi - target_t) <= band
+    return hi, t_hi
+
+
 class TestCalibration:
     def test_larger_gain_settles_sooner(self):
         times = [_settle_at_gain(k) for k in (0.5, 1.0, 2.0)]
@@ -114,12 +163,43 @@ class TestCalibration:
         assert abs(_settle_at_gain(k) - achieved) < 1e-12
 
     def test_unreachable_target_reports_bracket(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError) as err:
             calibrate_gain("power", AGG, n=10, target_v=0.05, target_t=1e-3, dt=1e-3)
+        msg = str(err.value)
+        for g in (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0):
+            assert f"{g!r}: " in msg
+        # every probe is still far above target_v at t = 0.011 s
+        assert repr(RETIRED) in msg and "None" not in msg
+
+    @pytest.mark.parametrize("family", ["power", "fixed_time"])
+    @pytest.mark.parametrize("direction", [PE, AGG], ids=["pe", "agg"])
+    def test_matches_full_horizon_reference(self, family, direction):
+        assert calibrate_gain(
+            family, direction, n=10, target_v=0.05, target_t=1.0, dt=1e-3
+        ) == _reference_calibration(family, direction, 10, 0.05, 1.0, 1e-3)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             calibrate_gain("cubic", AGG, n=10, target_v=0.05, target_t=1.0, dt=1e-3)
+
+
+class TestSweepRow:
+    def test_resumed_row_matches_one_shot(self):
+        k, n, eps, dt, base = 1.0, 10, 0.05, 1e-3, 0.125
+        net = benchmark_topology(n)
+        x0 = lcg_initial_conditions(LcgConfig(), n)
+        horizon = base
+        while True:
+            cfg = SimConfig(t_end=horizon, dt=dt, stop_epsilon=eps, record_stride=10**9)
+            traj = simulate(net, Protocol(AGG, Power(k, 0.5)), x0, cfg)
+            t_star = settling_time(traj.metrics, eps)
+            if t_star is not None:
+                break
+            horizon *= 2
+        assert horizon >= 4 * base
+        e_tot = float(traj.metrics.E_tot[int(round(t_star / dt))])
+        got = _sweep_row("power", AGG, k, n, eps, dt, LcgConfig(), base)
+        assert got == (t_star, e_tot)
 
 
 class TestRunExperiment:

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensus_lab.graphs import WeightedDigraph, circulant_graph
 from consensus_lab.metrics import settling_time
 from consensus_lab.protocols import Direction, FixedTime, Linear, Power, Protocol, Sign
-from consensus_lab.simulate import DivergenceError, SimConfig, replay_check, simulate
+from consensus_lab.simulate import (
+    DivergenceError,
+    SimConfig,
+    _Run,
+    replay_check,
+    simulate,
+)
 from consensus_lab.switching import Breakpoints, DynamicNetwork, FloorModulo
 
 AGG = Direction.AGGREGATED
@@ -315,3 +323,93 @@ class TestDisconnectedStall:
         )
         assert traj.metrics.V[-1] > 4.0
         assert settling_time(traj.metrics, 0.05) is None
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def switched_runs(draw):
+    """A switched network with t0 != 0 on the dt = 1e-3 grid, a protocol,
+    x0 and a horizon of whole steps."""
+    dt = 1e-3
+    n = draw(st.integers(min_value=4, max_value=6))
+    members = [
+        circulant_graph(n, {1}),
+        WeightedDigraph.undirected(n, [(0, 1)]),
+        circulant_graph(n, {1, 2}),
+    ]
+    t0 = dt * draw(st.integers(min_value=1, max_value=300))
+    steps = draw(st.integers(min_value=50, max_value=600))
+    if draw(st.booleans()):
+        rate = draw(st.sampled_from([10.0, 20.0, 25.0, 50.0]))
+        modulus = draw(st.integers(min_value=1, max_value=3))
+        offset = draw(st.integers(min_value=0, max_value=3 - modulus))
+        signal = FloorModulo(rate=rate, modulus=modulus, offset=offset, t0=t0)
+    else:
+        cuts = draw(st.lists(st.integers(1, steps + 50), max_size=5, unique=True))
+        first = draw(st.integers(0, 2))
+        indices = [first]
+        for _ in cuts:
+            indices.append((indices[-1] + draw(st.integers(1, 2))) % 3)
+        signal = Breakpoints(
+            times=tuple(t0 + dt * c for c in sorted(cuts)), indices=tuple(indices), t0=t0
+        )
+    f = draw(
+        st.sampled_from(
+            [Linear(5.0), Sign(1.0), Power(2.0, 0.5), FixedTime(1.0, 1.0, 0.5, 1.5)]
+        )
+    )
+    protocol = Protocol(draw(st.sampled_from([AGG, PE])), f)
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    cfg = SimConfig(
+        t_end=t0 + dt * steps,
+        dt=dt,
+        stop_epsilon=draw(st.sampled_from([None, 0.05, 0.5])),
+        record_stride=draw(st.integers(1, 40)),
+        track_per_node=True,
+    )
+    return DynamicNetwork(members, signal), protocol, x0, cfg, steps
+
+
+class TestResumableRun:
+    @settings(max_examples=60, deadline=None)
+    @given(case=switched_runs(), data=st.data())
+    def test_chunks_match_one_shot(self, case, data):
+        net, protocol, x0, cfg, steps = case
+        whole = simulate(net, protocol, x0, cfg)
+        t0, dt = net.signal.t0, cfg.dt
+        # chunk ends on and next to every switch instant and the sticky stop
+        ends = set()
+        for t, _, _ in whole.events:
+            k = int(round((t - t0) / dt))
+            ends.update((k - 1, k, k + 1))
+        stop = len(whole.metrics.times) - 1
+        if stop < steps:
+            ends.update((stop - 1, stop))
+        ends.update(data.draw(st.lists(st.integers(0, steps), max_size=6)))
+        ends = data.draw(st.permutations(sorted(e for e in ends if 0 <= e <= steps)))
+
+        run = _Run(
+            net,
+            protocol,
+            x0,
+            dt,
+            stop_epsilon=cfg.stop_epsilon,
+            record_stride=cfg.record_stride,
+            track_per_node=True,
+        )
+        for end in ends:
+            run.advance(end)
+        run.advance(steps)
+        pieced = run.trajectory()
+
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(pieced.metrics, name), getattr(whole.metrics, name))
+        for name in ("times", "states", "controls"):
+            assert _same_bytes(getattr(pieced, name), getattr(whole, name))
+        assert pieced.events == whole.events
+        if stop < steps:
+            assert run.stopped
