@@ -38,24 +38,40 @@ class MetricSeries:
     E_i: Optional[np.ndarray] = None
 
 
-def lyapunov_v(x) -> float:
-    """Spread max(x) - min(x); zero exactly at consensus."""
+def lyapunov_v(x):
+    """Spread max(x) - min(x) along the last axis; zero exactly at consensus.
+
+    A float for one state; for a block of states, one row per step, the
+    array of their spreads.
+    """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("state vector is empty")
-    return float(np.max(x) - np.min(x))
+    v = np.max(x, axis=-1) - np.min(x, axis=-1)
+    return float(v) if x.ndim == 1 else v
 
 
-def isce_accumulate(s_accum: np.ndarray, u, dt: float) -> np.ndarray:
-    """Advance the squared-effort integrals S_i by one left-endpoint step.
+def isce_accumulate(s_accum: np.ndarray, u, dt: float, out=None) -> np.ndarray:
+    """Advance the squared-effort integrals S_i by left-endpoint steps.
 
-    Returns the updated accumulator; E_i = sqrt(S_i) and E_tot = sum(E_i)
-    are derived from it wherever a metric point is materialized.
+    For one control vector u, returns s_accum + u*u*dt. For a block of
+    controls, one row per step, returns the accumulator after each step:
+    row r is row r-1 (s_accum for r = 0) plus u[r]*u[r]*dt, summed row by
+    row so every row has the bits of the one-step update. The block may be
+    written into out, which can be u itself. E_i = sqrt(S_i) and
+    E_tot = sum(E_i) are derived wherever a metric point is materialized.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = np.asarray(u, dtype=float)
-    return s_accum + u * u * dt
+    if u.ndim == 1:
+        return s_accum + u * u * dt
+    s = np.multiply(u, u, out=out)
+    s *= dt
+    prev = s_accum
+    for row in s:
+        prev = np.add(prev, row, out=row)
+    return s
 
 
 def settling_time(series: MetricSeries, epsilon: float):

@@ -6,7 +6,9 @@ difference before the weighted sum; the aggregated direction applies f once
 to the stacked consensus error e = -Q x. Both coincide for the linear law
 and differ otherwise. Both directions sum the edge differences
 x_src - x_dst into their destination rows with np.bincount, so every row
-is exactly zero at consensus whatever the weights.
+is exactly zero at consensus whatever the weights. Each law's formula is
+written once, in the pre-bound evaluator that eval_f, control and the
+simulator's per-member kernels share.
 """
 
 from __future__ import annotations
@@ -116,18 +118,26 @@ class Protocol:
     f: NodeFunction
 
 
+def _node_function(f):
+    """Elementwise evaluator of a node function with its parameters bound."""
+    if isinstance(f, Linear):
+        k = f.k
+        return lambda x: k * x
+    if isinstance(f, Sign):
+        k = f.k
+        return lambda x: k * np.sign(x)
+    if isinstance(f, Power):
+        k, alpha = f.k, f.alpha
+        return lambda x: k * _signed_power(x, alpha)
+    if isinstance(f, FixedTime):
+        k1, k2, p, q = f.k1, f.k2, f.p, f.q
+        return lambda x: k1 * _signed_power(x, p) + k2 * _signed_power(x, q)
+    raise TypeError(f"not a node function: {f!r}")
+
+
 def eval_f(f, x):
     """Evaluate a node function elementwise on x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(f, Linear):
-        return f.k * x
-    if isinstance(f, Sign):
-        return f.k * np.sign(x)
-    if isinstance(f, Power):
-        return f.k * _signed_power(x, f.alpha)
-    if isinstance(f, FixedTime):
-        return f.k1 * _signed_power(x, f.p) + f.k2 * _signed_power(x, f.q)
-    raise TypeError(f"not a node function: {f!r}")
+    return _node_function(f)(np.asarray(x, dtype=float))
 
 
 def _check_state(g, x):
@@ -137,33 +147,37 @@ def _check_state(g, x):
     return x
 
 
-def _into_rows(dst, values, n):
-    # sum per-edge values into their destination rows; bincount would give
-    # integer zeros for an edgeless graph
-    if not dst.size:
-        return np.zeros(n)
-    return np.bincount(dst, values, minlength=n)
-
-
 def consensus_error(g: WeightedDigraph, x) -> np.ndarray:
     """Stacked consensus error e = -Q x, e_i = sum_j a_ij (x_j - x_i)."""
     x = _check_state(g, x)
     src, dst, w = g._edge_arrays
-    return _into_rows(dst, w * (x[src] - x[dst]), g.n)
+    if not dst.size:
+        return np.zeros(g.n)
+    return np.bincount(dst, w * (x[src] - x[dst]), minlength=g.n)
+
+
+def _kernel(protocol: Protocol, g: WeightedDigraph):
+    """The map x -> u of a protocol on g, with the edge arrays and the node
+    function bound once; x must be a float state of g's size."""
+    src, dst, w = g._edge_arrays
+    n = g.n
+    f = protocol.f
+    fn = _node_function(f)
+    if not dst.size:
+        # bincount would give integer zeros here; f(0) = 0 for every law
+        return lambda x: np.zeros(n)
+    if protocol.direction is Direction.AGGREGATED:
+        return lambda x: fn(np.bincount(dst, w * (x[src] - x[dst]), minlength=n))
+    if isinstance(f, Sign):
+        # per-edge sign sums bare signs of the differences, weights drop out
+        k = f.k
+        return lambda x: k * np.bincount(dst, np.sign(x[src] - x[dst]), minlength=n)
+    return lambda x: np.bincount(dst, w * fn(x[src] - x[dst]), minlength=n)
 
 
 def control(protocol: Protocol, g: WeightedDigraph, x) -> np.ndarray:
     """Control input of every node under the given protocol on graph g."""
-    x = _check_state(g, x)
-    src, dst, w = g._edge_arrays
-    diffs = x[src] - x[dst]
-    f = protocol.f
-    if protocol.direction is Direction.AGGREGATED:
-        return eval_f(f, _into_rows(dst, w * diffs, g.n))
-    if isinstance(f, Sign):
-        # per-edge sign sums bare signs of the differences, weights drop out
-        return f.k * _into_rows(dst, np.sign(diffs), g.n)
-    return _into_rows(dst, w * eval_f(f, diffs), g.n)
+    return _kernel(protocol, g)(_check_state(g, x))
 
 
 def homogeneity_degree_estimate(f, x_samples, lam_samples):

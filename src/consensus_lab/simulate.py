@@ -4,6 +4,12 @@ The integrator insists that every switching instant lands on a step
 boundary, so a topology change never smears across a step. The active graph
 is resolved with integer step arithmetic rather than floating time, which
 keeps the schedule exact over long horizons.
+
+The step loop does only the Euler update with a kernel bound once per
+family member. The spread, the divergence guard, the sticky stop and the
+effort integrals are evaluated once per block of steps, with the metrics
+module's block forms; the step at which a run stops or diverges, and every
+number it records, are those of a check after every step.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import MetricSeries
-from .protocols import Protocol, control
+from .metrics import MetricSeries, isce_accumulate, lyapunov_v
+from .protocols import Protocol, _kernel, control
 from .switching import Breakpoints, DynamicNetwork, FloorModulo
 
 __all__ = [
@@ -29,6 +35,9 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 STICKY_STEPS = 100
+# a block of Euler steps holds at most this many steps and state entries
+BLOCK_STEPS = 1024
+BLOCK_ELEMENTS = 2**14
 
 
 class DivergenceError(RuntimeError):
@@ -126,17 +135,40 @@ def _step_indexer(signal, dt):
     raise TypeError(f"unknown signal type: {signal!r}")
 
 
+def _sticky_stop(V, eps, run_below):
+    """Row of V at which the sticky stop falls, or None, and the run of
+    steps at or below eps after V, given run_below such steps before it."""
+    rows = np.arange(len(V))
+    # index of the last row above eps at or before each row; the carried
+    # run counts as rows before V
+    last_above = np.where(V <= eps, -1 - run_below, rows)
+    np.maximum.accumulate(last_above, out=last_above)
+    run = rows - last_above
+    hits = np.flatnonzero(run >= STICKY_STEPS)
+    if hits.size:
+        return int(hits[0]), STICKY_STEPS
+    return None, int(run[-1])
+
+
 class _Run:
     """One closed-loop integration from x0 that can be advanced in pieces.
 
     advance(last_step) integrates up to step last_step and may be called
     again with a later step; the pieces give exactly the numbers of one
-    uninterrupted run. Per step k at time t_k: the state is checked
-    against the divergence guard and metrics are recorded for it, the
-    active graph is resolved, u = control(...) is applied, effort
-    integrals advance by the left-endpoint rule, and x steps by dt*u.
-    The sticky stop ends the run for good once the spread stayed at or
-    below stop_epsilon for STICKY_STEPS consecutive steps.
+    uninterrupted run. Each Euler step from t_j resolves the member active
+    over [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member
+    at construction, and steps x by dt*u; effort integrals advance by the
+    left-endpoint rule.
+
+    The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
+    state entries, into buffers allocated once per run. Once per block the
+    spread V, the divergence guard, the sticky stop and the effort are
+    evaluated for every step of the block at once. The guard raises at the
+    first step whose state fails it, and the sticky stop ends the run for
+    good at the first step where the spread has stayed at or below
+    stop_epsilon for STICKY_STEPS consecutive steps: both steps, and every
+    number recorded up to them, are those of a step-by-step check. Steps
+    the block computed past a stop are discarded.
     """
 
     def __init__(
@@ -153,6 +185,7 @@ class _Run:
         self.t0 = net.signal.t0
         self.stopped = False
         self._indexer = _step_indexer(net.signal, dt)
+        self._kernels = [_kernel(protocol, g) for g in net.graphs]
         self._eps = stop_epsilon
         self._stride = record_stride
         self._next = 0  # first step not yet observed
@@ -161,14 +194,15 @@ class _Run:
         self._E_tot = np.empty(0)
         self._E_i = np.empty((0, net.n)) if track_per_node else None
         self._s_accum = np.zeros(net.n)
-        self._e_i = np.zeros(net.n)
-        self._e_tot = 0.0
         self._cur_idx = self._indexer(0)
         self._run_below = 0
         self._events: List[Tuple[float, int, int]] = []
         self._rec_steps: List[int] = []
         self._rec_states: List[np.ndarray] = []
         self._rec_controls: List[np.ndarray] = []
+        block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n))
+        self._X = np.empty((block, net.n))  # state observed at each step of a block
+        self._U = np.empty((block, net.n))  # control of the step into it, then effort
 
     def advance(self, last_step):
         """Integrate to step last_step, or to the sticky stop if it comes first."""
@@ -176,52 +210,74 @@ class _Run:
             return
         if len(self._V) <= last_step:
             self._grow(last_step + 1)
-        ctrl = control
-        indexer, graphs, protocol = self._indexer, self.net.graphs, self.protocol
-        dt, t0, eps, stride = self.dt, self.t0, self._eps, self._stride
-        V_all, E_tot_all, E_i_all = self._V, self._E_tot, self._E_i
-        events = self._events
-        rec_steps, rec_states, rec_controls = self._rec_steps, self._rec_states, self._rec_controls
-        x, s_accum, e_i_now, e_tot_now = self._x, self._s_accum, self._e_i, self._e_tot
-        cur_idx, run_below = self._cur_idx, self._run_below
-        g_active = graphs[cur_idx]
+        block = len(self._X)
+        with np.errstate(all="ignore"):
+            while not self.stopped and self._next <= last_step:
+                self._block(self._next, min(self._next + block, last_step + 1))
 
-        for k in range(self._next, last_step + 1):
-            if k:
-                # Euler step from t_{k-1} on the graph active over [t_{k-1}, t_k)
-                j = k - 1
-                idx = indexer(j)
-                if idx != cur_idx:
-                    events.append((t0 + dt * j, cur_idx, idx))
-                    cur_idx = idx
-                    g_active = graphs[idx]
-                u = ctrl(protocol, g_active, x)
-                if j % stride == 0:
-                    rec_steps.append(j)
-                    rec_states.append(x.copy())
-                    rec_controls.append(u)
-                s_accum += u * u * dt
-                e_i_now = np.sqrt(s_accum)
-                e_tot_now = float(e_i_now.sum())
-                x = x + dt * u
-            x_max = float(x.max())
-            x_min = float(x.min())
-            v = x_max - x_min
-            if not math.isfinite(v) or x_max > DIVERGENCE_LIMIT or x_min < -DIVERGENCE_LIMIT:
-                raise DivergenceError(t0 + dt * k, max(abs(x_max), abs(x_min)))
-            V_all[k] = v
-            E_tot_all[k] = e_tot_now
-            if E_i_all is not None:
-                E_i_all[k] = e_i_now
-            if eps is not None:
-                run_below = run_below + 1 if v <= eps else 0
-                if run_below >= STICKY_STEPS:
-                    self.stopped = True
-                    break
+    def _block(self, first, end):
+        """Observe steps first..end-1: run their Euler steps, then check and
+        record them in one pass."""
+        X, U = self._X[: end - first], self._U[: end - first]
+        indexer, kernels = self._indexer, self._kernels
+        dt, stride = self.dt, self._stride
+        x, cur_idx = self._x, self._cur_idx
+        kern = kernels[cur_idx]
+        switches = []
+        records = []
+        i0 = 0
+        if first == 0:
+            # step 0 is observed before any Euler step, with zero effort
+            X[0] = x
+            U[0] = 0.0
+            i0 = 1
+        for i in range(i0, end - first):
+            j = first + i - 1  # Euler step from t_j to t_{j+1}
+            idx = indexer(j)
+            if idx != cur_idx:
+                switches.append((j, cur_idx, idx))
+                cur_idx = idx
+                kern = kernels[idx]
+            u = kern(x)
+            if j % stride == 0:
+                records.append((j, x.copy(), u))
+            U[i] = u
+            x = np.add(x, dt * u, out=X[i])
 
-        self._next = k + 1
-        self._x, self._s_accum, self._e_i, self._e_tot = x, s_accum, e_i_now, e_tot_now
-        self._cur_idx, self._run_below = cur_idx, run_below
+        V = lyapunov_v(X)
+        # the first step that fails the guard raises unless the sticky stop
+        # came before it; steps past either are discarded
+        ok = (X.max(axis=1) <= DIVERGENCE_LIMIT) & (X.min(axis=1) >= -DIVERGENCE_LIMIT)
+        bad = None if ok.all() else int(np.argmin(ok))
+        stop = None
+        if self._eps is not None:
+            stop, self._run_below = _sticky_stop(V, self._eps, self._run_below)
+        if bad is not None and (stop is None or bad <= stop):
+            x_max, x_min = float(X[bad].max()), float(X[bad].min())
+            raise DivergenceError(self.t0 + dt * (first + bad), max(abs(x_max), abs(x_min)))
+        m = len(X) if stop is None else stop + 1
+        last = first + m - 1
+
+        S = isce_accumulate(self._s_accum, U[:m], dt, out=U[:m])
+        self._s_accum = S[-1].copy()
+        # without per-node tracking the square roots overwrite S
+        E = S if self._E_i is None else self._E_i[first : last + 1]
+        np.sqrt(S, out=E)
+        np.sum(E, axis=1, out=self._E_tot[first : last + 1])
+        self._V[first : last + 1] = V[:m]
+
+        # Euler steps from the last observed step on belong to later blocks
+        t0 = self.t0
+        self._events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
+        for j, state, u in records:
+            if j < last:
+                self._rec_steps.append(j)
+                self._rec_states.append(state)
+                self._rec_controls.append(u)
+        self._x = X[m - 1].copy()
+        self._cur_idx = cur_idx
+        self._next = last + 1
+        self.stopped = stop is not None
 
     def _grow(self, size):
         keep = self._next

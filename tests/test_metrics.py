@@ -39,6 +39,26 @@ class TestLyapunovV:
         assert (v == 0.0) == (len(set(xs)) == 1)
 
 
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=n, max_size=n),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    def test_block_gives_the_spread_of_each_row(self, rows):
+        v = lyapunov_v(np.array(rows))
+        assert v.shape == (len(rows),)
+        assert v.tolist() == [lyapunov_v(r) for r in rows]
+
+    def test_block_propagates_nan(self):
+        v = lyapunov_v([[1.0, 2.0], [np.nan, 0.0]])
+        assert v[0] == 1.0 and np.isnan(v[1])
+
+
 class TestIsce:
     def test_constant_control_closed_form(self):
         # E_i = (integral of 4 over [0,1])^(1/2) = 2
@@ -82,6 +102,35 @@ class TestIsce:
             e = np.sqrt(s)
             assert np.all(e >= prev_e)
             prev_e = e
+
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(min_value=-10, max_value=10), min_size=n, max_size=n),
+                min_size=1,
+                max_size=20,
+            )
+        ),
+        st.floats(min_value=1e-5, max_value=0.1),
+    )
+    def test_block_rows_are_the_one_step_updates(self, us, dt):
+        n = len(us[0])
+        s0 = np.linspace(0.0, 3.0, n)
+        block = isce_accumulate(s0, np.array(us), dt)
+        s = s0
+        for u, row in zip(us, block):
+            s = isce_accumulate(s, np.array(u), dt)
+            assert row.tobytes() == s.tobytes()
+        assert s0.tobytes() == np.linspace(0.0, 3.0, n).tobytes()
+
+    def test_block_in_place(self):
+        u = np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 1.0]])
+        want = isce_accumulate(np.ones(2), u.copy(), 0.01)
+        got = isce_accumulate(np.ones(2), u, 0.01, out=u)
+        assert got is u
+        assert np.array_equal(u, want)
 
 
 def _series(times, V):

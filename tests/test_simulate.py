@@ -1,15 +1,33 @@
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import consensus_lab.simulate as simulate_module
 from consensus_lab.graphs import WeightedDigraph, circulant_graph
-from consensus_lab.metrics import settling_time
-from consensus_lab.protocols import Direction, FixedTime, Linear, Power, Protocol, Sign
+from consensus_lab.metrics import MetricSeries, settling_time
+from consensus_lab.protocols import (
+    Direction,
+    FixedTime,
+    Linear,
+    Power,
+    Protocol,
+    Sign,
+    control,
+)
 from consensus_lab.simulate import (
+    BLOCK_STEPS,
+    DIVERGENCE_LIMIT,
+    STICKY_STEPS,
     DivergenceError,
     SimConfig,
+    Trajectory,
     _Run,
+    _step_indexer,
     replay_check,
     simulate,
 )
@@ -206,8 +224,11 @@ class TestDivergence:
         net = static_net(circulant_graph(4, {1}))
         p = Protocol(AGG, FixedTime(1.0, 1000.0, 0.5, 3.0))
         x0 = [1000.0, 0.0, 0.0, -1000.0]
-        with pytest.raises(DivergenceError) as err:
-            simulate(net, p, x0, SimConfig(t_end=1.0, dt=1e-3))
+        # the steps a block computes past the divergence overflow silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                simulate(net, p, x0, SimConfig(t_end=1.0, dt=1e-3))
         assert err.value.time >= 0.0
 
     def test_guard_trips_on_final_step(self):
@@ -330,19 +351,25 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+LAWS = [Linear(5.0), Sign(1.0), Power(2.0, 0.5), FixedTime(1.0, 1.0, 0.5, 1.5)]
+# Euler-unstable at dt = 1e-3: the first passes 1e12 with finite states, the
+# second overflows to inf and nan
+UNSTABLE_LAWS = [Linear(700.0), FixedTime(1.0, 1000.0, 0.5, 3.0)]
+
+
 @st.composite
-def switched_runs(draw):
+def switched_runs(draw, sizes=st.integers(4, 6), max_steps=600, laws=LAWS):
     """A switched network with t0 != 0 on the dt = 1e-3 grid, a protocol,
     x0 and a horizon of whole steps."""
     dt = 1e-3
-    n = draw(st.integers(min_value=4, max_value=6))
+    n = draw(sizes)
     members = [
         circulant_graph(n, {1}),
         WeightedDigraph.undirected(n, [(0, 1)]),
         circulant_graph(n, {1, 2}),
     ]
     t0 = dt * draw(st.integers(min_value=1, max_value=300))
-    steps = draw(st.integers(min_value=50, max_value=600))
+    steps = draw(st.integers(min_value=50, max_value=max_steps))
     if draw(st.booleans()):
         rate = draw(st.sampled_from([10.0, 20.0, 25.0, 50.0]))
         modulus = draw(st.integers(min_value=1, max_value=3))
@@ -357,11 +384,7 @@ def switched_runs(draw):
         signal = Breakpoints(
             times=tuple(t0 + dt * c for c in sorted(cuts)), indices=tuple(indices), t0=t0
         )
-    f = draw(
-        st.sampled_from(
-            [Linear(5.0), Sign(1.0), Power(2.0, 0.5), FixedTime(1.0, 1.0, 0.5, 1.5)]
-        )
-    )
+    f = draw(st.sampled_from(laws))
     protocol = Protocol(draw(st.sampled_from([AGG, PE])), f)
     x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     cfg = SimConfig(
@@ -413,3 +436,173 @@ class TestResumableRun:
         assert pieced.events == whole.events
         if stop < steps:
             assert run.stopped
+
+
+class _StepwiseRun:
+    """The step-by-step integration loop that checks and records after every
+    Euler step, kept as the reference for the blocked loop of _Run."""
+
+    def __init__(self, net, protocol, x0, dt, stop_epsilon, record_stride, steps):
+        self.net, self.protocol, self.dt = net, protocol, dt
+        self.t0 = net.signal.t0
+        self.stopped = False
+        self._indexer = _step_indexer(net.signal, dt)
+        self._eps, self._stride = stop_epsilon, record_stride
+        self._next = 0
+        self._x = np.array(x0, dtype=float)
+        self._V = np.empty(steps + 1)
+        self._E_tot = np.empty(steps + 1)
+        self._E_i = np.empty((steps + 1, net.n))
+        self._s_accum = np.zeros(net.n)
+        self._e_i = np.zeros(net.n)
+        self._e_tot = 0.0
+        self._cur_idx = self._indexer(0)
+        self._run_below = 0
+        self._events = []
+        self._rec_steps, self._rec_states, self._rec_controls = [], [], []
+
+    def advance(self, last_step):
+        if self.stopped or last_step < self._next:
+            return
+        indexer, graphs, protocol = self._indexer, self.net.graphs, self.protocol
+        dt, t0, eps, stride = self.dt, self.t0, self._eps, self._stride
+        x, s_accum, e_i_now, e_tot_now = self._x, self._s_accum, self._e_i, self._e_tot
+        cur_idx, run_below = self._cur_idx, self._run_below
+        g_active = graphs[cur_idx]
+        for k in range(self._next, last_step + 1):
+            if k:
+                j = k - 1
+                idx = indexer(j)
+                if idx != cur_idx:
+                    self._events.append((t0 + dt * j, cur_idx, idx))
+                    cur_idx = idx
+                    g_active = graphs[idx]
+                u = control(protocol, g_active, x)
+                if j % stride == 0:
+                    self._rec_steps.append(j)
+                    self._rec_states.append(x.copy())
+                    self._rec_controls.append(u)
+                s_accum += u * u * dt
+                e_i_now = np.sqrt(s_accum)
+                e_tot_now = float(e_i_now.sum())
+                x = x + dt * u
+            x_max = float(x.max())
+            x_min = float(x.min())
+            v = x_max - x_min
+            if not math.isfinite(v) or x_max > DIVERGENCE_LIMIT or x_min < -DIVERGENCE_LIMIT:
+                raise DivergenceError(t0 + dt * k, max(abs(x_max), abs(x_min)))
+            self._V[k] = v
+            self._E_tot[k] = e_tot_now
+            self._E_i[k] = e_i_now
+            if eps is not None:
+                run_below = run_below + 1 if v <= eps else 0
+                if run_below >= STICKY_STEPS:
+                    self.stopped = True
+                    break
+        self._next = k + 1
+        self._x, self._s_accum, self._e_i, self._e_tot = x, s_accum, e_i_now, e_tot_now
+        self._cur_idx, self._run_below = cur_idx, run_below
+
+    def trajectory(self):
+        last = self._next - 1
+        u_final = control(self.protocol, self.net.graphs[self._indexer(last)], self._x)
+        return Trajectory(
+            times=self.t0 + self.dt * np.array(self._rec_steps + [last]),
+            states=np.vstack(self._rec_states + [self._x.copy()]),
+            controls=np.vstack(self._rec_controls + [u_final]),
+            metrics=MetricSeries(
+                times=self.t0 + self.dt * np.arange(self._next, dtype=float),
+                V=self._V[: self._next],
+                E_tot=self._E_tot[: self._next],
+                E_i=self._E_i[: self._next],
+            ),
+            events=list(self._events),
+        )
+
+
+def _advance_all(run, ends):
+    """Advance run to each end in turn; the DivergenceError, if one is raised."""
+    try:
+        for end in ends:
+            run.advance(end)
+    except DivergenceError as exc:
+        return exc
+    return None
+
+
+class TestBlockedRun:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=switched_runs(
+            sizes=st.sampled_from([4, 5, 6, 40]), max_steps=1500, laws=LAWS + UNSTABLE_LAWS
+        ),
+        data=st.data(),
+    )
+    def test_matches_stepwise_loop(self, case, data):
+        # small blocks put block edges everywhere; the module's own limits
+        # clamp the block to BLOCK_ELEMENTS // n = 409 steps at n = 40
+        net, protocol, x0, cfg, steps = case
+        ends = sorted(data.draw(st.lists(st.integers(0, steps), max_size=4))) + [steps]
+        ref = _StepwiseRun(
+            net, protocol, x0, cfg.dt, cfg.stop_epsilon, cfg.record_stride, steps
+        )
+        with np.errstate(all="ignore"):
+            ref_exc = _advance_all(ref, ends)
+        block = data.draw(st.sampled_from([1, 2, 7, 64, None, "stop", "after stop"]))
+        if isinstance(block, str):
+            # one-shot run whose sticky stop is the last or the first step
+            # of a block
+            if not ref.stopped:
+                block = None
+            else:
+                block = ref._next - (0 if block == "stop" else 1)
+                ends = [steps]
+                ref = _StepwiseRun(
+                    net, protocol, x0, cfg.dt, cfg.stop_epsilon, cfg.record_stride, steps
+                )
+                ref_exc = _advance_all(ref, ends)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS):
+                run = _Run(
+                    net,
+                    protocol,
+                    x0,
+                    cfg.dt,
+                    stop_epsilon=cfg.stop_epsilon,
+                    record_stride=cfg.record_stride,
+                    track_per_node=True,
+                )
+            exc = _advance_all(run, ends)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        if ref_exc is not None:
+            assert exc is not None
+            assert (exc.time, exc.max_abs) == (ref_exc.time, ref_exc.max_abs)
+            return
+        assert exc is None
+        got, want = run.trajectory(), ref.trajectory()
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
+        for name in ("times", "states", "controls"):
+            assert _same_bytes(getattr(got, name), getattr(want, name))
+        assert got.events == want.events
+        assert run.stopped == ref.stopped
+
+    def test_step_out_of_the_stop_leaves_no_trace(self):
+        # a switch and a recorded sample fall on the Euler step out of the
+        # stop step, which a block computes but the run never takes
+        g = WeightedDigraph.undirected(2, [(0, 1)])
+        dt, steps = 1e-3, 2000
+        p = Protocol(AGG, Linear(5.0))
+        ref = _StepwiseRun(static_net(g), p, [1.0, -1.0], dt, 1e-3, 1, steps)
+        ref.advance(steps)
+        stop = ref._next - 1
+        net = DynamicNetwork([g, g], Breakpoints(times=(dt * stop,), indices=(0, 1)))
+        cfg = SimConfig(t_end=dt * steps, dt=dt, stop_epsilon=1e-3, record_stride=stop)
+        traj = simulate(net, p, [1.0, -1.0], cfg)
+        assert stop < steps and stop % BLOCK_STEPS != BLOCK_STEPS - 1
+        assert traj.events == []
+        assert traj.times.tolist() == [0.0, dt * stop]
+        assert _same_bytes(traj.states[1], ref._x)
