@@ -37,6 +37,8 @@ __all__ = [
 GAIN_BRACKET = (1e-3, 1e3)
 RETIRED = "> target_t + band"
 BISECTION_STEPS = 48
+# bisection levels probed together in one union round; 2^d - 1 probes
+SPECULATION_LEVELS = 3
 H_RULE = "largest h <= floor(n/2) with gcd(h, n) = 1; member 1 = C_n{1, h}"
 
 
@@ -137,21 +139,39 @@ def _cut_step(t0, dt, target_t, band, last_step):
     return int(np.argmax(past)) if past.any() else None
 
 
+def _bisection_midpoints(lo, hi, levels):
+    """Every midpoint the next `levels` bisection levels from (lo, hi) may
+    probe, in the floats the bisection computes them in."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return (
+        [mid]
+        + _bisection_midpoints(lo, mid, levels - 1)
+        + _bisection_midpoints(mid, hi, levels - 1)
+    )
+
+
 def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     """Bisect the gain so settling_time(eps=target_v) hits target_t.
 
     k = k1 = k2 for the fixed-time family. Returns (gain, achieved time);
     the bisection exits early once the achieved time is within 10 dt of the
     target. Raises CalibrationError when the bracket endpoints do not
-    straddle the target; its report of the pre-scan gives None for probes
-    that diverged or never settled and RETIRED for retired ones.
+    straddle the target; its report of the pre-scan lists the gains a
+    serial scan probes, with None for probes that diverged or never settled
+    and RETIRED for retired ones.
 
-    Each probe first runs to the cut step (see _cut_step). If V is still
-    above target_v there, the probe retires: its settling time lies past
-    target_t + band, which every pre-scan and bisection test treats like
-    a probe that never settles, so the rest of the horizon is skipped.
-    Other probes run the full 4 target_t horizon. The returned gain and
-    time are therefore those of full-horizon probes.
+    Probes run in rounds, each round one union run (see simulate._Run).
+    Every probe first runs to the cut step (see _cut_step). If V is still
+    above target_v there, the probe retires and leaves the union: its
+    settling time lies past target_t + band, which every pre-scan and
+    bisection test treats like a probe that never settles. Other probes run
+    the full 4 target_t horizon. The pre-scan is one round of all seven
+    grid gains; each bisection round holds the 2^d - 1 midpoints that the
+    next d = SPECULATION_LEVELS levels may probe. The serial decisions,
+    including the early exit, are then replayed on the round's times, so
+    the returned gain and time are those of serial full-horizon probes.
     """
     if target_v <= 0 or target_t <= 0:
         raise ValueError("target_v and target_t must be positive")
@@ -164,19 +184,23 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     last = _step_count(horizon, net.signal.t0, dt)
     cut = _cut_step(net.signal.t0, dt, target_t, band, last)
 
-    def probe(k):
-        # math.inf stands for a retired probe: past the band, exact time unknown
-        protocol = benchmark_protocol(family, direction, k)
-        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9)
-        try:
-            if cut is not None:
-                run.advance(cut)
-                if run.metrics().V[-1] > target_v:
-                    return math.inf
-            run.advance(last)
-        except DivergenceError:
-            return None
-        return settling_time(run.metrics(), target_v)
+    def probe(gains):
+        # settling time per gain; math.inf stands for a retired probe: past
+        # the band, exact time unknown
+        systems = [(net, benchmark_protocol(family, direction, k), x0) for k in gains]
+        run = _Run(systems, dt, stop_epsilon=target_v, record_stride=10**9)
+        times = [None] * len(gains)
+        if cut is not None:
+            run.advance(cut)
+            for i, c in enumerate(run.components):
+                if c.error is None and run.metrics(i).V[-1] > target_v:
+                    times[i] = math.inf
+                    run.drop(i)
+        run.advance(last)
+        for i, c in enumerate(run.components):
+            if times[i] is None and c.error is None:
+                times[i] = settling_time(run.metrics(i), target_v)
+        return dict(zip(gains, times))
 
     # T(k) falls like 1/k in the useful range but stops settling again at
     # extreme gains, where the Euler chatter amplitude outgrows target_v.
@@ -184,8 +208,9 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     grid = [GAIN_BRACKET[0]]
     while grid[-1] < GAIN_BRACKET[1]:
         grid.append(min(grid[-1] * 10.0, GAIN_BRACKET[1]))
+    times = probe(grid)
     scanned = {}
-    t_first = probe(grid[0])
+    t_first = times[grid[0]]
     scanned[grid[0]] = t_first
     if t_first is not None and t_first <= target_t:
         raise CalibrationError(
@@ -195,7 +220,7 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     bracket = None
     lo = grid[0]
     for g in grid[1:]:
-        t_g = probe(g)
+        t_g = times[g]
         scanned[g] = t_g
         if t_g is not None and t_g <= target_t:
             bracket = (lo, g, t_g)
@@ -208,15 +233,18 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
             f"scanned {report}"
         )
     lo, hi, t_hi = bracket
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        t_mid = probe(mid)
-        if t_mid is not None and abs(t_mid - target_t) <= band:
-            return mid, t_mid
-        if t_mid is not None and t_mid <= target_t:
-            hi, t_hi = mid, t_mid
-        else:
-            lo = mid
+    for step in range(0, BISECTION_STEPS, SPECULATION_LEVELS):
+        levels = min(SPECULATION_LEVELS, BISECTION_STEPS - step)
+        times = probe(_bisection_midpoints(lo, hi, levels))
+        for _ in range(levels):
+            mid = 0.5 * (lo + hi)
+            t_mid = times[mid]
+            if t_mid is not None and abs(t_mid - target_t) <= band:
+                return mid, t_mid
+            if t_mid is not None and t_mid <= target_t:
+                hi, t_hi = mid, t_mid
+            else:
+                lo = mid
     if abs(t_hi - target_t) <= band:
         return hi, t_hi
     raise CalibrationError(
@@ -241,19 +269,17 @@ def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_horizon):
     the last one stopped; the numbers are those of a fresh run at the final
     horizon, since a run's prefix does not depend on where it ends.
     """
-    run = _Run(
+    system = (
         benchmark_topology(n),
         benchmark_protocol(family, direction, k),
         lcg_initial_conditions(lcg, n),
-        dt,
-        stop_epsilon=epsilon,
-        record_stride=10**9,
     )
+    run = _Run([system], dt, stop_epsilon=epsilon, record_stride=10**9)
     horizon = base_horizon
     for _ in range(11):
-        try:
-            run.advance(_step_count(horizon, run.t0, dt))
-        except DivergenceError as exc:
+        run.advance(_step_count(horizon, run.t0, dt))
+        exc = run.components[0].error
+        if exc is not None:
             raise DivergenceError(
                 exc.time,
                 exc.max_abs,

@@ -66,6 +66,15 @@ def _load_json(path, what):
         raise CliError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
+def _read(path, what, parse):
+    """Parse a JSON input file; a malformed one is an input error naming it."""
+    obj = _load_json(path, what)
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise CliError(f"{what} file {path}: {exc}") from None
+
+
 def _lcg_from_args(args):
     return LcgConfig(
         r=args.lcg_r, s=args.lcg_s, M=args.lcg_modulus,
@@ -74,8 +83,8 @@ def _lcg_from_args(args):
 
 
 def cmd_simulate(args) -> int:
-    net = network_from_json(_load_json(args.network, "network"))
-    protocol = protocol_from_json(_load_json(args.protocol, "protocol"))
+    net = _read(args.network, "network", network_from_json)
+    protocol = _read(args.protocol, "protocol", protocol_from_json)
     if args.x0_file and args.x0_lcg:
         raise CliError("--x0-file and --x0-lcg are mutually exclusive")
     if args.x0_file:
@@ -160,7 +169,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.spectral:
-        g = graph_from_json(_load_json(args.input, "graph"))
+        g = _read(args.input, "graph", graph_from_json)
         if not g.undirected:
             raise CliError("--spectral needs an undirected graph")
         comps = weak_components(g)
@@ -185,7 +194,7 @@ def cmd_verify(args) -> int:
         raise CliError("--tau is required unless --spectral is given")
     if args.tau <= 0:
         raise CliError(f"--tau must be positive, got {args.tau}")
-    net = network_from_json(_load_json(args.input, "network"))
+    net = _read(args.input, "network", network_from_json)
     horizon = args.horizon if args.horizon is not None else 3.0 * args.tau
     for i, g in enumerate(net.graphs):
         comps = weak_components(g)

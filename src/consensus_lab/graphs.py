@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .io import json_field
+
 
 class WeightedDigraph:
     """Immutable weighted digraph on vertices 0..n-1."""
@@ -262,11 +264,15 @@ def graph_to_json(g):
 
 
 def graph_from_json(obj):
-    n = int(obj["n"])
-    undirected = bool(obj["undirected"])
+    n = json_field(obj, "n", "integer", "graph")
+    undirected = json_field(obj, "undirected", "boolean", "graph")
     edges = []
-    for i, j, w in obj["edges"]:
-        edges.append((int(i), int(j), float(w)))
+    for e in json_field(obj, "edges", "array", "graph"):
+        if not isinstance(e, list) or len(e) != 3:
+            raise ValueError(f"graph edge {e!r} is not a [from, to, weight] array")
+        i, j = (json_field(v, None, "integer", "graph edge vertex") for v in e[:2])
+        w = json_field(e[2], None, "number", "graph edge weight")
+        edges.append((i, j, w))
         if undirected:
-            edges.append((int(j), int(i), float(w)))
+            edges.append((j, i, w))
     return WeightedDigraph(n, edges, undirected=undirected)

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
 __all__ = [
     "FLOAT_FMT",
+    "json_field",
     "load_x0",
     "write_trajectory_csv",
     "write_metrics_csv",
@@ -25,6 +27,49 @@ FLOAT_FMT = "%.17g"
 # rows formatted per write: a block of 4096 per-node metric rows cost
 # example 1 about 5 MiB of peak memory for no further speed
 WRITE_ROWS = 512
+
+
+_REQUIRED = object()
+_KINDS = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "number": (int, float),
+    "integer": (int, float),
+}
+
+
+def json_field(obj, key, kind, what, default=_REQUIRED):
+    """obj[key] of a parsed JSON object, checked to be of the given kind.
+
+    kind is one of the keys of _KINDS; a number must be finite and comes
+    back as a float, an integer as an int. A missing key gives default when
+    one is given. Anything else raises ValueError naming the field, with
+    `what` naming obj. With key None, obj itself is checked.
+    """
+    if key is not None:
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what} must be a JSON object, got {obj!r:.40}")
+        if key not in obj:
+            if default is _REQUIRED:
+                raise ValueError(f"{what} has no field {key!r}")
+            return default
+        value, what = obj[key], f"{what} field {key!r}"
+    else:
+        value = obj
+    ok = isinstance(value, _KINDS[kind]) and (kind == "boolean") == isinstance(value, bool)
+    if ok and kind in ("number", "integer"):
+        ok = isinstance(value, int) or (
+            math.isfinite(value) and (kind == "number" or value.is_integer())
+        )
+    if not ok:
+        raise ValueError(f"{what} must be a JSON {kind}, got {value!r:.40}")
+    if kind == "number":
+        return float(value)
+    if kind == "integer":
+        return int(value)
+    return value
 
 
 def _fmt(value) -> str:

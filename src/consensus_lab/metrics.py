@@ -38,15 +38,19 @@ class MetricSeries:
     E_i: Optional[np.ndarray] = None
 
 
-def lyapunov_v(x):
+def lyapunov_v(x, starts=None):
     """Spread max(x) - min(x) along the last axis; zero exactly at consensus.
 
     A float for one state; for a block of states, one row per step, the
-    array of their spreads.
+    array of their spreads. With starts, the last axis is cut into segments
+    that begin at those indices, such as the states of independent systems
+    stacked in one vector, and each segment gets its own spread.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("state vector is empty")
+    if starts is not None:
+        return np.maximum.reduceat(x, starts, axis=-1) - np.minimum.reduceat(x, starts, axis=-1)
     v = np.max(x, axis=-1) - np.min(x, axis=-1)
     return float(v) if x.ndim == 1 else v
 

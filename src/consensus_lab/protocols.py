@@ -20,6 +20,7 @@ from typing import Union
 import numpy as np
 
 from .graphs import WeightedDigraph
+from .io import json_field
 
 __all__ = [
     "Linear",
@@ -118,21 +119,37 @@ class Protocol:
     f: NodeFunction
 
 
-def _node_function(f):
-    """Elementwise evaluator of a node function with its parameters bound."""
+def _split_law(f):
+    """(gains, shape) of a node function: its gains in the order
+    _node_function takes them, and its type with its exponents."""
+    if isinstance(f, (Linear, Sign)):
+        return (f.k,), (type(f),)
+    if isinstance(f, Power):
+        return (f.k,), (Power, f.alpha)
+    if isinstance(f, FixedTime):
+        return (f.k1, f.k2), (FixedTime, f.p, f.q)
+    raise TypeError(f"not a node function: {f!r}")
+
+
+def _node_function(f, gains=None):
+    """Elementwise evaluator of a node function with its parameters bound.
+
+    gains, if given, replace the law's own gains (see _split_law); they may
+    be arrays that match the evaluated array elementwise.
+    """
+    if gains is None:
+        gains = _split_law(f)[0]
     if isinstance(f, Linear):
-        k = f.k
+        (k,) = gains
         return lambda x: k * x
     if isinstance(f, Sign):
-        k = f.k
+        (k,) = gains
         return lambda x: k * np.sign(x)
     if isinstance(f, Power):
-        k, alpha = f.k, f.alpha
+        (k,), alpha = gains, f.alpha
         return lambda x: k * _signed_power(x, alpha)
-    if isinstance(f, FixedTime):
-        k1, k2, p, q = f.k1, f.k2, f.p, f.q
-        return lambda x: k1 * _signed_power(x, p) + k2 * _signed_power(x, q)
-    raise TypeError(f"not a node function: {f!r}")
+    (k1, k2), p, q = gains, f.p, f.q
+    return lambda x: k1 * _signed_power(x, p) + k2 * _signed_power(x, q)
 
 
 def eval_f(f, x):
@@ -156,28 +173,66 @@ def consensus_error(g: WeightedDigraph, x) -> np.ndarray:
     return np.bincount(dst, w * (x[src] - x[dst]), minlength=g.n)
 
 
-def _kernel(protocol: Protocol, g: WeightedDigraph):
-    """The map x -> u of a protocol on g, with the edge arrays and the node
-    function bound once; x must be a float state of g's size."""
-    src, dst, w = g._edge_arrays
-    n = g.n
-    f = protocol.f
-    fn = _node_function(f)
+def _kernel(protocols, graphs):
+    """The map x -> u of a disjoint union of systems: graphs[c] under
+    protocols[c], with the nodes of component c after those of c - 1.
+
+    The protocols share the direction, the law type and its exponents, and
+    each brings its own gains. The arcs are concatenated in component order
+    with node offsets, so np.bincount sums every destination in the order of
+    its component alone. A gain that differs between components becomes a
+    per-arc or per-node array, whose product with a value is the scalar
+    product elementwise; a shared gain stays a scalar. The weight multiply
+    is skipped when every arc weight is exactly 1.0, which changes no bit.
+    x must be a float state of the union's size.
+    """
+    direction = protocols[0].direction
+    f = protocols[0].f
+    shape = _split_law(f)[1]
+    gains, sizes, srcs, dsts, ws = [], [], [], [], []
+    n = 0
+    for p, g in zip(protocols, graphs):
+        k, law = _split_law(p.f)
+        if p.direction is not direction or law != shape:
+            raise ValueError(
+                "the systems of one run must share the direction, the law "
+                "type and its exponents"
+            )
+        src, dst, w = g._edge_arrays
+        srcs.append(src + n)
+        dsts.append(dst + n)
+        ws.append(w)
+        gains.append(k)
+        sizes.append((g.n, len(dst)))
+        n += g.n
+    src, dst, w = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
     if not dst.size:
         # bincount would give integer zeros here; f(0) = 0 for every law
         return lambda x: np.zeros(n)
-    if protocol.direction is Direction.AGGREGATED:
+    per_node = direction is Direction.AGGREGATED or isinstance(f, Sign)
+    if len(set(gains)) > 1:
+        counts = [nodes if per_node else arcs for nodes, arcs in sizes]
+        gains = [np.repeat(ks, counts) for ks in zip(*gains)]
+    else:
+        gains = gains[0]
+    fn = _node_function(f, gains)
+    unit = bool((w == 1.0).all())
+    if direction is Direction.AGGREGATED:
+        if unit:
+            return lambda x: fn(np.bincount(dst, x[src] - x[dst], minlength=n))
         return lambda x: fn(np.bincount(dst, w * (x[src] - x[dst]), minlength=n))
     if isinstance(f, Sign):
         # per-edge sign sums bare signs of the differences, weights drop out
-        k = f.k
+        (k,) = gains
         return lambda x: k * np.bincount(dst, np.sign(x[src] - x[dst]), minlength=n)
+    if unit:
+        return lambda x: np.bincount(dst, fn(x[src] - x[dst]), minlength=n)
     return lambda x: np.bincount(dst, w * fn(x[src] - x[dst]), minlength=n)
 
 
 def control(protocol: Protocol, g: WeightedDigraph, x) -> np.ndarray:
     """Control input of every node under the given protocol on graph g."""
-    return _kernel(protocol, g)(_check_state(g, x))
+    return _kernel([protocol], [g])(_check_state(g, x))
 
 
 def homogeneity_degree_estimate(f, x_samples, lam_samples):
@@ -247,26 +302,29 @@ def protocol_to_json(p: Protocol) -> dict:
 
 
 def protocol_from_json(obj: dict) -> Protocol:
+    name = json_field(obj, "direction", "string", "protocol")
     try:
-        direction = Direction(obj["direction"])
+        direction = Direction(name)
     except ValueError:
-        raise ValueError(f"unknown direction {obj['direction']!r}") from None
-    fobj = obj["f"]
-    kind = fobj.get("type")
+        raise ValueError(f"unknown direction {name!r}") from None
+    fobj = json_field(obj, "f", "object", "protocol")
+    kind = json_field(fobj, "type", "string", "node function")
+
+    def number(key):
+        return json_field(fobj, key, "number", f"{kind} node function")
+
     if kind == "linear":
-        f = Linear(float(fobj["k"]))
+        f = Linear(number("k"))
     elif kind == "sign":
-        f = Sign(float(fobj["k"]))
+        f = Sign(number("k"))
     elif kind == "power":
-        f = Power(float(fobj["k"]), float(fobj["alpha"]))
+        f = Power(number("k"), number("alpha"))
         if f.alpha > 1.0:
             # configs describe the protocol table, where the exponent is
             # strictly below one; the relaxed range is for limit forms only
             raise ValueError(f"power protocol needs alpha in (0, 1), got {f.alpha}")
     elif kind == "fixed_time":
-        f = FixedTime(
-            float(fobj["k1"]), float(fobj["k2"]), float(fobj["p"]), float(fobj["q"])
-        )
+        f = FixedTime(number("k1"), number("k2"), number("p"), number("q"))
     else:
         raise ValueError(f"unknown node function type {kind!r}")
     return Protocol(direction, f)

@@ -10,6 +10,12 @@ family member. The spread, the divergence guard, the sticky stop and the
 effort integrals are evaluated once per block of steps, with the metrics
 module's block forms; the step at which a run stops or diverges, and every
 number it records, are those of a check after every step.
+
+Independent systems that share the signal, dt and the protocol's law up to
+its gains run as one union (simulate_batch): one state vector, one kernel
+per member over the disjoint union of their arcs, and per-system spread,
+stop, divergence and effort. Each system gets the numbers of its own run
+for far less than one run each; simulate is the one-system case.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "Trajectory",
     "DivergenceError",
     "simulate",
+    "simulate_batch",
     "replay_check",
 ]
 
@@ -136,84 +143,166 @@ def _step_indexer(signal, dt):
 
 
 def _sticky_stop(V, eps, run_below):
-    """Row of V at which the sticky stop falls, or None, and the run of
-    steps at or below eps after V, given run_below such steps before it."""
-    rows = np.arange(len(V))
+    """Sticky stops in a block of spreads, one column per component.
+
+    Returns, per column of V, the row at which the sticky stop falls
+    (len(V) if none) and the run of steps at or below eps after V, given
+    run_below such steps before it.
+    """
+    rows = np.arange(len(V))[:, None]
     # index of the last row above eps at or before each row; the carried
     # run counts as rows before V
     last_above = np.where(V <= eps, -1 - run_below, rows)
-    np.maximum.accumulate(last_above, out=last_above)
+    np.maximum.accumulate(last_above, axis=0, out=last_above)
     run = rows - last_above
-    hits = np.flatnonzero(run >= STICKY_STEPS)
-    if hits.size:
-        return int(hits[0]), STICKY_STEPS
-    return None, int(run[-1])
+    hit = run >= STICKY_STEPS
+    stop = np.where(hit.any(axis=0), hit.argmax(axis=0), len(V))
+    return stop, np.where(stop < len(V), STICKY_STEPS, run[-1])
+
+
+class _Component:
+    """One system of a run and the record of its steps observed so far."""
+
+    def __init__(self, net, protocol, x, track_per_node):
+        self.net = net
+        self.protocol = protocol
+        self.n = net.n
+        self.x = x  # the state at step next - 1 once the component has ended
+        self.next = 0  # first step not yet observed
+        self.stopped = False
+        self.error: Optional[DivergenceError] = None
+        self.ended = False
+        self.V = np.empty(0)
+        self.E_tot = np.empty(0)
+        self.E_i = np.empty((0, net.n)) if track_per_node else None
+        self.events: List[Tuple[float, int, int]] = []
+        self.rec_steps: List[int] = []
+        self.rec_states: List[np.ndarray] = []
+        self.rec_controls: List[np.ndarray] = []
+
+    def grow(self, size):
+        if len(self.V) >= size:
+            return
+        for name in ("V", "E_tot", "E_i"):
+            old = getattr(self, name)
+            if old is None:
+                continue
+            new = np.empty((size,) + old.shape[1:])
+            new[: self.next] = old[: self.next]
+            setattr(self, name, new)
 
 
 class _Run:
-    """One closed-loop integration from x0 that can be advanced in pieces.
+    """Closed-loop integration of one or more independent systems from their
+    initial states, which can be advanced in pieces.
+
+    systems lists (net, protocol, x0) triples. They share the switching
+    signal, the number of family members, the protocol direction, the law
+    type and its exponents; each brings its own member graphs, x0 and
+    gains. They run as one union: the state stacks their states, and each
+    member's kernel acts on the disjoint union of their arcs (see
+    protocols._kernel), so every system computes the numbers it computes
+    alone.
 
     advance(last_step) integrates up to step last_step and may be called
     again with a later step; the pieces give exactly the numbers of one
     uninterrupted run. Each Euler step from t_j resolves the member active
-    over [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member
-    at construction, and steps x by dt*u; effort integrals advance by the
-    left-endpoint rule.
+    over [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member,
+    and steps x by dt*u; effort integrals advance by the left-endpoint rule.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
-    state entries, into buffers allocated once per run. Once per block the
-    spread V, the divergence guard, the sticky stop and the effort are
-    evaluated for every step of the block at once. The guard raises at the
-    first step whose state fails it, and the sticky stop ends the run for
-    good at the first step where the spread has stayed at or below
-    stop_epsilon for STICKY_STEPS consecutive steps: both steps, and every
-    number recorded up to them, are those of a step-by-step check. Steps
-    the block computed past a stop are discarded.
+    state entries. Once per block the spread V, the divergence guard, the
+    sticky stop and the effort are evaluated for every step and system of
+    the block at once, with segmented reductions over the systems' nodes.
+    A system whose state fails the guard ends with its DivergenceError as
+    its outcome, and one whose spread has stayed at or below stop_epsilon
+    for STICKY_STEPS consecutive steps stops for good: both steps, and every
+    number recorded up to them, are those of a step-by-step check of the
+    system alone. Steps a block computed past a system's end are discarded.
+    A system that ends, or that drop() removes, leaves the union before the
+    next block, so the others no longer pay for it.
     """
 
-    def __init__(
-        self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, track_per_node=False
-    ):
-        x = np.array(x0, dtype=float)
-        if x.shape != (net.n,):
-            raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
-        if not np.isfinite(x).all():
-            raise ValueError("x0 must be finite")
-        self.net = net
-        self.protocol = protocol
+    def __init__(self, systems, dt, stop_epsilon=None, record_stride=1, track_per_node=False):
+        systems = list(systems)
+        if not systems:
+            raise ValueError("a run needs at least one system")
+        signal, members = systems[0][0].signal, len(systems[0][0].graphs)
+        self.components = []
+        for net, protocol, x0 in systems:
+            x = np.array(x0, dtype=float)
+            if x.shape != (net.n,):
+                raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
+            if not np.isfinite(x).all():
+                raise ValueError("x0 must be finite")
+            if net.signal != signal or len(net.graphs) != members:
+                raise ValueError(
+                    "the systems of one run must share the switching signal "
+                    "and the number of family members"
+                )
+            self.components.append(_Component(net, protocol, x, track_per_node))
         self.dt = dt
-        self.t0 = net.signal.t0
-        self.stopped = False
-        self._indexer = _step_indexer(net.signal, dt)
-        self._kernels = [_kernel(protocol, g) for g in net.graphs]
+        self.t0 = signal.t0
+        self._indexer = _step_indexer(signal, dt)
+        self._members = members
         self._eps = stop_epsilon
         self._stride = record_stride
-        self._next = 0  # first step not yet observed
-        self._x = x
-        self._V = np.empty(0)
-        self._E_tot = np.empty(0)
-        self._E_i = np.empty((0, net.n)) if track_per_node else None
-        self._s_accum = np.zeros(net.n)
+        self._per_node = track_per_node
+        self._next = 0  # first step not yet observed by the union
         self._cur_idx = self._indexer(0)
-        self._run_below = 0
-        self._events: List[Tuple[float, int, int]] = []
-        self._rec_steps: List[int] = []
-        self._rec_states: List[np.ndarray] = []
-        self._rec_controls: List[np.ndarray] = []
-        block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n))
-        self._X = np.empty((block, net.n))  # state observed at each step of a block
-        self._U = np.empty((block, net.n))  # control of the step into it, then effort
+        comps = self.components
+        self._pack(
+            list(comps),
+            np.concatenate([c.x for c in comps]),
+            np.zeros(sum(c.n for c in comps)),
+            np.zeros(len(comps), dtype=int),
+        )
+
+    def _pack(self, live, x, s_accum, run_below):
+        """Make the union of the live components, with their state, effort
+        accumulators and carried runs below epsilon in component order."""
+        self._live = live
+        self._x, self._s_accum, self._run_below = x, s_accum, run_below
+        sizes = [c.n for c in live]
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._slices = [slice(a, a + n) for a, n in zip(self._starts.tolist(), sizes)]
+        if not live:
+            return
+        protocols = [c.protocol for c in live]
+        self._kernels = [
+            _kernel(protocols, [c.net.graphs[m] for c in live]) for m in range(self._members)
+        ]
+        n = sum(sizes)
+        block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
+        self._X = np.empty((block, n))  # state observed at each step of a block
+        self._U = np.empty((block, n))  # control of the step into it, then effort
+
+    def _repack(self):
+        """Take the components that have ended out of the union."""
+        keep = np.array([not c.ended for c in self._live])
+        cols = np.repeat(keep, [c.n for c in self._live])
+        live = [c for c in self._live if not c.ended]
+        self._pack(live, self._x[cols], self._s_accum[cols], self._run_below[keep])
 
     def advance(self, last_step):
-        """Integrate to step last_step, or to the sticky stop if it comes first."""
-        if self.stopped or last_step < self._next:
+        """Integrate every live system to step last_step, or to its end if
+        that comes first."""
+        if last_step < self._next:
             return
-        if len(self._V) <= last_step:
-            self._grow(last_step + 1)
-        block = len(self._X)
+        for c in self._live:
+            c.grow(last_step + 1)
         with np.errstate(all="ignore"):
-            while not self.stopped and self._next <= last_step:
-                self._block(self._next, min(self._next + block, last_step + 1))
+            while self._live and self._next <= last_step:
+                self._block(self._next, min(self._next + len(self._X), last_step + 1))
+
+    def drop(self, i):
+        """End system i where it stands, at the last step observed."""
+        c = self.components[i]
+        if c.ended:
+            return
+        c.x = self._x[self._slices[self._live.index(c)]].copy()
+        c.ended = True
+        self._repack()
 
     def _block(self, first, end):
         """Observe steps first..end-1: run their Euler steps, then check and
@@ -243,97 +332,127 @@ class _Run:
                 records.append((j, x.copy(), u))
             U[i] = u
             x = np.add(x, dt * u, out=X[i])
+        self._cur_idx = cur_idx
 
-        V = lyapunov_v(X)
-        # the first step that fails the guard raises unless the sticky stop
-        # came before it; steps past either are discarded
-        ok = (X.max(axis=1) <= DIVERGENCE_LIMIT) & (X.min(axis=1) >= -DIVERGENCE_LIMIT)
-        bad = None if ok.all() else int(np.argmin(ok))
-        stop = None
+        # spread and largest |x_i| of each system at each step
+        rows = len(X)
+        V = lyapunov_v(X, self._starts)
+        peak = np.maximum.reduceat(np.abs(X), self._starts, axis=1)
+        ok = peak <= DIVERGENCE_LIMIT
+        # the first step that fails the guard ends a system unless the sticky
+        # stop came before it; steps past either are discarded
+        bad = np.where(ok.all(axis=0), rows, np.argmin(ok, axis=0)).tolist()
+        stop = [rows] * len(self._live)
         if self._eps is not None:
             stop, self._run_below = _sticky_stop(V, self._eps, self._run_below)
-        if bad is not None and (stop is None or bad <= stop):
-            x_max, x_min = float(X[bad].max()), float(X[bad].min())
-            raise DivergenceError(self.t0 + dt * (first + bad), max(abs(x_max), abs(x_min)))
-        m = len(X) if stop is None else stop + 1
-        last = first + m - 1
+            stop = stop.tolist()
+        diverged = [b < rows and b <= s for b, s in zip(bad, stop)]
+        kept = [min(s + 1, rows) for s in stop]
+        m = max((k for k, d in zip(kept, diverged) if not d), default=0)
 
         S = isce_accumulate(self._s_accum, U[:m], dt, out=U[:m])
-        self._s_accum = S[-1].copy()
-        # without per-node tracking the square roots overwrite S
-        E = S if self._E_i is None else self._E_i[first : last + 1]
-        np.sqrt(S, out=E)
-        np.sum(E, axis=1, out=self._E_tot[first : last + 1])
-        self._V[first : last + 1] = V[:m]
-
-        # Euler steps from the last observed step on belong to later blocks
+        if m == rows:
+            self._s_accum = S[-1].copy()
+        if not self._per_node:
+            # without per-node tracking the square roots overwrite S
+            np.sqrt(S, out=S)
         t0 = self.t0
-        self._events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
-        for j, state, u in records:
-            if j < last:
-                self._rec_steps.append(j)
-                self._rec_states.append(state)
-                self._rec_controls.append(u)
-        self._x = X[m - 1].copy()
-        self._cur_idx = cur_idx
-        self._next = last + 1
-        self.stopped = stop is not None
-
-    def _grow(self, size):
-        keep = self._next
-        for name in ("_V", "_E_tot", "_E_i"):
-            old = getattr(self, name)
-            if old is None:
+        for i, (c, sl) in enumerate(zip(self._live, self._slices)):
+            if diverged[i]:
+                b = bad[i]
+                c.error = DivergenceError(t0 + dt * (first + b), peak[b, i])
+                c.ended = True
                 continue
-            new = np.empty((size,) + old.shape[1:])
-            new[:keep] = old[:keep]
-            setattr(self, name, new)
+            k = kept[i]
+            last = first + k - 1
+            if not self._per_node:
+                E = S[:k, sl]
+            else:
+                E = np.sqrt(S[:k, sl], out=c.E_i[first : last + 1])
+            np.sum(E, axis=1, out=c.E_tot[first : last + 1])
+            c.V[first : last + 1] = V[:k, i]
+            # Euler steps from the last observed step on belong to later blocks
+            c.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
+            for j, state, u in records:
+                if j < last:
+                    c.rec_steps.append(j)
+                    c.rec_states.append(state[sl])
+                    c.rec_controls.append(u[sl])
+            c.next = last + 1
+            if stop[i] < rows:
+                c.stopped = c.ended = True
+                c.x = X[k - 1, sl].copy()
 
-    def metrics(self) -> MetricSeries:
-        """Per-step record of the steps observed so far."""
-        end = self._next
+        self._next = end
+        self._x = X[-1].copy()
+        if any(c.ended for c in self._live):
+            self._repack()
+
+    def metrics(self, i=0) -> MetricSeries:
+        """Per-step record of the steps of system i observed so far."""
+        c = self.components[i]
+        end = c.next
         # t0 + dt k, built in one buffer
         times = np.arange(end, dtype=float)
         times *= self.dt
         times += self.t0
         return MetricSeries(
             times=times,
-            V=self._V[:end],
-            E_tot=self._E_tot[:end],
-            E_i=self._E_i[:end] if self._E_i is not None else None,
+            V=c.V[:end],
+            E_tot=c.E_tot[:end],
+            E_i=c.E_i[:end] if c.E_i is not None else None,
         )
 
-    def trajectory(self) -> Trajectory:
-        """Package the run so far; the current state is always the last sample."""
-        last = self._next - 1
-        u_final = control(self.protocol, self.net.graphs[self._indexer(last)], self._x)
-        steps = self._rec_steps + [last]
+    def trajectory(self, i=0) -> Trajectory:
+        """Package system i so far; its current state is always the last sample."""
+        c = self.components[i]
+        if c.ended:
+            x = c.x
+        else:
+            x = self._x[self._slices[self._live.index(c)]]
+        last = c.next - 1
+        u_final = control(c.protocol, c.net.graphs[self._indexer(last)], x)
         return Trajectory(
-            times=self.t0 + self.dt * np.array(steps),
-            states=np.vstack(self._rec_states + [self._x.copy()]),
-            controls=np.vstack(self._rec_controls + [u_final]),
-            metrics=self.metrics(),
-            events=list(self._events),
+            times=self.t0 + self.dt * np.array(c.rec_steps + [last]),
+            states=np.vstack(c.rec_states + [x.copy()]),
+            controls=np.vstack(c.rec_controls + [u_final]),
+            metrics=self.metrics(i),
+            events=list(c.events),
         )
 
 
-def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Trajectory:
-    """Integrate the closed loop from x0 until t_end or the sticky stop.
+def simulate_batch(systems, cfg: SimConfig) -> list:
+    """Integrate independent closed loops as one union run, each from its x0
+    until t_end or its own sticky stop.
 
-    The step rules are those of _Run; the final state is always a sample,
-    also when an early stop falls between strides.
+    systems lists (net, protocol, x0) triples that share the switching
+    signal, the number of family members, the protocol direction, the law
+    type and its exponents (see _Run). Returns, per system, its Trajectory,
+    or the DivergenceError that ended it; every number is the one simulate
+    gives for that system alone.
     """
     run = _Run(
-        net,
-        protocol,
-        x0,
+        systems,
         cfg.dt,
         stop_epsilon=cfg.stop_epsilon,
         record_stride=cfg.record_stride,
         track_per_node=cfg.track_per_node,
     )
     run.advance(_step_count(cfg.t_end, run.t0, cfg.dt))
-    return run.trajectory()
+    return [c.error or run.trajectory(i) for i, c in enumerate(run.components)]
+
+
+def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Trajectory:
+    """Integrate the closed loop from x0 until t_end or the sticky stop.
+
+    The one-system case of simulate_batch: the step rules are those of
+    _Run; the final state is always a sample, also when an early stop falls
+    between strides. Raises DivergenceError when the state fails the guard.
+    """
+    (out,) = simulate_batch([(net, protocol, x0)], cfg)
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
 
 
 def replay_check(traj: Trajectory, net: DynamicNetwork, protocol: Protocol, cfg: SimConfig):

@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .graphs import graph_from_json, graph_to_json, is_connected, union_graph
+from .io import json_field
 
 
 @dataclass(frozen=True)
@@ -163,19 +164,24 @@ def signal_to_json(sig):
 
 
 def signal_from_json(obj):
-    t0 = float(obj.get("t0", 0.0))
-    if obj["type"] == "floor_modulo":
+    kind = json_field(obj, "type", "string", "signal")
+    t0 = json_field(obj, "t0", "number", "signal", default=0.0)
+    if kind == "floor_modulo":
         return FloorModulo(
-            rate=float(obj["rate"]),
-            modulus=int(obj["modulus"]),
-            offset=int(obj.get("offset", 0)),
+            rate=json_field(obj, "rate", "number", "signal"),
+            modulus=json_field(obj, "modulus", "integer", "signal"),
+            offset=json_field(obj, "offset", "integer", "signal", default=0),
             t0=t0,
         )
-    if obj["type"] == "breakpoints":
+    if kind == "breakpoints":
+        times = json_field(obj, "times", "array", "signal")
+        indices = json_field(obj, "indices", "array", "signal")
         return Breakpoints(
-            times=tuple(obj["times"]), indices=tuple(obj["indices"]), t0=t0
+            times=tuple(json_field(t, None, "number", "signal switch time") for t in times),
+            indices=tuple(json_field(i, None, "integer", "signal index") for i in indices),
+            t0=t0,
         )
-    raise ValueError(f"unknown signal type {obj.get('type')!r}")
+    raise ValueError(f"unknown signal type {kind!r}")
 
 
 def network_to_json(net):
@@ -186,7 +192,6 @@ def network_to_json(net):
 
 
 def network_from_json(obj):
-    return DynamicNetwork(
-        [graph_from_json(g) for g in obj["graphs"]],
-        signal_from_json(obj["signal"]),
-    )
+    graphs = json_field(obj, "graphs", "array", "network")
+    signal = json_field(obj, "signal", "object", "network")
+    return DynamicNetwork([graph_from_json(g) for g in graphs], signal_from_json(signal))

@@ -37,7 +37,7 @@ from consensus_lab.protocols import (
     limit_function,
     protocol_from_json,
 )
-from consensus_lab.simulate import SimConfig, simulate
+from consensus_lab.simulate import SimConfig, simulate, simulate_batch
 from consensus_lab.switching import DynamicNetwork, FloorModulo, network_from_json
 
 from gen import brute_components, random_undirected
@@ -174,13 +174,12 @@ def test_criterion_05_joint_connectivity_necessity():
     )
     assert settling_time(traj.metrics, 0.05) is not None
 
-    for m, g in enumerate(net.graphs):
-        stuck = simulate(
-            static_net(g),
-            protocol,
-            EXAMPLE2_X0,
-            SimConfig(t_end=5.0, dt=1e-4, record_stride=10**9),
-        )
+    # the frozen members are independent systems: one union run covers them
+    stuck_runs = simulate_batch(
+        [(static_net(g), protocol, EXAMPLE2_X0) for g in net.graphs],
+        SimConfig(t_end=5.0, dt=1e-4, record_stride=10**9),
+    )
+    for m, stuck in enumerate(stuck_runs):
         assert float(stuck.metrics.V[-1]) > 1.0, f"stuck member {m}"
 
     path = CONFIGS / "example2" / "network_sigma1.json"
@@ -201,21 +200,21 @@ def test_criterion_06_fixed_time_saturation():
     base = 10.0 * EXAMPLE2_X0
     dt, eps = 1e-3, 1e-2
 
-    def t_star(f, scale):
-        traj = simulate(
-            net,
-            Protocol(Direction.AGGREGATED, f),
-            scale * base,
+    def t_stars(f, scales):
+        # the scaled runs are independent systems: one union run covers them
+        trajs = simulate_batch(
+            [(net, Protocol(Direction.AGGREGATED, f), scale * base) for scale in scales],
             SimConfig(t_end=800.0, dt=dt, stop_epsilon=eps, record_stride=10**9),
         )
-        t = settling_time(traj.metrics, eps)
-        assert t is not None, f"{f} at scale {scale} never settled"
-        return t
+        times = [settling_time(traj.metrics, eps) for traj in trajs]
+        for scale, t in zip(scales, times):
+            assert t is not None, f"{f} at scale {scale} never settled"
+        return times
 
     scales = (1.0, 10.0, 100.0, 1000.0)
-    fixed = [t_star(FixedTime(1.0, 1.0, 0.5, 1.5), s) for s in scales]
+    fixed = t_stars(FixedTime(1.0, 1.0, 0.5, 1.5), scales)
     assert fixed[3] - fixed[2] < 0.1 * fixed[0], f"fixed-time T = {fixed}"
-    power = [t_star(Power(1.0, 0.5), s) for s in scales]
+    power = t_stars(Power(1.0, 0.5), scales)
     assert power[0] < power[1] < power[2] < power[3], f"power T = {power}"
 
 

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import consensus_lab.benchmark as benchmark_module
 from consensus_lab.benchmark import (
     BISECTION_STEPS,
     GAIN_BRACKET,
     RETIRED,
+    SPECULATION_LEVELS,
     CalibrationError,
     LcgConfig,
     _snap_horizon,
@@ -106,8 +109,13 @@ def _settle_at_gain(k, n=10, dt=1e-3):
     return settling_time(traj.metrics, 0.05)
 
 
-def _reference_calibration(family, direction, n, target_v, target_t, dt):
-    """Geometric pre-scan, then bisection, every probe a full-horizon simulate."""
+def _reference_calibration(
+    family, direction, n, target_v, target_t, dt, steps=BISECTION_STEPS, levels=None
+):
+    """Geometric pre-scan, then bisection, every probe a full-horizon simulate.
+
+    levels, if given, receives the number of bisection levels probed.
+    """
     net = benchmark_topology(n)
     x0 = lcg_initial_conditions(LcgConfig(), n)
     cfg = SimConfig(
@@ -135,17 +143,25 @@ def _reference_calibration(family, direction, n, target_v, target_t, dt):
     assert not fast(times[0])
     i = next(i for i, t in enumerate(times) if fast(t))
     lo, hi, t_hi = grid[i - 1], grid[i], times[i]
-    for _ in range(BISECTION_STEPS):
+    for level in range(1, steps + 1):
         mid = 0.5 * (lo + hi)
         t_mid = probe(mid)
         if t_mid is not None and abs(t_mid - target_t) <= band:
+            if levels is not None:
+                levels.append(level)
             return mid, t_mid
         if fast(t_mid):
             hi, t_hi = mid, t_mid
         else:
             lo = mid
-    assert abs(t_hi - target_t) <= band
-    return hi, t_hi
+    if levels is not None:
+        levels.append(steps)
+    if abs(t_hi - target_t) <= band:
+        return hi, t_hi
+    raise CalibrationError(
+        f"bisection exhausted without reaching target_t={target_t} within "
+        f"{band}: best T({hi}) = {t_hi}"
+    )
 
 
 class TestCalibration:
@@ -177,6 +193,38 @@ class TestCalibration:
         assert calibrate_gain(
             family, direction, n=10, target_v=0.05, target_t=1.0, dt=1e-3
         ) == _reference_calibration(family, direction, 10, 0.05, 1.0, 1e-3)
+
+    # the serial bisection hits the band at `level`, which falls inside or at
+    # the end of a round of SPECULATION_LEVELS levels
+    @pytest.mark.parametrize(
+        "family, direction, target_t, level, round_end",
+        [
+            ("power", PE, 0.5, 5, False),
+            ("fixed_time", PE, 2.0, 8, False),
+            ("power", AGG, 0.5, 6, True),
+            ("power", PE, 2.0, 9, True),
+        ],
+    )
+    def test_band_hit_inside_and_at_end_of_round(
+        self, family, direction, target_t, level, round_end
+    ):
+        levels = []
+        want = _reference_calibration(family, direction, 10, 0.05, target_t, 1e-3, levels=levels)
+        assert levels == [level]
+        assert (level % SPECULATION_LEVELS == 0) == round_end
+        assert calibrate_gain(family, direction, n=10, target_v=0.05, target_t=target_t, dt=1e-3) == want
+
+    @pytest.mark.parametrize("steps", [2, 4])
+    def test_exhausted_bisection_message(self, steps):
+        # a short bisection cannot reach the band; the last round is cut short
+        # when steps is not a multiple of SPECULATION_LEVELS
+        with pytest.raises(CalibrationError) as want:
+            _reference_calibration("power", AGG, 10, 0.05, 1.0, 1e-3, steps=steps)
+        with mock.patch.object(benchmark_module, "BISECTION_STEPS", steps):
+            with pytest.raises(CalibrationError) as got:
+                calibrate_gain("power", AGG, n=10, target_v=0.05, target_t=1.0, dt=1e-3)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("bisection exhausted without reaching target_t=1.0")
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from consensus_lab import cli
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -268,3 +270,54 @@ class TestParsing:
         res = run_cli("benchmark", "--experiment", "7", "--sizes", "25",
                       "--out", str(tmp_path))
         assert res.returncode == 1
+
+
+class TestMalformedInput:
+    """Malformed JSON inputs are input errors (exit 1) that name the file
+    and the field; main returns instead of raising."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        graph = {"n": 3, "undirected": True, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
+        no_flag = {k: v for k, v in graph.items() if k != "undirected"}
+        no_n = {k: v for k, v in graph.items() if k != "n"}
+        proto = {"direction": "aggregated", "f": {"type": "linear", "k": 1.0}}
+        p = tmp_path
+        (p / "x0.txt").write_text("1.0\n0.0\n-1.0\n")
+        return {
+            "net": write_json(p / "net.json", static_network_json(graph)),
+            "net_no_flag": write_json(p / "net_no_flag.json", static_network_json(no_flag)),
+            "graph_no_n": write_json(p / "graph_no_n.json", no_n),
+            "proto": write_json(p / "proto.json", proto),
+            "proto_no_k": write_json(
+                p / "proto_no_k.json",
+                {"direction": "aggregated", "f": {"type": "power", "alpha": 0.5}},
+            ),
+            "proto_list": write_json(p / "proto_list.json", [proto]),
+            "x0": str(p / "x0.txt"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, file, field",
+        [
+            (["simulate", "net", "proto_no_k"], "proto_no_k", "'k'"),
+            (["simulate", "net_no_flag", "proto"], "net_no_flag", "'undirected'"),
+            (["verify", "graph_no_n", "--spectral"], "graph_no_n", "'n'"),
+            (["simulate", "net", "proto_list"], "proto_list", "JSON object"),
+        ],
+        ids=["power-without-k", "graph-without-flag", "spectral-without-n", "protocol-list"],
+    )
+    def test_exit_one_without_traceback(self, files, capsys, tmp_path, argv, file, field):
+        args = [files.get(a, a) for a in argv]
+        if argv[0] == "simulate":
+            args += ["--x0-file", files["x0"], "--t-end", "0.01", "--out", str(tmp_path / "o")]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert "Traceback" not in err
+        assert files[file] in err and field in err
+
+    def test_well_formed_files_run(self, files, capsys, tmp_path):
+        args = ["simulate", files["net"], files["proto"], "--x0-file", files["x0"],
+                "--t-end", "0.01", "--out", str(tmp_path / "o")]
+        assert cli.main(args) == cli.EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -30,6 +31,7 @@ from consensus_lab.simulate import (
     _step_indexer,
     replay_check,
     simulate,
+    simulate_batch,
 )
 from consensus_lab.switching import Breakpoints, DynamicNetwork, FloorModulo
 
@@ -357,6 +359,23 @@ LAWS = [Linear(5.0), Sign(1.0), Power(2.0, 0.5), FixedTime(1.0, 1.0, 0.5, 1.5)]
 UNSTABLE_LAWS = [Linear(700.0), FixedTime(1.0, 1000.0, 0.5, 3.0)]
 
 
+def _draw_signal(draw, t0, steps, dt):
+    """A FloorModulo or Breakpoints signal over three members from t0."""
+    if draw(st.booleans()):
+        rate = draw(st.sampled_from([10.0, 20.0, 25.0, 50.0]))
+        modulus = draw(st.integers(min_value=1, max_value=3))
+        offset = draw(st.integers(min_value=0, max_value=3 - modulus))
+        return FloorModulo(rate=rate, modulus=modulus, offset=offset, t0=t0)
+    cuts = draw(st.lists(st.integers(1, steps + 50), max_size=5, unique=True))
+    first = draw(st.integers(0, 2))
+    indices = [first]
+    for _ in cuts:
+        indices.append((indices[-1] + draw(st.integers(1, 2))) % 3)
+    return Breakpoints(
+        times=tuple(t0 + dt * c for c in sorted(cuts)), indices=tuple(indices), t0=t0
+    )
+
+
 @st.composite
 def switched_runs(draw, sizes=st.integers(4, 6), max_steps=600, laws=LAWS):
     """A switched network with t0 != 0 on the dt = 1e-3 grid, a protocol,
@@ -370,20 +389,7 @@ def switched_runs(draw, sizes=st.integers(4, 6), max_steps=600, laws=LAWS):
     ]
     t0 = dt * draw(st.integers(min_value=1, max_value=300))
     steps = draw(st.integers(min_value=50, max_value=max_steps))
-    if draw(st.booleans()):
-        rate = draw(st.sampled_from([10.0, 20.0, 25.0, 50.0]))
-        modulus = draw(st.integers(min_value=1, max_value=3))
-        offset = draw(st.integers(min_value=0, max_value=3 - modulus))
-        signal = FloorModulo(rate=rate, modulus=modulus, offset=offset, t0=t0)
-    else:
-        cuts = draw(st.lists(st.integers(1, steps + 50), max_size=5, unique=True))
-        first = draw(st.integers(0, 2))
-        indices = [first]
-        for _ in cuts:
-            indices.append((indices[-1] + draw(st.integers(1, 2))) % 3)
-        signal = Breakpoints(
-            times=tuple(t0 + dt * c for c in sorted(cuts)), indices=tuple(indices), t0=t0
-        )
+    signal = _draw_signal(draw, t0, steps, dt)
     f = draw(st.sampled_from(laws))
     protocol = Protocol(draw(st.sampled_from([AGG, PE])), f)
     x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
@@ -416,9 +422,7 @@ class TestResumableRun:
         ends = data.draw(st.permutations(sorted(e for e in ends if 0 <= e <= steps)))
 
         run = _Run(
-            net,
-            protocol,
-            x0,
+            [(net, protocol, x0)],
             dt,
             stop_epsilon=cfg.stop_epsilon,
             record_stride=cfg.record_stride,
@@ -435,7 +439,7 @@ class TestResumableRun:
             assert _same_bytes(getattr(pieced, name), getattr(whole, name))
         assert pieced.events == whole.events
         if stop < steps:
-            assert run.stopped
+            assert run.components[0].stopped
 
 
 class _StepwiseRun:
@@ -562,19 +566,20 @@ class TestBlockedRun:
                 )
                 ref_exc = _advance_all(ref, ends)
 
+        # without per-node tracking the effort takes another path
+        per_node = data.draw(st.booleans())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS):
                 run = _Run(
-                    net,
-                    protocol,
-                    x0,
+                    [(net, protocol, x0)],
                     cfg.dt,
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
-                    track_per_node=True,
+                    track_per_node=per_node,
                 )
-            exc = _advance_all(run, ends)
+            assert _advance_all(run, ends) is None
+            exc = run.components[0].error
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
         if ref_exc is not None:
@@ -583,12 +588,12 @@ class TestBlockedRun:
             return
         assert exc is None
         got, want = run.trajectory(), ref.trajectory()
-        for name in ("times", "V", "E_tot", "E_i"):
+        for name in ("times", "V", "E_tot") + ("E_i",) * per_node:
             assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
         for name in ("times", "states", "controls"):
             assert _same_bytes(getattr(got, name), getattr(want, name))
         assert got.events == want.events
-        assert run.stopped == ref.stopped
+        assert run.components[0].stopped == ref.stopped
 
     def test_step_out_of_the_stop_leaves_no_trace(self):
         # a switch and a recorded sample fall on the Euler step out of the
@@ -606,3 +611,149 @@ class TestBlockedRun:
         assert traj.events == []
         assert traj.times.tolist() == [0.0, dt * stop]
         assert _same_bytes(traj.states[1], ref._x)
+
+
+# gains per law; the last Linear gain and the FixedTime k2 = 1000 are
+# Euler-unstable at dt = 1e-3
+UNION_LAWS = {
+    "linear": lambda draw: Linear(draw(st.sampled_from([1.0, 5.0, 700.0]))),
+    "sign": lambda draw: Sign(draw(st.sampled_from([0.5, 1.0, 2.0]))),
+    "power": lambda draw: Power(draw(st.sampled_from([0.5, 2.0, 8.0])), 0.5),
+    "fixed_time": lambda draw: FixedTime(
+        draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([1.0, 1000.0])), 0.5, 3.0
+    ),
+}
+
+
+def _member_pool(n):
+    return [
+        circulant_graph(n, {1}),
+        WeightedDigraph.undirected(n, [(0, 1)]),
+        circulant_graph(n, {1, 2}),
+        WeightedDigraph(n, [(i, (i + 1) % n, 0.5 + i % 3) for i in range(n)]),
+        WeightedDigraph(n, []),
+    ]
+
+
+@st.composite
+def union_runs(draw):
+    """Two to four systems that share a signal with t0 != 0, a direction and
+    a law with its exponents, each with its own size, members, gains and
+    x0; a config and a horizon of whole steps."""
+    dt = 1e-3
+    t0 = dt * draw(st.integers(min_value=1, max_value=300))
+    steps = draw(st.integers(min_value=50, max_value=600))
+    signal = _draw_signal(draw, t0, steps, dt)
+    law = UNION_LAWS[draw(st.sampled_from(sorted(UNION_LAWS)))]
+    direction = draw(st.sampled_from([AGG, PE]))
+    systems = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.sampled_from([4, 5, 6, 40]))
+        members = [draw(st.sampled_from(_member_pool(n))) for _ in range(3)]
+        x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        systems.append((DynamicNetwork(members, signal), Protocol(direction, law(draw)), x0))
+    cfg = SimConfig(
+        t_end=t0 + dt * steps,
+        dt=dt,
+        stop_epsilon=draw(st.sampled_from([None, 0.05, 0.5])),
+        record_stride=draw(st.integers(1, 40)),
+        track_per_node=draw(st.booleans()),
+    )
+    return systems, cfg, steps
+
+
+def _last_step(outcome, t0, dt):
+    """Step at which a solo run diverged or stopped early; its final step otherwise."""
+    t = outcome.time if isinstance(outcome, DivergenceError) else outcome.metrics.times[-1]
+    return int(round((t - t0) / dt))
+
+
+class TestUnionRun:
+    @settings(max_examples=80, deadline=None)
+    @given(case=union_runs(), data=st.data())
+    def test_components_match_solo_runs(self, case, data):
+        systems, cfg, steps = case
+        t0, dt = systems[0][0].signal.t0, cfg.dt
+
+        def solo(system, last):
+            with np.errstate(all="ignore"):
+                try:
+                    return simulate(*system, dataclasses.replace(cfg, t_end=t0 + dt * last))
+                except DivergenceError as exc:
+                    return exc
+
+        refs = [solo(system, steps) for system in systems]
+        lasts = [steps] * len(systems)
+        # small blocks put block edges everywhere; "stop" and "after stop"
+        # make the first system's sticky stop the first or the last step of
+        # a block of a one-shot run
+        block = data.draw(st.sampled_from([1, 2, 7, 64, None, "stop", "after stop"]))
+        ends, drop = [steps], None
+        stop = _last_step(refs[0], t0, dt)
+        if not isinstance(block, str):
+            ends = sorted(data.draw(st.lists(st.integers(1, steps), max_size=4))) + ends
+            # a caller may drop one system after one of its advance calls
+            drop = data.draw(
+                st.none()
+                | st.tuples(st.integers(0, len(systems) - 1), st.integers(0, len(ends) - 1))
+            )
+        elif isinstance(refs[0], DivergenceError) or stop == steps:
+            block = None
+        else:
+            block = stop + (0 if block == "stop" else 1)
+        if drop is not None:
+            i, at = drop
+            if _last_step(refs[i], t0, dt) > ends[at]:
+                # the system is still running when it is dropped
+                refs[i], lasts[i] = solo(systems[i], ends[at]), ends[at]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # the union rebuilds its buffers when it compacts, so the patch
+            # covers every advance
+            with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS):
+                run = _Run(
+                    systems,
+                    dt,
+                    stop_epsilon=cfg.stop_epsilon,
+                    record_stride=cfg.record_stride,
+                    track_per_node=cfg.track_per_node,
+                )
+                for k, end in enumerate(ends):
+                    run.advance(end)
+                    if drop is not None and drop[1] == k:
+                        run.drop(drop[0])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        for i, (c, ref, last) in enumerate(zip(run.components, refs, lasts)):
+            if isinstance(ref, DivergenceError):
+                assert c.error is not None
+                assert (c.error.time, c.error.max_abs) == (ref.time, ref.max_abs)
+                continue
+            assert c.error is None
+            got = run.trajectory(i)
+            for name in ("times", "V", "E_tot") + ("E_i",) * cfg.track_per_node:
+                assert _same_bytes(getattr(got.metrics, name), getattr(ref.metrics, name))
+            for name in ("times", "states", "controls"):
+                assert _same_bytes(getattr(got, name), getattr(ref, name))
+            assert got.events == ref.events
+            assert c.stopped == (len(ref.metrics.times) - 1 < last)
+
+    def test_rejects_systems_that_cannot_share_a_run(self):
+        g = circulant_graph(4, {1})
+        base = (static_net(g), Protocol(AGG, Power(1.0, 0.5)), np.zeros(4))
+        others = [
+            (DynamicNetwork([g], FloorModulo(rate=2.0, modulus=1)),) + base[1:],
+            (DynamicNetwork([g, g], FloorModulo(rate=1.0, modulus=1)),) + base[1:],
+            (base[0], Protocol(PE, Power(1.0, 0.5)), base[2]),
+            (base[0], Protocol(AGG, Power(1.0, 0.7)), base[2]),
+            (base[0], Protocol(AGG, Linear(1.0)), base[2]),
+        ]
+        cfg = SimConfig(t_end=0.01, dt=1e-3)
+        for other in others:
+            with pytest.raises(ValueError):
+                simulate_batch([base, other], cfg)
+        with pytest.raises(ValueError):
+            simulate_batch([], cfg)
+        # gains alone may differ
+        assert len(simulate_batch([base, (base[0], Protocol(AGG, Power(3.0, 0.5)), base[2])], cfg)) == 2
