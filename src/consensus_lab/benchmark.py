@@ -6,6 +6,11 @@ the signal floor(5t) mod 2. Gains are calibrated at n = 25 so both
 directions of a protocol family settle to V = 0.05 at 1.00 s, then held
 fixed across sizes so settling time and control effort can be compared as
 the algebraic connectivity falls.
+
+Calibration probes and sweep rows are independent systems that share the
+signal, dt and the law, so each calibration round and each direction's
+sweep runs as one union (see simulate._Run); every gain, settling time and
+E_tot is that of a serial run.
 """
 
 from __future__ import annotations
@@ -261,40 +266,72 @@ def _experiment_family(experiment: int) -> str:
     raise ValueError(f"experiment must be 1 or 2, got {experiment}")
 
 
-def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_horizon):
-    """Settling time and E_tot of one sweep row.
+def _settled(run, i, epsilon, dt):
+    """(settling time, E_tot at it) of system i of the run, or None if it
+    has not settled."""
+    metrics = run.metrics(i)
+    t_star = settling_time(metrics, epsilon)
+    if t_star is None:
+        return None
+    idx = int(round((t_star - metrics.times[0]) / dt))
+    return t_star, float(metrics.E_tot[idx])
 
-    One run is advanced to base_horizon and then on through doubled
-    horizons, up to ten times, until it settles. Each horizon resumes where
-    the last one stopped; the numbers are those of a fresh run at the final
-    horizon, since a run's prefix does not depend on where it ends.
+
+def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon):
+    """Settling time and E_tot of one direction's sweep rows, one per size.
+
+    The rows run as one union (see simulate._Run), advanced to base_horizon
+    and then on through doubled horizons, up to ten times, until every row
+    is resolved. At each horizon a row that diverged gets its
+    DivergenceError, and one that has settled gets (settling time, E_tot)
+    and leaves the union, so it costs no further steps. A resolved row's
+    record is freed, so it holds no memory while the others run on. A row
+    unresolved after the last horizon gets a RuntimeError.
+    Returns the outcome of each row in the order of sizes; each is that of
+    a serial run of the row alone resumed through the same horizons, since
+    a run's prefix does not depend on where it ends or on the rows beside
+    it.
     """
-    system = (
-        benchmark_topology(n),
-        benchmark_protocol(family, direction, k),
-        lcg_initial_conditions(lcg, n),
-    )
-    run = _Run([system], dt, stop_epsilon=epsilon, record_stride=10**9)
+    systems = [
+        (
+            benchmark_topology(n),
+            benchmark_protocol(family, direction, k),
+            lcg_initial_conditions(lcg, n),
+        )
+        for n in sizes
+    ]
+    run = _Run(systems, dt, stop_epsilon=epsilon, record_stride=10**9)
+    outcomes = [None] * len(sizes)
     horizon = base_horizon
     for _ in range(11):
         run.advance(_step_count(horizon, run.t0, dt))
-        exc = run.components[0].error
-        if exc is not None:
-            raise DivergenceError(
-                exc.time,
-                exc.max_abs,
-                context=f"benchmark row n={n} direction={direction.value}",
-            ) from exc
-        metrics = run.metrics()
-        t_star = settling_time(metrics, epsilon)
-        if t_star is not None:
-            idx = int(round((t_star - metrics.times[0]) / dt))
-            return t_star, float(metrics.E_tot[idx])
+        for i, (n, c) in enumerate(zip(sizes, run.components)):
+            if c is None:
+                continue
+            if c.error is not None:
+                outcomes[i] = DivergenceError(
+                    c.error.time,
+                    c.error.max_abs,
+                    context=f"benchmark row n={n} direction={direction.value}",
+                )
+                outcomes[i].__cause__ = c.error
+            else:
+                outcomes[i] = _settled(run, i, epsilon, dt)
+                if outcomes[i] is None:
+                    continue
+                run.drop(i)
+            # the row is resolved: free its record while the others run on
+            run.components[i] = None
+        if None not in outcomes:
+            return outcomes
         horizon *= 2
-    raise RuntimeError(
-        f"benchmark row n={n} direction={direction.value} did not settle "
-        f"within {horizon / 2} s"
-    )
+    for i, n in enumerate(sizes):
+        if outcomes[i] is None:
+            outcomes[i] = RuntimeError(
+                f"benchmark row n={n} direction={direction.value} did not settle "
+                f"within {horizon / 2} s"
+            )
+    return outcomes
 
 
 def run_experiment(
@@ -310,6 +347,9 @@ def run_experiment(
 
     Returns (rows, meta): rows sorted by n with the per-edge row first at
     each size, meta a JSON-ready record of everything needed to replay.
+    Each direction's rows run as one union (see _sweep_rows); the rows are
+    then read in that serial order, and the first that failed raises its
+    DivergenceError or RuntimeError, as a serial sweep would.
     """
     family = _experiment_family(experiment)
     sizes = sorted(set(int(s) for s in sizes))
@@ -326,25 +366,32 @@ def run_experiment(
         calibration[direction.value] = {"k": k, "achieved_settling": achieved}
 
     base_horizon = _snap_horizon(max(4 * target_t, 20 * dt), dt)
-
-    def row(n, direction):
-        k = calibration[direction.value]["k"]
-        t_star, e_tot = _sweep_row(
-            family, direction, k, n, epsilon, dt, lcg, base_horizon
+    outcomes = {
+        d: _sweep_rows(
+            family, d, calibration[d.value]["k"], sizes, epsilon, dt, lcg, base_horizon
         )
-        return BenchmarkRow(
-            n=n,
-            lambda2=2.0 - 2.0 * math.cos(2.0 * math.pi / n),
-            protocol=family,
-            direction=direction.value,
-            gain=k,
-            settling_time=t_star,
-            e_tot=e_tot,
-            dt=dt,
-            epsilon=epsilon,
-        )
-
-    rows = [row(n, d) for n in sizes for d in directions]
+        for d in directions
+    }
+    rows = []
+    for i, n in enumerate(sizes):
+        for d in directions:
+            out = outcomes[d][i]
+            if isinstance(out, Exception):
+                raise out
+            t_star, e_tot = out
+            rows.append(
+                BenchmarkRow(
+                    n=n,
+                    lambda2=2.0 - 2.0 * math.cos(2.0 * math.pi / n),
+                    protocol=family,
+                    direction=d.value,
+                    gain=calibration[d.value]["k"],
+                    settling_time=t_star,
+                    e_tot=e_tot,
+                    dt=dt,
+                    epsilon=epsilon,
+                )
+            )
 
     meta = {
         "experiment": experiment,

@@ -102,6 +102,8 @@ def _step_count(t_end, t0, dt):
     if t_end <= t0:
         raise ValueError(f"t_end = {t_end} must exceed the signal start t0 = {t0}")
     span = (t_end - t0) / dt
+    if not math.isfinite(span):
+        raise ValueError(f"t_end = {t_end} and dt = {dt} give too many steps to count")
     steps = int(round(span))
     if steps < 1 or abs(span - steps) > 1e-6:
         raise ValueError(
@@ -110,30 +112,36 @@ def _step_count(t_end, t0, dt):
     return steps
 
 
+def _nearest_int(value):
+    """value rounded to an int, or None if it is not finite."""
+    return int(round(value)) if math.isfinite(value) else None
+
+
 def _step_indexer(signal, dt):
     """Map a step counter k (time t0 + k dt) to the active family index.
 
     Raises when a switch instant does not land on a step boundary.
     """
     if isinstance(signal, FloorModulo):
-        per = 1.0 / (signal.rate * dt)
-        spt = int(round(per))
-        if spt < 1 or abs(per - spt) > 1e-6:
+        # a tiny rate * dt underflows to 0, or its inverse overflows to inf
+        per = 1.0 / (signal.rate * dt) if signal.rate * dt > 0 else math.inf
+        spt = _nearest_int(per)
+        if spt is None or spt < 1 or abs(per - spt) > 1e-6:
             raise ValueError(
                 f"switching period 1/rate = {1.0 / signal.rate} is not a whole "
                 f"number of steps at dt = {dt}"
             )
         start = signal.t0 / dt
-        k0 = int(round(start))
-        if abs(start - k0) > 1e-6:
+        k0 = _nearest_int(start)
+        if k0 is None or abs(start - k0) > 1e-6:
             raise ValueError(f"signal t0 = {signal.t0} is not on a step boundary at dt = {dt}")
         m, off = signal.modulus, signal.offset
         return lambda k: (k0 + k) // spt % m + off
     if isinstance(signal, Breakpoints):
         steps = []
         for bt in signal.times:
-            s = int(round((bt - signal.t0) / dt))
-            if abs(bt - (signal.t0 + s * dt)) > 1e-12:
+            s = _nearest_int((bt - signal.t0) / dt)
+            if s is None or abs(bt - (signal.t0 + s * dt)) > 1e-12:
                 raise ValueError(f"breakpoint {bt} is not on a step boundary at dt = {dt}")
             steps.append(s)
         steps = tuple(steps)

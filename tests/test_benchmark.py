@@ -13,7 +13,7 @@ from consensus_lab.benchmark import (
     CalibrationError,
     LcgConfig,
     _snap_horizon,
-    _sweep_row,
+    _sweep_rows,
     benchmark_protocol,
     benchmark_topology,
     calibrate_gain,
@@ -231,23 +231,116 @@ class TestCalibration:
             calibrate_gain("cubic", AGG, n=10, target_v=0.05, target_t=1.0, dt=1e-3)
 
 
+def _serial_row(family, direction, k, n, eps, dt, base):
+    """One sweep row alone: a fresh simulate at base and at each doubled
+    horizon, up to ten times, until it settles.
+
+    Returns (settling time, E_tot, final horizon); raises the failure a
+    serial sweep raises for the row.
+    """
+    net = benchmark_topology(n)
+    x0 = lcg_initial_conditions(LcgConfig(), n)
+    protocol = benchmark_protocol(family, direction, k)
+    context = f"benchmark row n={n} direction={direction.value}"
+    horizon = base
+    for _ in range(11):
+        cfg = SimConfig(t_end=horizon, dt=dt, stop_epsilon=eps, record_stride=10**9)
+        try:
+            traj = simulate(net, protocol, x0, cfg)
+        except DivergenceError as exc:
+            raise DivergenceError(exc.time, exc.max_abs, context=context) from exc
+        t_star = settling_time(traj.metrics, eps)
+        if t_star is not None:
+            return t_star, float(traj.metrics.E_tot[int(round(t_star / dt))]), horizon
+        horizon *= 2
+    raise RuntimeError(f"{context} did not settle within {horizon / 2} s")
+
+
+def _first_serial_failure(family, gains, sizes, eps, dt, base):
+    """The exception a serial sweep raises: rows by size, per-edge first."""
+    for n in sizes:
+        for direction in (PE, AGG):
+            try:
+                _serial_row(family, direction, gains[direction], n, eps, dt, base)
+            except RuntimeError as exc:  # DivergenceError included
+                return exc
+    return None
+
+
 class TestSweepRow:
     def test_resumed_row_matches_one_shot(self):
         k, n, eps, dt, base = 1.0, 10, 0.05, 1e-3, 0.125
-        net = benchmark_topology(n)
-        x0 = lcg_initial_conditions(LcgConfig(), n)
-        horizon = base
-        while True:
-            cfg = SimConfig(t_end=horizon, dt=dt, stop_epsilon=eps, record_stride=10**9)
-            traj = simulate(net, Protocol(AGG, Power(k, 0.5)), x0, cfg)
-            t_star = settling_time(traj.metrics, eps)
-            if t_star is not None:
-                break
-            horizon *= 2
+        t_star, e_tot, horizon = _serial_row("power", AGG, k, n, eps, dt, base)
         assert horizon >= 4 * base
-        e_tot = float(traj.metrics.E_tot[int(round(t_star / dt))])
-        got = _sweep_row("power", AGG, k, n, eps, dt, LcgConfig(), base)
-        assert got == (t_star, e_tot)
+        got = _sweep_rows("power", AGG, k, [n], eps, dt, LcgConfig(), base)
+        assert got == [(t_star, e_tot)]
+
+    # with k = 3 the smallest row settles within base and a larger one only
+    # after two or more doublings
+    @pytest.mark.parametrize(
+        "family, direction, base",
+        [
+            ("power", PE, 1.0),
+            ("power", AGG, 1.25),
+            ("fixed_time", PE, 0.35),
+            ("fixed_time", AGG, 0.35),
+        ],
+    )
+    def test_union_matches_serial_rows(self, family, direction, base):
+        k, sizes, eps, dt = 3.0, [7, 10, 12, 25, 40], 0.05, 1e-3
+        want = [_serial_row(family, direction, k, n, eps, dt, base) for n in sizes]
+        horizons = [h for _, _, h in want]
+        assert min(horizons) == base and max(horizons) >= 4 * base
+        got = _sweep_rows(family, direction, k, sizes, eps, dt, LcgConfig(), base)
+        assert [(t.hex(), e.hex()) for t, e in got] == [
+            (t.hex(), e.hex()) for t, e, _ in want
+        ]
+
+
+class TestSweepFailures:
+    """run_experiment raises the failure of the first failing row in serial
+    order, with the serial message, although each direction runs its rows
+    as one union."""
+
+    def _run(self, experiment, gains, sizes, eps, dt, target_t):
+        # the calibration is replaced by the given gains
+        def calibrate(family, direction, *args, **kwargs):
+            return gains[direction], 1.0
+
+        with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
+            run_experiment(experiment, sizes, dt=dt, epsilon=eps, target_t=target_t)
+
+    def test_divergence(self):
+        # per-edge, k = 106: n = 25 never settles; aggregated, k = 130: n = 12
+        # diverges, so a sweep by direction would raise the per-edge failure
+        gains, sizes, eps, dt = {PE: 106.0, AGG: 130.0}, [7, 12, 25, 40], 0.05, 1e-3
+        target_t = 0.005
+        base = _snap_horizon(max(4 * target_t, 20 * dt), dt)
+        per_edge = _sweep_rows("fixed_time", PE, gains[PE], sizes, eps, dt, LcgConfig(), base)
+        assert isinstance(per_edge[2], RuntimeError)
+        want = _first_serial_failure("fixed_time", gains, sizes, eps, dt, base)
+        assert isinstance(want, DivergenceError)
+        assert str(want).startswith("benchmark row n=12 direction=aggregated: state diverged")
+        with pytest.raises(DivergenceError) as got:
+            self._run(2, gains, sizes, eps, dt, target_t)
+        assert str(got.value) == str(want)
+        assert (got.value.time, got.value.max_abs) == (want.time, want.max_abs)
+
+    def test_unsettled_row(self):
+        # epsilon below the Euler chatter amplitude: of the rows, only the
+        # per-edge one at n = 12 settles, so a sweep by direction would raise
+        # the per-edge failure at n = 25
+        gains, sizes, eps, dt = {PE: 1.0, AGG: 1.0}, [12, 25], 1e-6, 1e-3
+        target_t = 0.005
+        base = _snap_horizon(max(4 * target_t, 20 * dt), dt)
+        per_edge = _sweep_rows("power", PE, 1.0, sizes, eps, dt, LcgConfig(), base)
+        assert isinstance(per_edge[0], tuple) and isinstance(per_edge[1], RuntimeError)
+        want = _first_serial_failure("power", gains, sizes, eps, dt, base)
+        assert type(want) is RuntimeError
+        assert str(want) == "benchmark row n=12 direction=aggregated did not settle within 20.48 s"
+        with pytest.raises(RuntimeError) as got:
+            self._run(1, gains, sizes, eps, dt, target_t)
+        assert type(got.value) is RuntimeError and str(got.value) == str(want)
 
 
 class TestRunExperiment:

@@ -1,13 +1,25 @@
-"""End-to-end checks of the command-line interface via subprocess."""
+"""End-to-end checks of the command-line interface, via subprocess and in process."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consensus_lab import cli
+
+EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1"
+# the exit codes of the README's table
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_DIVERGED, cli.EXIT_NO_SETTLE,
+              cli.EXIT_VERIFY_FAIL}
 
 
 def run_cli(*args, cwd=None):
@@ -321,3 +333,140 @@ class TestMalformedInput:
         args = ["simulate", files["net"], files["proto"], "--x0-file", files["x0"],
                 "--t-end", "0.01", "--out", str(tmp_path / "o")]
         assert cli.main(args) == cli.EXIT_OK
+
+    def test_too_many_steps(self, capsys, tmp_path):
+        # (t_end - t0) / dt overflows a float
+        args = ["simulate", str(EXAMPLE1 / "network.json"), str(EXAMPLE1 / "protocol.json"),
+                "--x0-file", str(EXAMPLE1 / "x0.txt"), "--t-end", "1e300", "--dt", "1e-300",
+                "--out", str(tmp_path / "o")]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert "Traceback" not in err
+        assert "t_end = 1e+300" in err and "dt = 1e-300" in err
+
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            {"type": "floor_modulo", "rate": 5e-324, "modulus": 2},
+            {"type": "floor_modulo", "rate": 1e-306, "modulus": 2},
+            {"type": "floor_modulo", "rate": 1.0, "modulus": 2, "t0": 1e308},
+            {"type": "breakpoints", "times": [1e308], "indices": [0, 1], "t0": -1e308},
+        ],
+        ids=["rate-underflow", "period-overflow", "t0-overflow", "breakpoint-overflow"],
+    )
+    def test_signal_too_far_for_the_step_grid(self, capsys, tmp_path, signal):
+        network = json.loads((EXAMPLE1 / "network.json").read_text())
+        network["signal"] = signal
+        args = ["simulate", write_json(tmp_path / "net.json", network),
+                str(EXAMPLE1 / "protocol.json"), "--x0-file", str(EXAMPLE1 / "x0.txt"),
+                "--t-end", "0.01", "--dt", "1e-3", "--out", str(tmp_path / "o")]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert "Traceback" not in err
+        assert "step" in err
+
+
+def _main_quietly(argv):
+    """cli.main in process; returns the exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _check_inputs(network, protocol):
+    """Run simulate and verify on the given JSON values; every run must end
+    with an exit code of the README's table and print no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        net = write_json(tmp / "net.json", network)
+        proto = write_json(tmp / "proto.json", protocol)
+        runs = [
+            ["simulate", net, proto, "--x0-lcg", "--dt", "1e-3", "--t-end", "0.01",
+             "--epsilon", "0.01", "--out", str(tmp / "o")],
+            ["verify", net, "--tau", "0.5"],
+            ["verify", net, "--spectral"],
+        ]
+        for argv in runs:
+            code, err = _main_quietly(argv)
+            assert code in EXIT_CODES, (argv[0], code, err)
+            assert "Traceback" not in err, err
+
+
+# keys and string values of the network, graph and protocol schemas, so that
+# arbitrary values reach past the first field check
+_VOCABULARY = [
+    "signal", "graphs", "type", "floor_modulo", "breakpoints", "rate", "modulus",
+    "offset", "t0", "times", "indices", "n", "undirected", "edges", "direction",
+    "aggregated", "per_edge", "f", "linear", "sign", "power", "fixed_time", "k",
+    "alpha", "k1", "k2", "p", "q",
+]
+# integers stay small: a graph's n sizes dense matrices in verify --spectral
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(-100.0, 100.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.sampled_from(_VOCABULARY)
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_VOCABULARY) | st.text(max_size=3), children, max_size=5),
+    max_leaves=24,
+)
+
+
+def _field_paths(obj, path=()):
+    """Path of every object field and array element below obj."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+_DROP = object()
+# dropped, null, a string, a list, nan, a negative and the smallest positive
+# float: a tiny switching rate once overflowed the switching period
+MUTATIONS = [_DROP, None, "x", [], math.nan, -1.0, 5e-324]
+
+
+def _mutated(obj, path, value):
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+class TestArbitraryInput:
+    """No JSON input makes the CLI print a traceback (see the README's exit
+    code table)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(network=JSON_VALUES, protocol=JSON_VALUES)
+    def test_arbitrary_json_values(self, network, protocol):
+        _check_inputs(network, protocol)
+
+    def test_single_field_mutations_of_example1(self):
+        network = json.loads((EXAMPLE1 / "network.json").read_text())
+        protocol = json.loads((EXAMPLE1 / "protocol.json").read_text())
+        for path in _field_paths(network):
+            for value in MUTATIONS:
+                _check_inputs(_mutated(network, path, value), protocol)
+        for path in _field_paths(protocol):
+            for value in MUTATIONS:
+                _check_inputs(network, _mutated(protocol, path, value))
