@@ -42,8 +42,11 @@ __all__ = [
 GAIN_BRACKET = (1e-3, 1e3)
 RETIRED = "> target_t + band"
 BISECTION_STEPS = 48
-# bisection levels probed together in one union round; 2^d - 1 probes
-SPECULATION_LEVELS = 3
+# a bisection round probes the midpoints of the next PATH_LEVELS levels on
+# the path toward the predicted gain, then every midpoint of the
+# HEDGE_LEVELS levels below it: PATH_LEVELS + 2^HEDGE_LEVELS - 1 probes
+PATH_LEVELS = 4
+HEDGE_LEVELS = 2
 H_RULE = "largest h <= floor(n/2) with gcd(h, n) = 1; member 1 = C_n{1, h}"
 
 
@@ -157,6 +160,36 @@ def _bisection_midpoints(lo, hi, levels):
     )
 
 
+def _predict_gain(hi, t_hi, target_t):
+    """Gain predicted to settle at target_t from the fast end hi of the
+    bisection bracket, which settles at t_hi <= target_t.
+
+    T(k) falls roughly like 1/k, so the prediction is hi t_hi / target_t.
+    The bracket's end is used, not the slowest fast probe so far, because
+    T(k) rises again at high gains, where Euler chatter delays the stop.
+    """
+    return hi * t_hi / target_t
+
+
+def _predicted_path(lo, hi, k_hat, levels):
+    """Midpoints of the next `levels` bisection levels from (lo, hi) on the
+    path a predicted gain k_hat takes, and the bracket at its end.
+
+    The path steps to the fast half, (lo, mid), when mid >= k_hat, and to
+    the slow half otherwise; a NaN prediction steps to the slow half. The
+    midpoints are the floats the bisection computes.
+    """
+    path = []
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if mid >= k_hat:
+            hi = mid
+        else:
+            lo = mid
+    return path, (lo, hi)
+
+
 def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     """Bisect the gain so settling_time(eps=target_v) hits target_t.
 
@@ -167,16 +200,22 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     serial scan probes, with None for probes that diverged or never settled
     and RETIRED for retired ones.
 
-    Probes run in rounds, each round one union run (see simulate._Run).
-    Every probe first runs to the cut step (see _cut_step). If V is still
-    above target_v there, the probe retires and leaves the union: its
-    settling time lies past target_t + band, which every pre-scan and
-    bisection test treats like a probe that never settles. Other probes run
-    the full 4 target_t horizon. The pre-scan is one round of all seven
-    grid gains; each bisection round holds the 2^d - 1 midpoints that the
-    next d = SPECULATION_LEVELS levels may probe. The serial decisions,
-    including the early exit, are then replayed on the round's times, so
-    the returned gain and time are those of serial full-horizon probes.
+    Probes run in rounds, each round one union run (see simulate._Run)
+    that integrates no effort. Every probe first runs to the cut step (see
+    _cut_step). If V is still above target_v there, the probe retires and
+    leaves the union: its settling time lies past target_t + band, which
+    every pre-scan and bisection test treats like a probe that never
+    settles. Other probes run the full 4 target_t horizon. The pre-scan is
+    one round of all seven grid gains. Each bisection round probes the
+    midpoints of the next PATH_LEVELS levels on the path toward the gain
+    that _predict_gain predicts from the bracket's fast end, and every
+    midpoint of the HEDGE_LEVELS levels below that path's last bracket:
+    up to PATH_LEVELS + HEDGE_LEVELS levels in one round. The serial
+    decisions, including the early exit, are then replayed on the probed
+    times, level by level, up to the first level whose midpoint was not
+    probed; the next round starts from that level's bracket. A wrong
+    prediction costs a round, never a decision: the returned gain and time
+    are those of serial full-horizon probes.
     """
     if target_v <= 0 or target_t <= 0:
         raise ValueError("target_v and target_t must be positive")
@@ -193,7 +232,7 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
         # settling time per gain; math.inf stands for a retired probe: past
         # the band, exact time unknown
         systems = [(net, benchmark_protocol(family, direction, k), x0) for k in gains]
-        run = _Run(systems, dt, stop_epsilon=target_v, record_stride=10**9)
+        run = _Run(systems, dt, stop_epsilon=target_v, record_stride=10**9, effort=None)
         times = [None] * len(gains)
         if cut is not None:
             run.advance(cut)
@@ -238,11 +277,19 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
             f"scanned {report}"
         )
     lo, hi, t_hi = bracket
-    for step in range(0, BISECTION_STEPS, SPECULATION_LEVELS):
-        levels = min(SPECULATION_LEVELS, BISECTION_STEPS - step)
-        times = probe(_bisection_midpoints(lo, hi, levels))
-        for _ in range(levels):
+    step = 0
+    while step < BISECTION_STEPS:
+        left = BISECTION_STEPS - step
+        path, (p_lo, p_hi) = _predicted_path(
+            lo, hi, _predict_gain(hi, t_hi, target_t), min(PATH_LEVELS, left)
+        )
+        hedge = _bisection_midpoints(p_lo, p_hi, min(HEDGE_LEVELS, left - len(path)))
+        times.update(probe([g for g in path + hedge if g not in times]))
+        while step < BISECTION_STEPS:
             mid = 0.5 * (lo + hi)
+            if mid not in times:
+                break
+            step += 1
             t_mid = times[mid]
             if t_mid is not None and abs(t_mid - target_t) <= band:
                 return mid, t_mid

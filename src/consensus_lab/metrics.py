@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "MetricSeries",
     "lyapunov_v",
+    "segment_spread",
     "isce_accumulate",
     "settling_time",
     "consensus_value",
@@ -26,33 +27,44 @@ __all__ = [
 class MetricSeries:
     """Per-step metric record of one trajectory.
 
-    times, V, E_tot cover every integrator step. E_i is the per-node effort
-    at the same times, (len(times), n) shaped, kept only when per-node
-    tracking was requested; None otherwise. Fields are filled by the
-    simulator and not revalidated here.
+    times, V, E_tot cover every integrator step. E_tot is None for a run
+    that integrated no effort. E_i is the per-node effort at the same
+    times, (len(times), n) shaped, kept only when per-node tracking was
+    requested; None otherwise. Fields are filled by the simulator and not
+    revalidated here.
     """
 
     times: np.ndarray
     V: np.ndarray
-    E_tot: np.ndarray
+    E_tot: Optional[np.ndarray]
     E_i: Optional[np.ndarray] = None
 
 
-def lyapunov_v(x, starts=None):
+def lyapunov_v(x):
     """Spread max(x) - min(x) along the last axis; zero exactly at consensus.
 
     A float for one state; for a block of states, one row per step, the
-    array of their spreads. With starts, the last axis is cut into segments
-    that begin at those indices, such as the states of independent systems
-    stacked in one vector, and each segment gets its own spread.
+    array of their spreads.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("state vector is empty")
-    if starts is not None:
-        return np.maximum.reduceat(x, starts, axis=-1) - np.minimum.reduceat(x, starts, axis=-1)
     v = np.max(x, axis=-1) - np.min(x, axis=-1)
     return float(v) if x.ndim == 1 else v
+
+
+def segment_spread(x, starts):
+    """Spread and largest magnitude of each segment of the last axis.
+
+    The last axis of x is cut into segments that begin at the indices
+    starts, such as the states of independent systems stacked in one
+    vector. Returns (V, peak): each segment's spread max - min, as
+    lyapunov_v gives it, and its largest |x_i|, both taken from one max
+    and one min reduction per segment.
+    """
+    hi = np.maximum.reduceat(x, starts, axis=-1)
+    lo = np.minimum.reduceat(x, starts, axis=-1)
+    return hi - lo, np.maximum(hi, -lo)
 
 
 def isce_accumulate(s_accum: np.ndarray, u, dt: float, out=None) -> np.ndarray:

@@ -9,7 +9,9 @@ The step loop does only the Euler update with a kernel bound once per
 family member. The spread, the divergence guard, the sticky stop and the
 effort integrals are evaluated once per block of steps, with the metrics
 module's block forms; the step at which a run stops or diverges, and every
-number it records, are those of a check after every step.
+number it records, are those of a check after every step. A run whose
+caller reads no effort, such as a calibration probe, skips the effort
+integrals altogether.
 
 Independent systems that share the signal, dt and the protocol's law up to
 its gains run as one union (simulate_batch): one state vector, one kernel
@@ -27,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import MetricSeries, isce_accumulate, lyapunov_v
+from .metrics import MetricSeries, isce_accumulate, segment_spread
 from .protocols import Protocol, _kernel, control
 from .switching import Breakpoints, DynamicNetwork, FloorModulo
 
@@ -45,6 +47,8 @@ STICKY_STEPS = 100
 # a block of Euler steps holds at most this many steps and state entries
 BLOCK_STEPS = 1024
 BLOCK_ELEMENTS = 2**14
+# what a run integrates of the control effort: nothing, E_tot, or E_tot and E_i
+EFFORTS = (None, "total", "per_node")
 
 
 class DivergenceError(RuntimeError):
@@ -171,7 +175,7 @@ def _sticky_stop(V, eps, run_below):
 class _Component:
     """One system of a run and the record of its steps observed so far."""
 
-    def __init__(self, net, protocol, x, track_per_node):
+    def __init__(self, net, protocol, x, effort):
         self.net = net
         self.protocol = protocol
         self.n = net.n
@@ -181,8 +185,8 @@ class _Component:
         self.error: Optional[DivergenceError] = None
         self.ended = False
         self.V = np.empty(0)
-        self.E_tot = np.empty(0)
-        self.E_i = np.empty((0, net.n)) if track_per_node else None
+        self.E_tot = np.empty(0) if effort else None
+        self.E_i = np.empty((0, net.n)) if effort == "per_node" else None
         self.events: List[Tuple[float, int, int]] = []
         self.rec_steps: List[int] = []
         self.rec_states: List[np.ndarray] = []
@@ -217,6 +221,10 @@ class _Run:
     uninterrupted run. Each Euler step from t_j resolves the member active
     over [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member,
     and steps x by dt*u; effort integrals advance by the left-endpoint rule.
+    effort, one of EFFORTS, says which effort the run keeps: None keeps
+    none, so the loop neither stores the controls nor integrates them and
+    metrics() reports E_tot as None; "total" keeps E_tot, and "per_node"
+    also E_i. V, the stop and the divergence do not depend on it.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
     state entries. Once per block the spread V, the divergence guard, the
@@ -231,7 +239,9 @@ class _Run:
     next block, so the others no longer pay for it.
     """
 
-    def __init__(self, systems, dt, stop_epsilon=None, record_stride=1, track_per_node=False):
+    def __init__(self, systems, dt, stop_epsilon=None, record_stride=1, effort="total"):
+        if effort not in EFFORTS:
+            raise ValueError(f"effort must be one of {EFFORTS}, got {effort!r}")
         systems = list(systems)
         if not systems:
             raise ValueError("a run needs at least one system")
@@ -248,14 +258,14 @@ class _Run:
                     "the systems of one run must share the switching signal "
                     "and the number of family members"
                 )
-            self.components.append(_Component(net, protocol, x, track_per_node))
+            self.components.append(_Component(net, protocol, x, effort))
         self.dt = dt
         self.t0 = signal.t0
         self._indexer = _step_indexer(signal, dt)
         self._members = members
         self._eps = stop_epsilon
         self._stride = record_stride
-        self._per_node = track_per_node
+        self._effort = effort
         self._next = 0  # first step not yet observed by the union
         self._cur_idx = self._indexer(0)
         comps = self.components
@@ -283,7 +293,8 @@ class _Run:
         n = sum(sizes)
         block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
         self._X = np.empty((block, n))  # state observed at each step of a block
-        self._U = np.empty((block, n))  # control of the step into it, then effort
+        # control of the step into it, then effort
+        self._U = np.empty((block, n)) if self._effort else None
 
     def _repack(self):
         """Take the components that have ended out of the union."""
@@ -297,8 +308,14 @@ class _Run:
         that comes first."""
         if last_step < self._next:
             return
-        for c in self._live:
-            c.grow(last_step + 1)
+        try:
+            for c in self._live:
+                c.grow(last_step + 1)
+        except MemoryError:
+            raise ValueError(
+                f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
+                f"{last_step} steps, too many to record"
+            ) from None
         with np.errstate(all="ignore"):
             while self._live and self._next <= last_step:
                 self._block(self._next, min(self._next + len(self._X), last_step + 1))
@@ -315,7 +332,8 @@ class _Run:
     def _block(self, first, end):
         """Observe steps first..end-1: run their Euler steps, then check and
         record them in one pass."""
-        X, U = self._X[: end - first], self._U[: end - first]
+        X = self._X[: end - first]
+        U = self._U[: end - first] if self._effort else None
         indexer, kernels = self._indexer, self._kernels
         dt, stride = self.dt, self._stride
         x, cur_idx = self._x, self._cur_idx
@@ -326,7 +344,8 @@ class _Run:
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
             X[0] = x
-            U[0] = 0.0
+            if U is not None:
+                U[0] = 0.0
             i0 = 1
         for i in range(i0, end - first):
             j = first + i - 1  # Euler step from t_j to t_{j+1}
@@ -338,14 +357,14 @@ class _Run:
             u = kern(x)
             if j % stride == 0:
                 records.append((j, x.copy(), u))
-            U[i] = u
+            if U is not None:
+                U[i] = u
             x = np.add(x, dt * u, out=X[i])
         self._cur_idx = cur_idx
 
         # spread and largest |x_i| of each system at each step
         rows = len(X)
-        V = lyapunov_v(X, self._starts)
-        peak = np.maximum.reduceat(np.abs(X), self._starts, axis=1)
+        V, peak = segment_spread(X, self._starts)
         ok = peak <= DIVERGENCE_LIMIT
         # the first step that fails the guard ends a system unless the sticky
         # stop came before it; steps past either are discarded
@@ -358,12 +377,14 @@ class _Run:
         kept = [min(s + 1, rows) for s in stop]
         m = max((k for k, d in zip(kept, diverged) if not d), default=0)
 
-        S = isce_accumulate(self._s_accum, U[:m], dt, out=U[:m])
-        if m == rows:
-            self._s_accum = S[-1].copy()
-        if not self._per_node:
-            # without per-node tracking the square roots overwrite S
-            np.sqrt(S, out=S)
+        effort = self._effort
+        if effort:
+            S = isce_accumulate(self._s_accum, U[:m], dt, out=U[:m])
+            if m == rows:
+                self._s_accum = S[-1].copy()
+            if effort == "total":
+                # without per-node tracking the square roots overwrite S
+                np.sqrt(S, out=S)
         t0 = self.t0
         for i, (c, sl) in enumerate(zip(self._live, self._slices)):
             if diverged[i]:
@@ -373,11 +394,11 @@ class _Run:
                 continue
             k = kept[i]
             last = first + k - 1
-            if not self._per_node:
+            if effort:
                 E = S[:k, sl]
-            else:
-                E = np.sqrt(S[:k, sl], out=c.E_i[first : last + 1])
-            np.sum(E, axis=1, out=c.E_tot[first : last + 1])
+                if effort == "per_node":
+                    E = np.sqrt(E, out=c.E_i[first : last + 1])
+                np.sum(E, axis=1, out=c.E_tot[first : last + 1])
             c.V[first : last + 1] = V[:k, i]
             # Euler steps from the last observed step on belong to later blocks
             c.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
@@ -407,7 +428,7 @@ class _Run:
         return MetricSeries(
             times=times,
             V=c.V[:end],
-            E_tot=c.E_tot[:end],
+            E_tot=c.E_tot[:end] if c.E_tot is not None else None,
             E_i=c.E_i[:end] if c.E_i is not None else None,
         )
 
@@ -444,7 +465,7 @@ def simulate_batch(systems, cfg: SimConfig) -> list:
         cfg.dt,
         stop_epsilon=cfg.stop_epsilon,
         record_stride=cfg.record_stride,
-        track_per_node=cfg.track_per_node,
+        effort="per_node" if cfg.track_per_node else "total",
     )
     run.advance(_step_count(cfg.t_end, run.t0, cfg.dt))
     return [c.error or run.trajectory(i) for i, c in enumerate(run.components)]

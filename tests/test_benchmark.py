@@ -8,10 +8,13 @@ import consensus_lab.benchmark as benchmark_module
 from consensus_lab.benchmark import (
     BISECTION_STEPS,
     GAIN_BRACKET,
+    HEDGE_LEVELS,
+    PATH_LEVELS,
     RETIRED,
-    SPECULATION_LEVELS,
     CalibrationError,
     LcgConfig,
+    _predict_gain,
+    _predicted_path,
     _snap_horizon,
     _sweep_rows,
     benchmark_protocol,
@@ -110,11 +113,12 @@ def _settle_at_gain(k, n=10, dt=1e-3):
 
 
 def _reference_calibration(
-    family, direction, n, target_v, target_t, dt, steps=BISECTION_STEPS, levels=None
+    family, direction, n, target_v, target_t, dt, steps=BISECTION_STEPS, levels=None, mids=None
 ):
     """Geometric pre-scan, then bisection, every probe a full-horizon simulate.
 
-    levels, if given, receives the number of bisection levels probed.
+    levels, if given, receives the number of bisection levels probed, and
+    mids every midpoint probed, in order.
     """
     net = benchmark_topology(n)
     x0 = lcg_initial_conditions(LcgConfig(), n)
@@ -145,6 +149,8 @@ def _reference_calibration(
     lo, hi, t_hi = grid[i - 1], grid[i], times[i]
     for level in range(1, steps + 1):
         mid = 0.5 * (lo + hi)
+        if mids is not None:
+            mids.append(mid)
         t_mid = probe(mid)
         if t_mid is not None and abs(t_mid - target_t) <= band:
             if levels is not None:
@@ -162,6 +168,58 @@ def _reference_calibration(
         f"bisection exhausted without reaching target_t={target_t} within "
         f"{band}: best T({hi}) = {t_hi}"
     )
+
+
+def _traced_calibration(family, direction, n, target_t, dt):
+    """calibrate_gain's result, and the (path, hedge) probes of each
+    bisection round."""
+    rounds = []
+    real_path = benchmark_module._predicted_path
+
+    def predicted_path(*args):
+        path, bracket = real_path(*args)
+        hedge = benchmark_module._bisection_midpoints(*bracket, HEDGE_LEVELS)
+        rounds.append((path, hedge))
+        return path, bracket
+
+    with mock.patch.object(benchmark_module, "_predicted_path", predicted_path):
+        got = calibrate_gain(family, direction, n=n, target_v=0.05, target_t=target_t, dt=dt)
+    return got, rounds
+
+
+def _mispredicted_rounds(rounds, mids):
+    """Rounds whose path, or the root of their hedge, left the serial
+    midpoints mids; each round starts at the first serial midpoint the
+    rounds before it did not probe."""
+    probed, level, wrong = set(), 0, []
+    for r, (path, hedge) in enumerate(rounds):
+        predicted = path + hedge[:1]
+        serial = mids[level : level + len(predicted)]
+        if predicted[: len(serial)] != serial:
+            wrong.append(r)
+        probed.update(path + hedge)
+        while level < len(mids) and mids[level] in probed:
+            level += 1
+    return wrong
+
+
+class TestPredictor:
+    def test_one_over_k(self):
+        # T(k) = 8 / k: the fast end alone predicts the gain that settles at
+        # target_t
+        assert _predict_gain(10.0, 0.8, 1.0) == 8.0
+        assert _predict_gain(10.0, 0.8, 2.0) == 4.0
+
+    def test_probe_settled_at_t0(self):
+        # T(hi) = 0.0: every midpoint is predicted fast
+        k_hat = _predict_gain(10.0, 0.0, 1.0)
+        assert k_hat == 0.0
+        path, bracket = _predicted_path(1.0, 10.0, k_hat, PATH_LEVELS)
+        assert path == [5.5, 3.25, 2.125, 1.5625] and bracket == (1.0, 1.5625)
+
+    def test_nan_prediction_steps_to_slow_halves(self):
+        path, bracket = _predicted_path(0.0, 16.0, math.nan, 3)
+        assert path == [8.0, 12.0, 14.0] and bracket == (14.0, 16.0)
 
 
 class TestCalibration:
@@ -194,30 +252,64 @@ class TestCalibration:
             family, direction, n=10, target_v=0.05, target_t=1.0, dt=1e-3
         ) == _reference_calibration(family, direction, 10, 0.05, 1.0, 1e-3)
 
-    # the serial bisection hits the band at `level`, which falls inside or at
-    # the end of a round of SPECULATION_LEVELS levels
+    # the serial bisection hits the band at `level`, on the predicted path or
+    # on the hedge below it, in a round whose predictions all held, or after
+    # a round whose path left the serial one
     @pytest.mark.parametrize(
-        "family, direction, target_t, level, round_end",
+        "family, direction, target_t, level, where",
         [
-            ("power", PE, 0.5, 5, False),
-            ("fixed_time", PE, 2.0, 8, False),
-            ("power", AGG, 0.5, 6, True),
-            ("power", PE, 2.0, 9, True),
+            ("power", PE, 1.0, 7, "path"),
+            ("power", AGG, 0.5, 6, "hedge"),
+            ("fixed_time", PE, 1.5, 5, "hedge"),
+            ("fixed_time", PE, 1.0, 6, "after misprediction"),
         ],
+        ids=["path", "hedge-power", "hedge-fixed-time", "after-misprediction"],
     )
-    def test_band_hit_inside_and_at_end_of_round(
-        self, family, direction, target_t, level, round_end
-    ):
-        levels = []
-        want = _reference_calibration(family, direction, 10, 0.05, target_t, 1e-3, levels=levels)
+    def test_band_hit_on_path_hedge_or_after_miss(self, family, direction, target_t, level, where):
+        levels, mids = [], []
+        want = _reference_calibration(
+            family, direction, 10, 0.05, target_t, 1e-3, levels=levels, mids=mids
+        )
         assert levels == [level]
-        assert (level % SPECULATION_LEVELS == 0) == round_end
-        assert calibrate_gain(family, direction, n=10, target_v=0.05, target_t=target_t, dt=1e-3) == want
+        got, rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
+        assert got == want
+        path, hedge = rounds[-1]
+        mispredicted = _mispredicted_rounds(rounds, mids)
+        if where == "after misprediction":
+            assert mispredicted and max(mispredicted) < len(rounds) - 1
+        else:
+            assert not mispredicted
+            assert want[0] in (path if where == "path" else hedge)
+            assert want[0] not in (hedge if where == "path" else path)
+
+    @pytest.mark.parametrize(
+        "predict", [lambda lo: lo, lambda lo: math.nan], ids=["low-end", "nan"]
+    )
+    @pytest.mark.parametrize(
+        "family, direction, target_t",
+        [("power", PE, 1.0), ("power", AGG, 2.0), ("fixed_time", PE, 2.0)],
+        ids=["power-pe", "power-agg", "fixed-time-pe"],
+    )
+    def test_wrong_predictions_cost_rounds_not_decisions(
+        self, family, direction, target_t, predict
+    ):
+        want = _reference_calibration(family, direction, 10, 0.05, target_t, 1e-3)
+        _, rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
+        real_path = benchmark_module._predicted_path
+
+        def forced_path(lo, hi, k_hat, levels):
+            return real_path(lo, hi, predict(lo), levels)
+
+        # the prediction is forced to the bracket's low end, or to NaN
+        with mock.patch.object(benchmark_module, "_predicted_path", forced_path):
+            got, wrong_rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
+        assert got == want
+        assert len(wrong_rounds) > len(rounds)
 
     @pytest.mark.parametrize("steps", [2, 4])
     def test_exhausted_bisection_message(self, steps):
-        # a short bisection cannot reach the band; the last round is cut short
-        # when steps is not a multiple of SPECULATION_LEVELS
+        # a short bisection cannot reach the band; a round's path and hedge
+        # are cut short at the last of the steps levels
         with pytest.raises(CalibrationError) as want:
             _reference_calibration("power", AGG, 10, 0.05, 1.0, 1e-3, steps=steps)
         with mock.patch.object(benchmark_module, "BISECTION_STEPS", steps):

@@ -345,6 +345,17 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert "t_end = 1e+300" in err and "dt = 1e-300" in err
 
+    def test_too_many_steps_to_record(self, capsys, tmp_path):
+        # 1e16 steps count fine, but their per-step record cannot be allocated
+        args = ["simulate", str(EXAMPLE1 / "network.json"), str(EXAMPLE1 / "protocol.json"),
+                "--x0-file", str(EXAMPLE1 / "x0.txt"), "--t-end", "1e12", "--dt", "1e-4",
+                "--out", str(tmp_path / "o")]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert "Traceback" not in err
+        assert "10000000000000000 steps" in err and "dt = 0.0001" in err and "t_end = " in err
+
     @pytest.mark.parametrize(
         "signal",
         [

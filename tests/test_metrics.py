@@ -7,6 +7,7 @@ from consensus_lab.metrics import (
     consensus_value,
     isce_accumulate,
     lyapunov_v,
+    segment_spread,
     settling_time,
 )
 
@@ -57,6 +58,41 @@ class TestLyapunovV:
     def test_block_propagates_nan(self):
         v = lyapunov_v([[1.0, 2.0], [np.nan, 0.0]])
         assert v[0] == 1.0 and np.isnan(v[1])
+
+
+class TestSegmentSpread:
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+            lambda sizes: st.tuples(
+                st.just(sizes),
+                st.lists(
+                    st.lists(
+                        st.floats(min_value=-1e6, max_value=1e6),
+                        min_size=sum(sizes),
+                        max_size=sum(sizes),
+                    ),
+                    min_size=1,
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_spread_and_peak_of_each_segment(self, case):
+        sizes, rows = case
+        starts = np.cumsum([0] + sizes[:-1])
+        V, peak = segment_spread(np.array(rows), starts)
+        assert V.shape == peak.shape == (len(rows), len(sizes))
+        for r, row in enumerate(rows):
+            for s, (a, n) in enumerate(zip(starts, sizes)):
+                seg = row[a : a + n]
+                assert V[r, s] == lyapunov_v(seg)
+                assert peak[r, s] == max(abs(x) for x in seg)
+
+    def test_propagates_nan_and_inf(self):
+        V, peak = segment_spread(np.array([[1.0, np.nan, -np.inf, 2.0]]), [0, 2])
+        assert np.isnan(V[0, 0]) and np.isnan(peak[0, 0])
+        assert V[0, 1] == np.inf and peak[0, 1] == np.inf
 
 
 class TestIsce:

@@ -426,7 +426,7 @@ class TestResumableRun:
             dt,
             stop_epsilon=cfg.stop_epsilon,
             record_stride=cfg.record_stride,
-            track_per_node=True,
+            effort="per_node",
         )
         for end in ends:
             run.advance(end)
@@ -534,15 +534,14 @@ def _advance_all(run, ends):
     return None
 
 
+# the cases of TestBlockedRun, unstable laws included
+BLOCKED_RUNS = switched_runs(
+    sizes=st.sampled_from([4, 5, 6, 40]), max_steps=1500, laws=LAWS + UNSTABLE_LAWS
+)
+
+
 class TestBlockedRun:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        case=switched_runs(
-            sizes=st.sampled_from([4, 5, 6, 40]), max_steps=1500, laws=LAWS + UNSTABLE_LAWS
-        ),
-        data=st.data(),
-    )
-    def test_matches_stepwise_loop(self, case, data):
+    def _check_against_stepwise(self, case, data, effort):
         # small blocks put block edges everywhere; the module's own limits
         # clamp the block to BLOCK_ELEMENTS // n = 409 steps at n = 40
         net, protocol, x0, cfg, steps = case
@@ -566,8 +565,6 @@ class TestBlockedRun:
                 )
                 ref_exc = _advance_all(ref, ends)
 
-        # without per-node tracking the effort takes another path
-        per_node = data.draw(st.booleans())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS):
@@ -576,7 +573,7 @@ class TestBlockedRun:
                     cfg.dt,
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
-                    track_per_node=per_node,
+                    effort=effort,
                 )
             assert _advance_all(run, ends) is None
             exc = run.components[0].error
@@ -588,12 +585,35 @@ class TestBlockedRun:
             return
         assert exc is None
         got, want = run.trajectory(), ref.trajectory()
-        for name in ("times", "V", "E_tot") + ("E_i",) * per_node:
+        names = ("times", "V")
+        if effort is None:
+            assert got.metrics.E_tot is None and got.metrics.E_i is None
+        else:
+            names += ("E_tot",) + ("E_i",) * (effort == "per_node")
+        for name in names:
             assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
         for name in ("times", "states", "controls"):
             assert _same_bytes(getattr(got, name), getattr(want, name))
         assert got.events == want.events
         assert run.components[0].stopped == ref.stopped
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=BLOCKED_RUNS, data=st.data())
+    def test_matches_stepwise_loop(self, case, data):
+        # without per-node tracking the effort takes another path
+        per_node = data.draw(st.booleans())
+        self._check_against_stepwise(case, data, "per_node" if per_node else "total")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=BLOCKED_RUNS, data=st.data())
+    def test_effort_free_run_matches_stepwise_loop(self, case, data):
+        # no controls are stored or integrated; everything else is the same
+        self._check_against_stepwise(case, data, None)
+
+    def test_unknown_effort(self):
+        net = static_net(circulant_graph(4, {1}))
+        with pytest.raises(ValueError):
+            _Run([(net, Protocol(AGG, Power(1.0, 0.5)), np.zeros(4))], 1e-3, effort="sum")
 
     def test_step_out_of_the_stop_leaves_no_trace(self):
         # a switch and a recorded sample fall on the Euler step out of the
@@ -717,7 +737,7 @@ class TestUnionRun:
                     dt,
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
-                    track_per_node=cfg.track_per_node,
+                    effort="per_node" if cfg.track_per_node else "total",
                 )
                 for k, end in enumerate(ends):
                     run.advance(end)
