@@ -8,16 +8,19 @@ script runs
 
 - consensus-lab benchmark --experiment 1 and --experiment 2, both with
   --sizes 25,50,100,200;
+- consensus-lab benchmark --experiment 1 --sizes 25 --dt 1e-3
+  --target-t 0.0001, which fails its calibration and exits 1, so the
+  error path is compared too;
 - consensus-lab simulate on configs/example1 with --dt 1e-4 --t-end 15
   --per-node --record-stride 1000, with --dt 1e-4 --t-end 10
   --record-stride 100, and with --dt 1e-3 --t-end 15 --epsilon 0.01
   --per-node.
 
 Every run writes into its own temporary directory, and the inputs are this
-checkout's configs for both trees. The exit code, stdout and every output
-file of each run must be the same bytes for both trees. Exits 0 if they
-are, and 1 after listing every difference otherwise. A full check takes
-about a minute.
+checkout's configs for both trees. The exit code, stdout, stderr and
+every output file of each run must be the same bytes for both trees.
+Exits 0 if they are, and 1 after listing every difference otherwise. A
+full check takes about a minute.
 """
 
 import os
@@ -39,6 +42,9 @@ _SIMULATE = [
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES],
     "benchmark-experiment-2": ["benchmark", "--experiment", "2", "--sizes", SIZES],
+    "benchmark-calibration-error": [
+        "benchmark", "--experiment", "1", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.0001",
+    ],
     "example1-per-node-stride-1000": _SIMULATE
     + ["--dt", "1e-4", "--t-end", "15", "--per-node", "--record-stride", "1000"],
     "example1-stride-100": _SIMULATE + ["--dt", "1e-4", "--t-end", "10", "--record-stride", "100"],
@@ -48,7 +54,8 @@ CASES = {
 
 
 def run(src, args, out):
-    """Run the CLI from src in the directory out; (exit code, stdout)."""
+    """Run the CLI from src in the directory out; (exit code, stdout,
+    stderr)."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "consensus_lab"] + args + ["--out", "."],
@@ -57,9 +64,7 @@ def run(src, args, out):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    if proc.returncode:
-        sys.stderr.write(proc.stderr.decode(errors="replace"))
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def files(top):
@@ -74,13 +79,13 @@ def files(top):
 
 
 def compare(parent_src, change_src):
-    """Names of the outputs that differ, as case/file, case/stdout or
-    case/exit code."""
+    """Names of the outputs that differ, as case/file, case/stdout,
+    case/stderr or case/exit code."""
     differ = []
     for case, args in CASES.items():
         with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-            code_a, out_a = run(parent_src, args, a)
-            code_b, out_b = run(change_src, args, b)
+            code_a, out_a, err_a = run(parent_src, args, a)
+            code_b, out_b, err_b = run(change_src, args, b)
             files_a, files_b = files(a), files(b)
         names = [
             name for name in sorted(set(files_a) | set(files_b))
@@ -88,6 +93,8 @@ def compare(parent_src, change_src):
         ]
         if out_a != out_b:
             names.append("stdout")
+        if err_a != err_b:
+            names.append("stderr")
         if code_a != code_b:
             names.append(f"exit code ({code_a} != {code_b})")
         print(f"{case}: {'differs' if names else 'same'}", flush=True)

@@ -10,12 +10,18 @@ the algebraic connectivity falls.
 Calibration probes and sweep rows are independent systems that share the
 signal, dt and the law, so each calibration round and each direction's
 sweep runs as one union (see simulate._Run); every gain, settling time and
-E_tot is that of a serial run.
+E_tot is that of a serial run. The two directions share nothing at all, so
+run_experiment calibrates and sweeps the per-edge direction in a forked
+child process beside the aggregated one, and raises the first failure in
+serial order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -381,6 +387,105 @@ def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon):
     return outcomes
 
 
+def _direction_outcomes(
+    family, direction, sizes, epsilon, dt, target_v, target_t, lcg, base_horizon
+):
+    """Calibrate one direction at n = 25, then run its sweep rows.
+
+    Returns (calibration, rows). calibration is calibrate_gain's (k,
+    achieved time) or the exception it raised; rows is _sweep_rows' list of
+    row outcomes, the exception it raised, or None after a failed
+    calibration. Exceptions are returned, not raised, so run_experiment
+    can raise the first failure of all directions in serial order.
+    """
+    try:
+        k, achieved = calibrate_gain(
+            family, direction, 25, target_v, target_t, dt=dt, lcg=lcg
+        )
+    except Exception as exc:  # carried to run_experiment, which raises it
+        return exc, None
+    try:
+        rows = _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon)
+    except Exception as exc:  # carried to run_experiment, which raises it
+        rows = exc
+    return (k, achieved), rows
+
+
+class _ForkedCall:
+    """fn() run in a child process made with os.fork, its return value sent
+    back pickled over a pipe; where os.fork does not exist, fn() runs here,
+    at once.
+
+    The child shares nothing with this process after the fork, so it runs
+    beside it without the interpreter lock. It always leaves through
+    os._exit, so it never returns into the caller's code or runs exit
+    handlers, and it exits 0 only once the whole result is written.
+    result() waits for the child and returns fn's value; close() kills and
+    reaps a child whose result was not read.
+    """
+
+    def __init__(self, fn):
+        fork = getattr(os, "fork", None)
+        if fork is None:
+            self._pid, self._pipe, self._value = None, None, fn()
+            return
+        rfd, wfd = os.pipe()
+        try:
+            pid = fork()
+        except OSError:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if pid == 0:
+            os.close(rfd)
+            _child_main(fn, wfd)
+        os.close(wfd)
+        self._pid, self._pipe = pid, os.fdopen(rfd, "rb")
+
+    def result(self):
+        if self._pipe is None:
+            return self._value
+        data = self._pipe.read()
+        self._pipe.close()
+        pid = self._pid
+        _, status = os.waitpid(pid, 0)
+        self._pid = None
+        if status:
+            raise RuntimeError(
+                f"child process {pid} sent no result: wait status {status}"
+            )
+        return pickle.loads(data)
+
+    def close(self):
+        if self._pipe is not None:
+            self._pipe.close()
+        if self._pid is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _child_main(fn, wfd):
+    """Body of a _ForkedCall child: send fn()'s value through wfd, then
+    leave without returning."""
+    code = 1
+    try:
+        data = pickle.dumps(fn())
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except Exception:
+        # the parent sees the exit status; the traceback goes to fd 2
+        # directly, past the stderr buffer the child shares with the parent
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
 def run_experiment(
     experiment,
     sizes,
@@ -394,9 +499,14 @@ def run_experiment(
 
     Returns (rows, meta): rows sorted by n with the per-edge row first at
     each size, meta a JSON-ready record of everything needed to replay.
-    Each direction's rows run as one union (see _sweep_rows); the rows are
-    then read in that serial order, and the first that failed raises its
-    DivergenceError or RuntimeError, as a serial sweep would.
+    The directions share nothing, so each one's calibration and rows (see
+    _direction_outcomes) run side by side: every direction but the last in
+    a forked child (see _ForkedCall), the last in this process. Their
+    outcomes are then read in serial order: the per-edge calibration, the
+    aggregated one, and the rows by size with the per-edge row first. The
+    first failure raises, unchanged, as in a serial run: a CalibrationError,
+    a row's DivergenceError or RuntimeError, or whatever else a direction
+    raised.
     """
     family = _experiment_family(experiment)
     sizes = sorted(set(int(s) for s in sizes))
@@ -405,24 +515,34 @@ def run_experiment(
     lcg = lcg or LcgConfig()
 
     directions = (Direction.PER_EDGE, Direction.AGGREGATED)
-    calibration = {}
-    for direction in directions:
-        k, achieved = calibrate_gain(
-            family, direction, 25, target_v, target_t, dt=dt, lcg=lcg
-        )
-        calibration[direction.value] = {"k": k, "achieved_settling": achieved}
-
     base_horizon = _snap_horizon(max(4 * target_t, 20 * dt), dt)
-    outcomes = {
-        d: _sweep_rows(
-            family, d, calibration[d.value]["k"], sizes, epsilon, dt, lcg, base_horizon
+    chains = [
+        functools.partial(
+            _direction_outcomes,
+            family, d, sizes, epsilon, dt, target_v, target_t, lcg, base_horizon,
         )
         for d in directions
-    }
+    ]
+    children = [_ForkedCall(chain) for chain in chains[:-1]]
+    try:
+        last = chains[-1]()
+        outcomes = [child.result() for child in children] + [last]
+    finally:
+        for child in children:
+            child.close()
+
+    calibration = {}
+    for d, (cal, _) in zip(directions, outcomes):
+        if isinstance(cal, Exception):
+            raise cal
+        calibration[d.value] = {"k": cal[0], "achieved_settling": cal[1]}
+    for _, sweep in outcomes:
+        if isinstance(sweep, Exception):
+            raise sweep
     rows = []
     for i, n in enumerate(sizes):
-        for d in directions:
-            out = outcomes[d][i]
+        for d, (_, sweep) in zip(directions, outcomes):
+            out = sweep[i]
             if isinstance(out, Exception):
                 raise out
             t_star, e_tot = out

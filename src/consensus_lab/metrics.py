@@ -72,10 +72,11 @@ def isce_accumulate(s_accum: np.ndarray, u, dt: float, out=None) -> np.ndarray:
 
     For one control vector u, returns s_accum + u*u*dt. For a block of
     controls, one row per step, returns the accumulator after each step:
-    row r is row r-1 (s_accum for r = 0) plus u[r]*u[r]*dt, summed row by
-    row so every row has the bits of the one-step update. The block may be
-    written into out, which can be u itself. E_i = sqrt(S_i) and
-    E_tot = sum(E_i) are derived wherever a metric point is materialized.
+    row r is row r-1 (s_accum for r = 0) plus u[r]*u[r]*dt, in that
+    operand order, so every row has the bits of the one-step update. The
+    block may be written into out, which can be u itself. E_i = sqrt(S_i)
+    and E_tot = sum(E_i) are derived wherever a metric point is
+    materialized.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -84,9 +85,16 @@ def isce_accumulate(s_accum: np.ndarray, u, dt: float, out=None) -> np.ndarray:
         return s_accum + u * u * dt
     s = np.multiply(u, u, out=out)
     s *= dt
-    prev = s_accum
-    for row in s:
-        prev = np.add(prev, row, out=row)
+    rows, cols = s.shape
+    # np.add.accumulate runs one inner loop per column, the loop one numpy
+    # call per row: each is the cheaper one on its side of rows = cols
+    if rows > cols:
+        np.add(s_accum, s[0], out=s[0])
+        np.add.accumulate(s, axis=0, out=s)
+    else:
+        prev = s_accum
+        for row in s:
+            prev = np.add(prev, row, out=row)
     return s
 
 

@@ -64,6 +64,16 @@ class DivergenceError(RuntimeError):
         super().__init__(msg)
         self.time = float(time)
         self.max_abs = float(max_abs)
+        self.context = context
+
+    def __reduce__(self):
+        # the default pickles the message as the only argument and drops
+        # __cause__; a sweep row's error crosses a process boundary with both
+        return (
+            type(self),
+            (self.time, self.max_abs, self.context),
+            {"__cause__": self.__cause__},
+        )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -417,6 +420,43 @@ class TestSweepFailures:
             self._run(2, gains, sizes, eps, dt, target_t)
         assert str(got.value) == str(want)
         assert (got.value.time, got.value.max_abs) == (want.time, want.max_abs)
+        _assert_no_child()
+
+    def test_per_edge_divergence(self):
+        # per-edge, k = 130: the n = 12 row diverges and the n = 25 row never
+        # settles; aggregated, k = 60: every row settles. The per-edge rows
+        # run in the forked child, so the error comes back pickled
+        gains, sizes, eps, dt = {PE: 130.0, AGG: 60.0}, [7, 12, 25, 40], 0.05, 1e-3
+        target_t = 0.005
+        base = _snap_horizon(max(4 * target_t, 20 * dt), dt)
+        want = _first_serial_failure("fixed_time", gains, sizes, eps, dt, base)
+        assert str(want).startswith("benchmark row n=12 direction=per_edge: state diverged")
+        with pytest.raises(DivergenceError) as got:
+            self._run(2, gains, sizes, eps, dt, target_t)
+        assert str(got.value) == str(want)
+        assert (got.value.time, got.value.max_abs) == (want.time, want.max_abs)
+        cause = got.value.__cause__
+        assert type(cause) is DivergenceError and str(cause) == str(want.__cause__)
+        assert (cause.time, cause.max_abs) == (want.__cause__.time, want.__cause__.max_abs)
+        _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "failing", [(PE,), (AGG,), (PE, AGG)], ids=["per-edge", "aggregated", "both"]
+    )
+    def test_calibration_failure(self, failing):
+        # the per-edge calibration fails in the forked child, the aggregated
+        # one in this process; the serial order raises the per-edge one first
+        def calibrate(family, direction, *args, **kwargs):
+            if direction in failing:
+                raise CalibrationError(f"{direction.value} calibration failed")
+            return 60.0, 1.0
+
+        with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
+            with pytest.raises(CalibrationError) as got:
+                run_experiment(2, [7, 25], dt=1e-3, target_t=0.005)
+        assert type(got.value) is CalibrationError
+        assert str(got.value) == f"{failing[0].value} calibration failed"
+        _assert_no_child()
 
     def test_unsettled_row(self):
         # epsilon below the Euler chatter amplitude: of the rows, only the
@@ -433,6 +473,59 @@ class TestSweepFailures:
         with pytest.raises(RuntimeError) as got:
             self._run(1, gains, sizes, eps, dt, target_t)
         assert type(got.value) is RuntimeError and str(got.value) == str(want)
+        _assert_no_child()
+
+
+def _assert_no_child():
+    # every child a run forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSideBySide:
+    """run_experiment runs the per-edge calibration and rows in a forked
+    child beside the aggregated ones."""
+
+    def test_same_outcome_without_fork(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: (forks.append(None), fork())[1])
+        forked = run_experiment(1, [10, 25], dt=1e-3)
+        assert len(forks) == 1
+        _assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        rows, meta = run_experiment(1, [10, 25], dt=1e-3)
+        assert [(r.n, r.direction) for r in rows] == [
+            (n, d) for n in (10, 25) for d in ("per_edge", "aggregated")
+        ]
+        assert (rows, meta) == forked
+        assert len(forks) == 1
+
+    def test_child_killed_when_this_process_raises(self):
+        def calibrate(family, direction, *args, **kwargs):
+            if direction is PE:
+                time.sleep(60)  # only a kill ends the child in time
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(1, [25], dt=1e-3)
+        assert time.monotonic() - start < 30
+        _assert_no_child()
+
+    def test_child_that_sends_no_result(self):
+        def calibrate(family, direction, *args, **kwargs):
+            if direction is PE:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 8.0, 1.0
+
+        with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
+            with pytest.raises(RuntimeError) as got:
+                run_experiment(1, [25], dt=1e-3)
+        assert type(got.value) is RuntimeError
+        assert str(got.value).endswith(f"sent no result: wait status {signal.SIGKILL}")
+        _assert_no_child()
 
 
 class TestRunExperiment:

@@ -95,6 +95,11 @@ class TestSegmentSpread:
         assert V[0, 1] == np.inf and peak[0, 1] == np.inf
 
 
+# controls and accumulators with signed zeros: -0.0 + 0.0 must give the
+# loop's bits
+_EFFORT_FLOATS = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-10, 10))
+
+
 class TestIsce:
     def test_constant_control_closed_form(self):
         # E_i = (integral of 4 over [0,1])^(1/2) = 2
@@ -167,6 +172,40 @@ class TestIsce:
         got = isce_accumulate(np.ones(2), u, 0.01, out=u)
         assert got is u
         assert np.array_equal(u, want)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(_EFFORT_FLOATS, min_size=n, max_size=n),
+                st.lists(
+                    st.lists(_EFFORT_FLOATS, min_size=n, max_size=n),
+                    min_size=0,
+                    max_size=20,
+                ),
+            )
+        ),
+        st.floats(min_value=1e-5, max_value=0.1),
+    )
+    def test_block_matches_row_loop(self, case, dt):
+        # blocks taller than wide accumulate in one call, the others row by
+        # row; both against a row loop, empty and one-row blocks included
+        s0, us = case
+        s0 = np.array(s0)
+        u = np.array(us).reshape(len(us), len(s0))
+        want = _row_loop_accumulate(s0, u.copy(), dt)
+        assert isce_accumulate(s0, u.copy(), dt).tobytes() == want.tobytes()
+        got = isce_accumulate(s0, u, dt, out=u)
+        assert got is u and u.tobytes() == want.tobytes()
+
+
+def _row_loop_accumulate(s_accum, u, dt):
+    """isce_accumulate's block form as a loop over the rows."""
+    s = u * u * dt
+    prev = s_accum
+    for row in s:
+        prev = np.add(prev, row, out=row)
+    return s
 
 
 def _series(times, V):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -241,6 +242,23 @@ class TestDivergence:
             simulate(static_net(g), Protocol(AGG, Linear(1e15)), [1.0, -1.0], cfg)
         assert err.value.time == cfg.t_end
         assert err.value.max_abs == 2e12 - 1
+
+    def test_pickle_round_trip(self):
+        # a sweep row's error, as benchmark._sweep_rows builds it, crosses a
+        # process boundary pickled
+        cause = DivergenceError(1.25, 3.5e12)
+        err = DivergenceError(1.5, 2e12, context="benchmark row n=12 direction=per_edge")
+        err.__cause__ = cause
+        got = pickle.loads(pickle.dumps(err))
+        assert type(got) is DivergenceError
+        assert str(got) == str(err)
+        assert str(got).startswith("benchmark row n=12 direction=per_edge: state diverged")
+        assert (got.time, got.max_abs, got.context) == (1.5, 2e12, err.context)
+        assert type(got.__cause__) is DivergenceError
+        assert str(got.__cause__) == str(cause)
+        assert (got.__cause__.time, got.__cause__.max_abs) == (1.25, 3.5e12)
+        assert got.__cause__.__cause__ is None
+        assert got.__suppress_context__
 
 
 class TestStickyStop:
