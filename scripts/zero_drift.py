@@ -14,13 +14,19 @@ script runs
 - consensus-lab simulate on configs/example1 with --dt 1e-4 --t-end 15
   --per-node --record-stride 1000, with --dt 1e-4 --t-end 10
   --record-stride 100, and with --dt 1e-3 --t-end 15 --epsilon 0.01
-  --per-node.
+  --per-node;
+- three simulate runs on configs/example1 that fail: with a linear law
+  of gain 1002, which diverges at t = 7.224 and exits 2 (its --out
+  directory must not appear); with --epsilon 1e-9, which does not settle
+  and exits 3 after writing its files; and with --out naming an existing
+  regular file, which exits 1.
 
-Every run writes into its own temporary directory, and the inputs are this
-checkout's configs for both trees. The exit code, stdout, stderr and
-every output file of each run must be the same bytes for both trees.
-Exits 0 if they are, and 1 after listing every difference otherwise. A
-full check takes about a minute.
+Every run writes into its own temporary directory, which holds the files
+of INPUTS before it starts, and the other inputs are this checkout's
+configs for both trees. The exit code, stdout, stderr and every file and
+directory of each run must be the same bytes for both trees. Exits 0 if
+they are, and 1 after listing every difference otherwise. A full check
+takes about a minute.
 """
 
 import os
@@ -39,26 +45,46 @@ _SIMULATE = [
     "--x0-file",
     os.path.join(EXAMPLE1, "x0.txt"),
 ]
+HERE = ["--out", "."]
+# written into each run's directory before the run
+INPUTS = {
+    "unstable-protocol.json": '{"direction": "aggregated", "f": {"type": "linear", "k": 1002.0}}\n',
+    "a-file": "a regular file, not a directory\n",
+}
 CASES = {
-    "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES],
-    "benchmark-experiment-2": ["benchmark", "--experiment", "2", "--sizes", SIZES],
+    "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
+    "benchmark-experiment-2": ["benchmark", "--experiment", "2", "--sizes", SIZES] + HERE,
     "benchmark-calibration-error": [
         "benchmark", "--experiment", "1", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.0001",
-    ],
+    ] + HERE,
     "example1-per-node-stride-1000": _SIMULATE
-    + ["--dt", "1e-4", "--t-end", "15", "--per-node", "--record-stride", "1000"],
-    "example1-stride-100": _SIMULATE + ["--dt", "1e-4", "--t-end", "10", "--record-stride", "100"],
+    + ["--dt", "1e-4", "--t-end", "15", "--per-node", "--record-stride", "1000"] + HERE,
+    "example1-stride-100": _SIMULATE
+    + ["--dt", "1e-4", "--t-end", "10", "--record-stride", "100"] + HERE,
     "example1-epsilon-per-node": _SIMULATE
-    + ["--dt", "1e-3", "--t-end", "15", "--epsilon", "0.01", "--per-node"],
+    + ["--dt", "1e-3", "--t-end", "15", "--epsilon", "0.01", "--per-node"] + HERE,
+    "example1-diverges": [
+        _SIMULATE[0], _SIMULATE[1], "unstable-protocol.json", *_SIMULATE[3:],
+        "--dt", "1e-3", "--t-end", "15", "--per-node", "--out", "run",
+    ],
+    "example1-no-settle": _SIMULATE
+    + ["--dt", "1e-3", "--t-end", "15", "--epsilon", "1e-9", "--per-node"] + HERE,
+    "example1-out-is-a-file": _SIMULATE + ["--dt", "1e-3", "--t-end", "1", "--out", "a-file"],
 }
+
+# what a failing case must not leave in its directory
+ABSENT = {"example1-diverges": "run/"}
 
 
 def run(src, args, out):
-    """Run the CLI from src in the directory out; (exit code, stdout,
-    stderr)."""
+    """Run the CLI from src in the directory out, after writing INPUTS
+    there; (exit code, stdout, stderr)."""
+    for name, text in INPUTS.items():
+        with open(os.path.join(out, name), "w") as f:
+            f.write(text)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "consensus_lab"] + args + ["--out", "."],
+        [sys.executable, "-m", "consensus_lab"] + args,
         cwd=out,
         env=env,
         stdout=subprocess.PIPE,
@@ -68,9 +94,12 @@ def run(src, args, out):
 
 
 def files(top):
-    """Every file under top, by its path relative to top, with its bytes."""
+    """Every file under top, by its path relative to top, with its bytes,
+    and every directory below top, by its path and a slash."""
     found = {}
-    for folder, _, names in os.walk(top):
+    for folder, dirs, names in os.walk(top):
+        for name in dirs:
+            found[os.path.relpath(os.path.join(folder, name), top) + "/"] = "directory"
         for name in names:
             path = os.path.join(folder, name)
             with open(path, "rb") as f:
@@ -91,6 +120,8 @@ def compare(parent_src, change_src):
             name for name in sorted(set(files_a) | set(files_b))
             if files_a.get(name) != files_b.get(name)
         ]
+        if ABSENT.get(case) in set(files_a) | set(files_b):
+            names.append(f"{ABSENT[case]} exists")
         if out_a != out_b:
             names.append("stdout")
         if err_a != err_b:

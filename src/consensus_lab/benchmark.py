@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
+from .forked import ForkedCall
 from .metrics import settling_time
 from .protocols import Direction, FixedTime, Power, Protocol
 # bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
@@ -411,81 +410,6 @@ def _direction_outcomes(
     return (k, achieved), rows
 
 
-class _ForkedCall:
-    """fn() run in a child process made with os.fork, its return value sent
-    back pickled over a pipe; where os.fork does not exist, fn() runs here,
-    at once.
-
-    The child shares nothing with this process after the fork, so it runs
-    beside it without the interpreter lock. It always leaves through
-    os._exit, so it never returns into the caller's code or runs exit
-    handlers, and it exits 0 only once the whole result is written.
-    result() waits for the child and returns fn's value; close() kills and
-    reaps a child whose result was not read.
-    """
-
-    def __init__(self, fn):
-        fork = getattr(os, "fork", None)
-        if fork is None:
-            self._pid, self._pipe, self._value = None, None, fn()
-            return
-        rfd, wfd = os.pipe()
-        try:
-            pid = fork()
-        except OSError:
-            os.close(rfd)
-            os.close(wfd)
-            raise
-        if pid == 0:
-            os.close(rfd)
-            _child_main(fn, wfd)
-        os.close(wfd)
-        self._pid, self._pipe = pid, os.fdopen(rfd, "rb")
-
-    def result(self):
-        if self._pipe is None:
-            return self._value
-        data = self._pipe.read()
-        self._pipe.close()
-        pid = self._pid
-        _, status = os.waitpid(pid, 0)
-        self._pid = None
-        if status:
-            raise RuntimeError(
-                f"child process {pid} sent no result: wait status {status}"
-            )
-        return pickle.loads(data)
-
-    def close(self):
-        if self._pipe is not None:
-            self._pipe.close()
-        if self._pid is not None:
-            import signal
-
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-
-
-def _child_main(fn, wfd):
-    """Body of a _ForkedCall child: send fn()'s value through wfd, then
-    leave without returning."""
-    code = 1
-    try:
-        data = pickle.dumps(fn())
-        with os.fdopen(wfd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    except Exception:
-        # the parent sees the exit status; the traceback goes to fd 2
-        # directly, past the stderr buffer the child shares with the parent
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
-
-
 def run_experiment(
     experiment,
     sizes,
@@ -501,7 +425,7 @@ def run_experiment(
     each size, meta a JSON-ready record of everything needed to replay.
     The directions share nothing, so each one's calibration and rows (see
     _direction_outcomes) run side by side: every direction but the last in
-    a forked child (see _ForkedCall), the last in this process. Their
+    a forked child (see forked.ForkedCall), the last in this process. Their
     outcomes are then read in serial order: the per-edge calibration, the
     aggregated one, and the rows by size with the per-edge row first. The
     first failure raises, unchanged, as in a serial run: a CalibrationError,
@@ -523,7 +447,7 @@ def run_experiment(
         )
         for d in directions
     ]
-    children = [_ForkedCall(chain) for chain in chains[:-1]]
+    children = [ForkedCall(chain) for chain in chains[:-1]]
     try:
         last = chains[-1]()
         outcomes = [child.result() for child in children] + [last]

@@ -3,14 +3,26 @@
 Exit codes: 0 ok, 1 input error, 2 divergence, 3 no settle, 4 verification
 failed. Outputs are deterministic; identical invocations write byte-identical
 files.
+
+simulate advances simulate's run in pieces of PIECE_STEPS steps and sends
+each piece's rows to a forked child, which formats metrics.csv while the
+run goes on (see _MetricsWriter). This process still creates every output
+file itself, in the order trajectory.csv, metrics.csv, events.csv,
+meta.json, and only after the run: a run that diverges writes nothing, and
+an unwritable path fails where it always did.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
+
+import numpy as np
 
 from . import __version__
 from .benchmark import (
@@ -19,6 +31,7 @@ from .benchmark import (
     lcg_initial_conditions,
     run_experiment,
 )
+from .forked import ForkedCall, can_fork
 from .graphs import (
     algebraic_connectivity,
     edge_connectivity,
@@ -30,12 +43,20 @@ from .io import (
     write_events_csv,
     write_meta_json,
     write_metrics_csv,
+    write_metrics_rows,
     write_results_csv,
     write_trajectory_csv,
 )
-from .metrics import settling_time
+from .metrics import MetricSeries, settling_time
 from .protocols import protocol_from_json, protocol_to_json
-from .simulate import DivergenceError, SimConfig, simulate
+# bench/layers.py traces consensus_lab.cli.simulate, so the name stays
+from .simulate import (  # noqa: F401
+    DivergenceError,
+    SimConfig,
+    _open_run,
+    _step_times,
+    simulate,
+)
 from .switching import is_tau_jointly_connected, network_from_json, network_to_json
 
 EXIT_OK = 0
@@ -43,6 +64,10 @@ EXIT_INPUT = 1
 EXIT_DIVERGED = 2
 EXIT_NO_SETTLE = 3
 EXIT_VERIFY_FAIL = 4
+
+# steps a simulate run advances between two sends to the metrics writer:
+# at 32768 the writer's tail after the run's last piece was too long
+PIECE_STEPS = 4096
 
 
 class CliError(Exception):
@@ -104,13 +129,29 @@ def cmd_simulate(args) -> int:
         record_stride=args.record_stride,
         track_per_node=args.per_node,
     )
-    traj = simulate(net, protocol, x0, cfg)
+    # simulate's run, advanced in pieces so that metrics.csv is formatted
+    # in a forked child while the run goes on
+    run, last = _open_run([(net, protocol, x0)], cfg)
+    writer = _MetricsWriter(run, args.per_node)
+    try:
+        # fork before the records are reserved, so the child holds none
+        writer.start()
+        run.reserve(last)
+        c = run.components[0]
+        for first in range(0, last + 1, PIECE_STEPS):
+            run.advance(min(first + PIECE_STEPS, last + 1) - 1)
+            writer.send()
+            if c.ended:
+                break
+        if c.error is not None:
+            raise c.error
+        traj = run.trajectory()
 
-    os.makedirs(args.out, exist_ok=True)
-    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
-    write_metrics_csv(
-        os.path.join(args.out, "metrics.csv"), traj.metrics, per_node=args.per_node
-    )
+        os.makedirs(args.out, exist_ok=True)
+        write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
+        writer.write(os.path.join(args.out, "metrics.csv"))
+    finally:
+        writer.close()
     write_events_csv(os.path.join(args.out, "events.csv"), traj.events)
     write_meta_json(
         os.path.join(args.out, "meta.json"),
@@ -139,6 +180,111 @@ def cmd_simulate(args) -> int:
     else:
         print(f"finished at t={traj.metrics.times[-1]:g} with V={final_v:.17g}")
     return EXIT_OK
+
+
+class _MetricsWriter:
+    """metrics.csv of a one-system run, formatted by a forked child while
+    the run integrates.
+
+    start() forks the child; send() passes it the rows the run observed
+    since the last send, as the raw bytes of the run's V, E_tot and E_i
+    records after the piece's end step. The child rebuilds each piece's
+    times and formats it with io.write_metrics_rows into an unlinked
+    temporary file. write(path) creates path here, in this process, waits
+    for the child and copies its bytes into path. close() kills and reaps
+    a child that has not finished and frees the pipe and the file. Where
+    os.fork does not exist, start() and send() do nothing, and write(path)
+    formats the run's metrics here, after the run.
+    """
+
+    def __init__(self, run, per_node):
+        self._run, self._per_node = run, per_node
+        self._sent = 0  # first step not yet sent
+        self._child = self._wfd = self._tmp = None
+
+    def start(self):
+        if not can_fork():
+            return
+        self._tmp = tempfile.TemporaryFile()
+        rfd, self._wfd = os.pipe()
+        try:
+            self._child = ForkedCall(
+                functools.partial(
+                    _format_metrics, rfd, self._wfd, self._tmp.fileno(),
+                    self._run.components[0].n, self._per_node, self._run.dt, self._run.t0,
+                )
+            )
+        finally:
+            os.close(rfd)
+
+    def send(self):
+        if self._wfd is None:
+            return
+        c = self._run.components[0]
+        a, e = self._sent, c.next
+        piece = [e.to_bytes(8, "little"), c.V[a:e], c.E_tot[a:e]]
+        if self._per_node:
+            piece.append(c.E_i[a:e])
+        try:
+            for data in piece:
+                view = memoryview(data).cast("B")
+                while view:
+                    view = view[os.write(self._wfd, view):]
+        except BrokenPipeError:
+            self._wait()  # raises what stopped the child
+            raise
+        self._sent = e
+
+    def _wait(self):
+        """Close the pipe and wait for the child to format what it was
+        sent; raise the error it met, if any."""
+        os.close(self._wfd)
+        self._wfd = None
+        error = self._child.result()
+        if error is not None:
+            raise error
+
+    def write(self, path):
+        if self._child is None:
+            write_metrics_csv(path, self._run.metrics(), per_node=self._per_node)
+            return
+        with open(path, "wb") as fh:
+            self._wait()
+            self._tmp.seek(0)
+            shutil.copyfileobj(self._tmp, fh)
+
+    def close(self):
+        if self._child is not None:
+            self._child.close()
+        if self._wfd is not None:
+            os.close(self._wfd)
+        if self._tmp is not None:
+            self._tmp.close()
+
+
+def _format_metrics(rfd, wfd, tmp_fd, n, per_node, dt, t0):
+    """Body of the _MetricsWriter child: format the pieces read from rfd
+    into tmp_fd until the sender closes the pipe. Returns None, or the
+    OSError that stopped it."""
+    os.close(wfd)  # the sender's end, or the pipe never reports its end
+
+    def pieces(pipe):
+        a = 0
+        while head := pipe.read(8):
+            e = int.from_bytes(head, "little")
+            rows = e - a
+            V = np.frombuffer(pipe.read(8 * rows))
+            E_tot = np.frombuffer(pipe.read(8 * rows))
+            E_i = np.frombuffer(pipe.read(8 * rows * n)).reshape(rows, n) if per_node else None
+            yield MetricSeries(_step_times(a, e, dt, t0), V, E_tot, E_i)
+            a = e
+
+    try:
+        with open(rfd, "rb") as pipe, open(tmp_fd, "w", newline="", closefd=False) as fh:
+            write_metrics_rows(fh, pieces(pipe), per_node)
+    except OSError as exc:
+        return exc
+    return None
 
 
 def cmd_benchmark(args) -> int:

@@ -1,7 +1,10 @@
 """Deterministic CSV and JSON writers for trajectories and benchmark tables.
 
 Floats are printed with 17 significant digits so every value round-trips
-bit-exactly and identical runs produce byte-identical files.
+bit-exactly and identical runs produce byte-identical files. Every CSV row
+goes through one block formatter, _write_rows, which formats each row
+alone; so write_metrics_rows can write a metric series piece by piece, as
+its run produces it, and give the bytes of write_metrics_csv.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "load_x0",
     "write_trajectory_csv",
     "write_metrics_csv",
+    "write_metrics_rows",
     "write_events_csv",
     "write_results_csv",
     "write_meta_json",
@@ -93,21 +97,28 @@ def load_x0(path) -> np.ndarray:
     return np.array(values)
 
 
-def _write_columns(path, header, columns) -> None:
-    """CSV of a header and one row per entry of the float columns.
+def _write_rows(fh, columns) -> None:
+    """One CSV row per entry of the float columns, to an open text file.
 
     A column is 1-D, or 2-D for several adjacent columns. Rows are
     formatted WRITE_ROWS at a time with one %-format per block, which
     prints what csv.writer prints for the FLOAT_FMT strings of the values.
+    Every row is formatted alone, so the rows of a table written in several
+    calls are the bytes of one call.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
     row_fmt = ",".join([FLOAT_FMT] * sum(c.shape[1] for c in columns)) + "\n"
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        block = np.hstack([c[start : start + WRITE_ROWS] for c in columns])
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_columns(path, header, columns) -> None:
+    """CSV of a header and one row per entry of the float columns."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), WRITE_ROWS):
-            block = np.hstack([c[start : start + WRITE_ROWS] for c in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        _write_rows(fh, columns)
 
 
 def write_trajectory_csv(path, traj) -> None:
@@ -125,12 +136,28 @@ def write_metrics_csv(path, metrics, per_node=False) -> None:
     """Per-step metric series as t,V,E_tot (plus E_i columns on request)."""
     if per_node and metrics.E_i is None:
         raise ValueError("per-node effort was not tracked in this run")
-    header = ["t", "V", "E_tot"]
-    columns = [metrics.times, metrics.V, metrics.E_tot]
-    if per_node:
-        header += [f"E_i_{i}" for i in range(metrics.E_i.shape[1])]
-        columns.append(metrics.E_i)
-    _write_columns(path, header, columns)
+    with open(path, "w", newline="") as fh:
+        write_metrics_rows(fh, [metrics], per_node)
+
+
+def write_metrics_rows(fh, pieces, per_node=False) -> None:
+    """write_metrics_csv of a series given as consecutive pieces, to an
+    open text file: the header, then each piece's rows as it arrives.
+
+    pieces is an iterable of MetricSeries, each holding the steps after
+    the last one's; the bytes are those of the whole series, whatever its
+    division. With no piece, nothing is written.
+    """
+    for i, piece in enumerate(pieces):
+        columns = [piece.times, piece.V, piece.E_tot]
+        if per_node:
+            columns.append(piece.E_i)
+        if i == 0:
+            header = ["t", "V", "E_tot"]
+            if per_node:
+                header += [f"E_i_{j}" for j in range(piece.E_i.shape[1])]
+            fh.write(",".join(header) + "\n")
+        _write_rows(fh, columns)
 
 
 def write_events_csv(path, events) -> None:

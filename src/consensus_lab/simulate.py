@@ -164,6 +164,14 @@ def _step_indexer(signal, dt):
     raise TypeError(f"unknown signal type: {signal!r}")
 
 
+def _step_times(first, end, dt, t0):
+    """Times t0 + dt k of the steps k = first..end-1, built in one buffer."""
+    times = np.arange(first, end, dtype=float)
+    times *= dt
+    times += t0
+    return times
+
+
 def _sticky_stop(V, eps, run_below):
     """Sticky stops in a block of spreads, one column per component.
 
@@ -228,9 +236,12 @@ class _Run:
 
     advance(last_step) integrates up to step last_step and may be called
     again with a later step; the pieces give exactly the numbers of one
-    uninterrupted run. Each Euler step from t_j resolves the member active
-    over [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member,
-    and steps x by dt*u; effort integrals advance by the left-endpoint rule.
+    uninterrupted run. reserve(last_step) sizes the records for every step
+    up to last_step at once; advance sizes them only to the step it is
+    given, so a run advanced in many pieces reserves first and copies no
+    record. Each Euler step from t_j resolves the member active over
+    [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member, and
+    steps x by dt*u; effort integrals advance by the left-endpoint rule.
     effort, one of EFFORTS, says which effort the run keeps: None keeps
     none, so the loop neither stores the controls nor integrates them and
     metrics() reports E_tot as None; "total" keeps E_tot, and "per_node"
@@ -313,11 +324,9 @@ class _Run:
         live = [c for c in self._live if not c.ended]
         self._pack(live, self._x[cols], self._s_accum[cols], self._run_below[keep])
 
-    def advance(self, last_step):
-        """Integrate every live system to step last_step, or to its end if
-        that comes first."""
-        if last_step < self._next:
-            return
+    def reserve(self, last_step):
+        """Make room in every live system's record for the steps up to
+        last_step, so that advancing to it in pieces copies no record."""
         try:
             for c in self._live:
                 c.grow(last_step + 1)
@@ -326,6 +335,13 @@ class _Run:
                 f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
                 f"{last_step} steps, too many to record"
             ) from None
+
+    def advance(self, last_step):
+        """Integrate every live system to step last_step, or to its end if
+        that comes first."""
+        if last_step < self._next:
+            return
+        self.reserve(last_step)
         with np.errstate(all="ignore"):
             while self._live and self._next <= last_step:
                 self._block(self._next, min(self._next + len(self._X), last_step + 1))
@@ -431,12 +447,8 @@ class _Run:
         """Per-step record of the steps of system i observed so far."""
         c = self.components[i]
         end = c.next
-        # t0 + dt k, built in one buffer
-        times = np.arange(end, dtype=float)
-        times *= self.dt
-        times += self.t0
         return MetricSeries(
-            times=times,
+            times=_step_times(0, end, self.dt, self.t0),
             V=c.V[:end],
             E_tot=c.E_tot[:end] if c.E_tot is not None else None,
             E_i=c.E_i[:end] if c.E_i is not None else None,
@@ -460,6 +472,19 @@ class _Run:
         )
 
 
+def _open_run(systems, cfg: SimConfig):
+    """The _Run that simulate_batch integrates, not yet advanced, and the
+    last step it runs to."""
+    run = _Run(
+        systems,
+        cfg.dt,
+        stop_epsilon=cfg.stop_epsilon,
+        record_stride=cfg.record_stride,
+        effort="per_node" if cfg.track_per_node else "total",
+    )
+    return run, _step_count(cfg.t_end, run.t0, cfg.dt)
+
+
 def simulate_batch(systems, cfg: SimConfig) -> list:
     """Integrate independent closed loops as one union run, each from its x0
     until t_end or its own sticky stop.
@@ -470,14 +495,8 @@ def simulate_batch(systems, cfg: SimConfig) -> list:
     or the DivergenceError that ended it; every number is the one simulate
     gives for that system alone.
     """
-    run = _Run(
-        systems,
-        cfg.dt,
-        stop_epsilon=cfg.stop_epsilon,
-        record_stride=cfg.record_stride,
-        effort="per_node" if cfg.track_per_node else "total",
-    )
-    run.advance(_step_count(cfg.t_end, run.t0, cfg.dt))
+    run, last = _open_run(systems, cfg)
+    run.advance(last)
     return [c.error or run.trajectory(i) for i, c in enumerate(run.components)]
 
 

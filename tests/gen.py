@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies and brute-force reference oracles."""
+"""Shared hypothesis strategies, brute-force reference oracles and checks."""
+
+import os
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from consensus_lab.graphs import WeightedDigraph
@@ -88,3 +91,9 @@ def brute_components(g):
     for v in range(n):
         comps.add(frozenset(np.nonzero(closed[v])[0].tolist()))
     return comps
+
+
+def assert_no_child():
+    """Every child process this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

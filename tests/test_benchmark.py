@@ -33,6 +33,8 @@ from consensus_lab.protocols import Direction, Power, Protocol
 from consensus_lab.simulate import DivergenceError, SimConfig, simulate
 from consensus_lab.switching import FloorModulo
 
+from gen import assert_no_child
+
 AGG = Direction.AGGREGATED
 PE = Direction.PER_EDGE
 
@@ -420,7 +422,7 @@ class TestSweepFailures:
             self._run(2, gains, sizes, eps, dt, target_t)
         assert str(got.value) == str(want)
         assert (got.value.time, got.value.max_abs) == (want.time, want.max_abs)
-        _assert_no_child()
+        assert_no_child()
 
     def test_per_edge_divergence(self):
         # per-edge, k = 130: the n = 12 row diverges and the n = 25 row never
@@ -438,7 +440,7 @@ class TestSweepFailures:
         cause = got.value.__cause__
         assert type(cause) is DivergenceError and str(cause) == str(want.__cause__)
         assert (cause.time, cause.max_abs) == (want.__cause__.time, want.__cause__.max_abs)
-        _assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "failing", [(PE,), (AGG,), (PE, AGG)], ids=["per-edge", "aggregated", "both"]
@@ -456,7 +458,7 @@ class TestSweepFailures:
                 run_experiment(2, [7, 25], dt=1e-3, target_t=0.005)
         assert type(got.value) is CalibrationError
         assert str(got.value) == f"{failing[0].value} calibration failed"
-        _assert_no_child()
+        assert_no_child()
 
     def test_unsettled_row(self):
         # epsilon below the Euler chatter amplitude: of the rows, only the
@@ -473,13 +475,8 @@ class TestSweepFailures:
         with pytest.raises(RuntimeError) as got:
             self._run(1, gains, sizes, eps, dt, target_t)
         assert type(got.value) is RuntimeError and str(got.value) == str(want)
-        _assert_no_child()
+        assert_no_child()
 
-
-def _assert_no_child():
-    # every child a run forked has been reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSideBySide:
@@ -492,7 +489,7 @@ class TestSideBySide:
         monkeypatch.setattr(os, "fork", lambda: (forks.append(None), fork())[1])
         forked = run_experiment(1, [10, 25], dt=1e-3)
         assert len(forks) == 1
-        _assert_no_child()
+        assert_no_child()
         monkeypatch.delattr(os, "fork")
         rows, meta = run_experiment(1, [10, 25], dt=1e-3)
         assert [(r.n, r.direction) for r in rows] == [
@@ -512,7 +509,7 @@ class TestSideBySide:
             with pytest.raises(KeyboardInterrupt):
                 run_experiment(1, [25], dt=1e-3)
         assert time.monotonic() - start < 30
-        _assert_no_child()
+        assert_no_child()
 
     def test_child_that_sends_no_result(self):
         def calibrate(family, direction, *args, **kwargs):
@@ -525,7 +522,7 @@ class TestSideBySide:
                 run_experiment(1, [25], dt=1e-3)
         assert type(got.value) is RuntimeError
         assert str(got.value).endswith(f"sent no result: wait status {signal.SIGKILL}")
-        _assert_no_child()
+        assert_no_child()
 
 
 class TestRunExperiment:

@@ -6,15 +6,25 @@ import csv
 import io
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_lab import cli
+from consensus_lab.graphs import WeightedDigraph, circulant_graph
+from consensus_lab.io import write_events_csv, write_metrics_csv, write_trajectory_csv
+from consensus_lab.protocols import Direction, Linear, Power, Protocol, Sign, protocol_to_json
+from consensus_lab.simulate import SimConfig, simulate
+from consensus_lab.switching import Breakpoints, DynamicNetwork, network_to_json
+
+from gen import assert_no_child
 
 EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1"
 # the exit codes of the README's table
@@ -168,6 +178,167 @@ class TestSimulate:
             outs.append(out)
         for name in ("trajectory.csv", "metrics.csv", "events.csv", "meta.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@st.composite
+def streamed_runs(draw):
+    """A switched run (net, protocol, x0, cfg), per-node effort on or off,
+    and the number of steps in a piece. The run may be shorter than one
+    piece, and may stop early."""
+    dt = 1e-3
+    piece = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        steps = draw(st.integers(1, max(1, piece - 1)))
+    else:
+        steps = draw(st.integers(piece, 600))
+    n = draw(st.integers(4, 6))
+    members = [
+        circulant_graph(n, {1}),
+        WeightedDigraph.undirected(n, [(0, 1)]),
+        circulant_graph(n, {1, 2}),
+    ]
+    # a piece observes steps [k piece, (k + 1) piece): switch at the steps
+    # next to and on its edges
+    edges = sorted({k * piece + d for k in range(1, steps // piece + 2) for d in (-1, 0, 1)})
+    cuts = draw(st.lists(st.sampled_from([c for c in edges if c >= 1]), min_size=1,
+                         max_size=4, unique=True))
+    indices = [draw(st.integers(0, 2))]
+    for _ in cuts:
+        indices.append((indices[-1] + draw(st.integers(1, 2))) % 3)
+    t0 = dt * draw(st.integers(0, 300))
+    signal = Breakpoints(
+        times=tuple(t0 + dt * c for c in sorted(cuts)), indices=tuple(indices), t0=t0
+    )
+    f = draw(st.sampled_from([Power(20.0, 0.5), Linear(20.0), Sign(2.0)]))
+    protocol = Protocol(draw(st.sampled_from(list(Direction))), f)
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    cfg = SimConfig(
+        t_end=t0 + dt * steps,
+        dt=dt,
+        stop_epsilon=draw(st.sampled_from([None, 0.05, 0.5])),
+        record_stride=draw(st.integers(1, 40)),
+        track_per_node=draw(st.booleans()),
+    )
+    return DynamicNetwork(members, signal), protocol, x0, cfg, piece
+
+
+class TestStreamedMetrics:
+    """simulate formats metrics.csv in a forked child while the run
+    integrates; every output keeps the bytes of one simulate call."""
+
+    OUTPUTS = ("trajectory.csv", "metrics.csv", "events.csv", "meta.json")
+
+    @staticmethod
+    def example1(*flags):
+        return ["simulate", str(EXAMPLE1 / "network.json"), str(EXAMPLE1 / "protocol.json"),
+                "--x0-file", str(EXAMPLE1 / "x0.txt"), "--dt", "1e-3", "--t-end", "15",
+                "--per-node", *flags]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=streamed_runs(), data=st.data())
+    def test_files_equal_the_writers_of_one_simulate(self, case, data):
+        net, protocol, x0, cfg, piece = case
+        traj = simulate(net, protocol, x0, cfg)
+        last = len(traj.metrics.times) - 1
+        if cfg.stop_epsilon is not None and last < round((cfg.t_end - net.signal.t0) / cfg.dt):
+            # the sticky stop at step `last` ends a piece or starts one
+            if data.draw(st.booleans(), label="stop on a piece edge"):
+                piece = data.draw(st.sampled_from(_divisors(last) + _divisors(last + 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "x0.txt").write_text("".join(f"{v!r}\n" for v in x0))
+            argv = [
+                "simulate",
+                write_json(tmp / "net.json", network_to_json(net)),
+                write_json(tmp / "proto.json", protocol_to_json(protocol)),
+                "--x0-file", str(tmp / "x0.txt"), "--dt", repr(cfg.dt),
+                "--t-end", repr(cfg.t_end), "--record-stride", str(cfg.record_stride),
+                "--out", str(tmp / "out"),
+            ]
+            if cfg.stop_epsilon is not None:
+                argv += ["--epsilon", repr(cfg.stop_epsilon)]
+            if cfg.track_per_node:
+                argv.append("--per-node")
+            with mock.patch.object(cli, "PIECE_STEPS", piece):
+                code, err = _main_quietly(argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_NO_SETTLE), err
+            write_trajectory_csv(tmp / "trajectory.csv", traj)
+            write_metrics_csv(tmp / "metrics.csv", traj.metrics, per_node=cfg.track_per_node)
+            write_events_csv(tmp / "events.csv", traj.events)
+            for name in ("trajectory.csv", "metrics.csv", "events.csv"):
+                assert (tmp / "out" / name).read_bytes() == (tmp / name).read_bytes(), name
+        assert_no_child()
+
+    def test_divergence_leaves_nothing(self, tmp_path, monkeypatch):
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        unstable = write_json(
+            tmp_path / "unstable.json",
+            {"direction": "aggregated", "f": {"type": "linear", "k": 1002.0}},
+        )
+        old = tmp_path / "old"
+        old.mkdir()
+        for name in self.OUTPUTS:
+            (old / name).write_text(f"old {name}\n")
+        fds = sorted(os.listdir("/proc/self/fd"))
+        for out in (tmp_path / "new", old):
+            argv = self.example1("--out", str(out))
+            argv[2] = unstable
+            code, err = _main_quietly(argv)
+            # the run diverges in its second piece, with the writer busy
+            assert code == cli.EXIT_DIVERGED
+            assert err == "error: state diverged at t=7.224: max |x_i| = 1e+12 exceeds 1e+12\n"
+            assert_no_child()
+        assert not (tmp_path / "new").exists()
+        assert {p.name: p.read_text() for p in old.iterdir()} == {
+            name: f"old {name}\n" for name in self.OUTPUTS
+        }
+        assert not any(temp.iterdir())
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_same_bytes_without_fork(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: (forks.append(None), fork())[1])
+        outs = []
+        for name in ("forked", "in-process"):
+            if name == "in-process":
+                monkeypatch.delattr(os, "fork")
+            outs.append(tmp_path / name)
+            code, err = _main_quietly(self.example1("--epsilon", "0.01", "--out", str(outs[-1])))
+            assert code == cli.EXIT_OK, err
+            assert len(forks) == 1
+        assert_no_child()
+        for name in self.OUTPUTS:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_metrics_csv_that_is_a_directory(self, tmp_path):
+        done, out = tmp_path / "done", tmp_path / "out"
+        assert _main_quietly(self.example1("--out", str(done)))[0] == cli.EXIT_OK
+        (out / "metrics.csv").mkdir(parents=True)
+        code, err = _main_quietly(self.example1("--out", str(out)))
+        assert code == cli.EXIT_INPUT
+        assert err == f"error: [Errno 21] Is a directory: '{out / 'metrics.csv'}'\n"
+        assert (out / "trajectory.csv").read_bytes() == (done / "trajectory.csv").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trajectory.csv"]
+        assert_no_child()
+
+    def test_writer_that_dies(self, tmp_path):
+        def die(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with mock.patch.object(cli, "_format_metrics", die):
+            code, err = _main_quietly(self.example1("--out", str(tmp_path / "out")))
+        assert code != cli.EXIT_OK
+        assert err.endswith(f"sent no result: wait status {signal.SIGKILL}\n")
+        assert not (tmp_path / "out").exists()
+        assert_no_child()
 
 
 class TestBenchmark:

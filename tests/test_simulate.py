@@ -459,6 +459,28 @@ class TestResumableRun:
         if stop < steps:
             assert run.components[0].stopped
 
+    def test_reserved_records_are_allocated_once(self):
+        net = DynamicNetwork(
+            [circulant_graph(6, {1}), circulant_graph(6, {1, 2})], FloorModulo(rate=10.0, modulus=2)
+        )
+        protocol = Protocol(PE, Power(1.0, 0.5))
+        x0 = [3.0, -1.0, 0.5, 2.0, -2.5, 1.0]
+        cfg = SimConfig(t_end=2.0, dt=1e-3, track_per_node=True)
+        steps = 2000
+        run = _Run([(net, protocol, x0)], cfg.dt, effort="per_node")
+        run.reserve(steps)
+        c = run.components[0]
+        records = [c.V, c.E_tot, c.E_i]
+        assert [len(r) for r in records] == [steps + 1] * 3
+        for piece in range(20):
+            run.advance((piece + 1) * steps // 20)
+            # advancing wrote into the reserved arrays, never into copies
+            assert all(now is reserved for now, reserved in zip([c.V, c.E_tot, c.E_i], records))
+        assert c.next == steps + 1
+        whole = simulate(net, protocol, x0, cfg).metrics
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(run.metrics(), name), getattr(whole, name))
+
 
 class _StepwiseRun:
     """The step-by-step integration loop that checks and records after every
@@ -775,7 +797,12 @@ class TestUnionRun:
             for name in ("times", "states", "controls"):
                 assert _same_bytes(getattr(got, name), getattr(ref, name))
             assert got.events == ref.events
-            assert c.stopped == (len(ref.metrics.times) - 1 < last)
+            # a sticky stop on the last step leaves the solo run at full
+            # length; its spread then ends with exactly STICKY_STEPS steps
+            # at or below epsilon
+            V, eps = ref.metrics.V, cfg.stop_epsilon
+            on_last = eps is not None and len(V) >= STICKY_STEPS and (V[-STICKY_STEPS:] <= eps).all()
+            assert c.stopped == (len(V) - 1 < last or on_last)
 
     def test_rejects_systems_that_cannot_share_a_run(self):
         g = circulant_graph(4, {1})
