@@ -19,7 +19,13 @@ script runs
   of gain 1002, which diverges at t = 7.224 and exits 2 (its --out
   directory must not appear); with --epsilon 1e-9, which does not settle
   and exits 3 after writing its files; and with --out naming an existing
-  regular file, which exits 1.
+  regular file, which exits 1;
+- consensus-lab simulate on configs/example2/network_sigma2.json, whose
+  ten members switch every 100 steps, with --dt 1e-4 --t-end 2
+  --record-stride 1 (199 switches);
+- example 1's graphs and protocol under a breakpoint signal from t0 = 0.1
+  with switches at 0.25, 0.5 and 1.3, with --dt 1e-3 --t-end 3.1; and the
+  same with the switch at 0.5005, off the steps, which exits 1.
 
 Every run writes into its own temporary directory, which holds the files
 of INPUTS before it starts, and the other inputs are this checkout's
@@ -29,6 +35,7 @@ they are, and 1 after listing every difference otherwise. A full check
 takes about a minute.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +43,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1 = os.path.join(ROOT, "configs", "example1")
+EXAMPLE2 = os.path.join(ROOT, "configs", "example2")
 SIZES = "25,50,100,200"
 
 _SIMULATE = [
@@ -46,10 +54,24 @@ _SIMULATE = [
     os.path.join(EXAMPLE1, "x0.txt"),
 ]
 HERE = ["--out", "."]
+
+
+def _example1_breakpoints(times):
+    """Example 1's network text with its signal replaced by breakpoints at
+    times from t0 = 0.1, alternating its two members."""
+    with open(os.path.join(EXAMPLE1, "network.json")) as f:
+        net = json.load(f)
+    indices = [i % 2 for i in range(len(times) + 1)]
+    net["signal"] = {"type": "breakpoints", "times": times, "indices": indices, "t0": 0.1}
+    return json.dumps(net)
+
+
 # written into each run's directory before the run
 INPUTS = {
     "unstable-protocol.json": '{"direction": "aggregated", "f": {"type": "linear", "k": 1002.0}}\n',
     "a-file": "a regular file, not a directory\n",
+    "breakpoints.json": _example1_breakpoints([0.25, 0.5, 1.3]),
+    "breakpoint-off-step.json": _example1_breakpoints([0.25, 0.5005, 1.3]),
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
@@ -70,6 +92,18 @@ CASES = {
     "example1-no-settle": _SIMULATE
     + ["--dt", "1e-3", "--t-end", "15", "--epsilon", "1e-9", "--per-node"] + HERE,
     "example1-out-is-a-file": _SIMULATE + ["--dt", "1e-3", "--t-end", "1", "--out", "a-file"],
+    "example2-fast-signal": [
+        "simulate",
+        os.path.join(EXAMPLE2, "network_sigma2.json"),
+        os.path.join(EXAMPLE2, "protocol.json"),
+        "--x0-file",
+        os.path.join(EXAMPLE2, "x0.txt"),
+        "--dt", "1e-4", "--t-end", "2", "--record-stride", "1",
+    ] + HERE,
+    "example1-breakpoints": [_SIMULATE[0], "breakpoints.json", *_SIMULATE[2:]]
+    + ["--dt", "1e-3", "--t-end", "3.1"] + HERE,
+    "example1-breakpoint-off-step": [_SIMULATE[0], "breakpoint-off-step.json", *_SIMULATE[2:]]
+    + ["--dt", "1e-3", "--t-end", "3.1"] + HERE,
 }
 
 # what a failing case must not leave in its directory

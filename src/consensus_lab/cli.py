@@ -1,8 +1,8 @@
 """Command-line surface: simulate, benchmark, verify.
 
-Exit codes: 0 ok, 1 input error, 2 divergence, 3 no settle, 4 verification
-failed. Outputs are deterministic; identical invocations write byte-identical
-files.
+Exit codes: 0 ok, 1 input or I/O error, 2 divergence, 3 no settle, 4
+verification failed. Outputs are deterministic; identical invocations write
+byte-identical files.
 
 simulate advances simulate's run in pieces of PIECE_STEPS steps and sends
 each piece's rows to a forked child, which formats metrics.csv while the

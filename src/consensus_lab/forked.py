@@ -27,7 +27,8 @@ class ForkedCall:
     beside it without the interpreter lock. It always leaves through
     os._exit, so it never returns into the caller's code or runs exit
     handlers, and it exits 0 only once the whole result is written.
-    result() waits for the child and returns fn's value; close() kills and
+    result() waits for the child and returns fn's value, or raises
+    ChildProcessError if the child died without sending it; close() kills and
     reaps a child whose result was not read. A caller closes every
     ForkedCall in a finally, so a failure or a KeyboardInterrupt leaves no
     child behind.
@@ -59,9 +60,7 @@ class ForkedCall:
         _, status = os.waitpid(pid, 0)
         self._pid = None
         if status:
-            raise RuntimeError(
-                f"child process {pid} sent no result: wait status {status}"
-            )
+            raise ChildProcessError(f"child process {pid} sent no result: wait status {status}")
         return pickle.loads(data)
 
     def close(self):

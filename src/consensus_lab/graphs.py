@@ -149,9 +149,9 @@ def is_connected(g):
     return bool(np.all(r | r.T))
 
 
-def weak_components(g):
-    """Partition into components of the symmetrized graph (union-find)."""
-    parent = list(range(g.n))
+def _component_roots(n, pairs):
+    """Each vertex's component root once every pair is joined (union-find)."""
+    parent = list(range(n))
 
     def find(v):
         while parent[v] != v:
@@ -159,13 +159,18 @@ def weak_components(g):
             v = parent[v]
         return v
 
-    for i, j, _ in g.edges:
+    for i, j in pairs:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
+    return [find(v) for v in range(n)]
+
+
+def weak_components(g):
+    """Partition into components of the symmetrized graph."""
     blocks = {}
-    for v in range(g.n):
-        blocks.setdefault(find(v), []).append(v)
+    for v, root in enumerate(_component_roots(g.n, ((i, j) for i, j, _ in g.edges))):
+        blocks.setdefault(root, []).append(v)
     return sorted(blocks.values())
 
 
@@ -210,21 +215,7 @@ def edge_connectivity(g):
     pairs = sorted({(min(i, j), max(i, j)) for i, j, _ in g.edges})
 
     def n_components(removed):
-        parent = list(range(g.n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for p in pairs:
-            if p in removed:
-                continue
-            ri, rj = find(p[0]), find(p[1])
-            if ri != rj:
-                parent[ri] = rj
-        return len({find(v) for v in range(g.n)})
+        return len(set(_component_roots(g.n, (p for p in pairs if p not in removed))))
 
     base = n_components(frozenset())
     if base > 1:

@@ -1,17 +1,16 @@
 """Fixed-step explicit-Euler integration of x' = u over a switched network.
 
-The integrator insists that every switching instant lands on a step
-boundary, so a topology change never smears across a step. The active graph
-is resolved with integer step arithmetic rather than floating time, which
-keeps the schedule exact over long horizons.
+Every switching instant must land on a step boundary, so a topology change
+never smears across a step. switching.step_schedule owns the schedule in
+integer steps, exact over long horizons; this module knows no signal type.
 
-The step loop does only the Euler update with a kernel bound once per
-family member. The spread, the divergence guard, the sticky stop and the
-effort integrals are evaluated once per block of steps, with the metrics
-module's block forms; the step at which a run stops or diverges, and every
-number it records, are those of a check after every step. A run whose
-caller reads no effort, such as a calibration probe, skips the effort
-integrals altogether.
+The step loop does only the Euler update, in stretches of steps under one
+member with its kernel bound once. The spread, the divergence guard, the
+sticky stop and the effort integrals are evaluated once per block of
+steps, with the metrics module's block forms; the step at which a run stops
+or diverges, and every number it records, are those of a check after every
+step. A run whose caller reads no effort, such as a calibration probe,
+skips the effort integrals altogether.
 
 Independent systems that share the signal, dt and the protocol's law up to
 its gains run as one union (simulate_batch): one state vector, one kernel
@@ -23,7 +22,6 @@ for far less than one run each; simulate is the one-system case.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -31,7 +29,7 @@ import numpy as np
 
 from .metrics import MetricSeries, isce_accumulate, segment_spread
 from .protocols import Protocol, _kernel, control
-from .switching import Breakpoints, DynamicNetwork, FloorModulo
+from .switching import DynamicNetwork, step_schedule
 
 __all__ = [
     "SimConfig",
@@ -126,44 +124,6 @@ def _step_count(t_end, t0, dt):
     return steps
 
 
-def _nearest_int(value):
-    """value rounded to an int, or None if it is not finite."""
-    return int(round(value)) if math.isfinite(value) else None
-
-
-def _step_indexer(signal, dt):
-    """Map a step counter k (time t0 + k dt) to the active family index.
-
-    Raises when a switch instant does not land on a step boundary.
-    """
-    if isinstance(signal, FloorModulo):
-        # a tiny rate * dt underflows to 0, or its inverse overflows to inf
-        per = 1.0 / (signal.rate * dt) if signal.rate * dt > 0 else math.inf
-        spt = _nearest_int(per)
-        if spt is None or spt < 1 or abs(per - spt) > 1e-6:
-            raise ValueError(
-                f"switching period 1/rate = {1.0 / signal.rate} is not a whole "
-                f"number of steps at dt = {dt}"
-            )
-        start = signal.t0 / dt
-        k0 = _nearest_int(start)
-        if k0 is None or abs(start - k0) > 1e-6:
-            raise ValueError(f"signal t0 = {signal.t0} is not on a step boundary at dt = {dt}")
-        m, off = signal.modulus, signal.offset
-        return lambda k: (k0 + k) // spt % m + off
-    if isinstance(signal, Breakpoints):
-        steps = []
-        for bt in signal.times:
-            s = _nearest_int((bt - signal.t0) / dt)
-            if s is None or abs(bt - (signal.t0 + s * dt)) > 1e-12:
-                raise ValueError(f"breakpoint {bt} is not on a step boundary at dt = {dt}")
-            steps.append(s)
-        steps = tuple(steps)
-        indices = signal.indices
-        return lambda k: indices[bisect_right(steps, k)]
-    raise TypeError(f"unknown signal type: {signal!r}")
-
-
 def _step_times(first, end, dt, t0):
     """Times t0 + dt k of the steps k = first..end-1, built in one buffer."""
     times = np.arange(first, end, dtype=float)
@@ -239,13 +199,14 @@ class _Run:
     uninterrupted run. reserve(last_step) sizes the records for every step
     up to last_step at once; advance sizes them only to the step it is
     given, so a run advanced in many pieces reserves first and copies no
-    record. Each Euler step from t_j resolves the member active over
-    [t_j, t_{j+1}), applies its kernel u = f(x), bound once per member, and
-    steps x by dt*u; effort integrals advance by the left-endpoint rule.
-    effort, one of EFFORTS, says which effort the run keeps: None keeps
-    none, so the loop neither stores the controls nor integrates them and
-    metrics() reports E_tot as None; "total" keeps E_tot, and "per_node"
-    also E_i. V, the stop and the divergence do not depend on it.
+    record. Each Euler step from t_j applies the kernel u = f(x) of the
+    member active over [t_j, t_{j+1}), bound once per stretch of steps under
+    one member, and steps x by dt*u; effort integrals advance by the
+    left-endpoint rule. effort, one of EFFORTS, says which effort the run
+    keeps: None keeps none, so the loop neither stores the controls nor
+    integrates them and metrics() reports E_tot as None; "total" keeps
+    E_tot, and "per_node" also E_i. V, the stop and the divergence do not
+    depend on it.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
     state entries. Once per block the spread V, the divergence guard, the
@@ -282,13 +243,13 @@ class _Run:
             self.components.append(_Component(net, protocol, x, effort))
         self.dt = dt
         self.t0 = signal.t0
-        self._indexer = _step_indexer(signal, dt)
+        self._schedule = step_schedule(signal, dt)
         self._members = members
         self._eps = stop_epsilon
         self._stride = record_stride
         self._effort = effort
         self._next = 0  # first step not yet observed by the union
-        self._cur_idx = self._indexer(0)
+        self._member = self._schedule(0)[0]  # member of the latest Euler step
         comps = self.components
         self._pack(
             list(comps),
@@ -360,33 +321,33 @@ class _Run:
         record them in one pass."""
         X = self._X[: end - first]
         U = self._U[: end - first] if self._effort else None
-        indexer, kernels = self._indexer, self._kernels
+        schedule, kernels = self._schedule, self._kernels
         dt, stride = self.dt, self._stride
-        x, cur_idx = self._x, self._cur_idx
-        kern = kernels[cur_idx]
-        switches = []
-        records = []
-        i0 = 0
+        x, member = self._x, self._member
+        switches, records = [], []
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
             X[0] = x
             if U is not None:
                 U[0] = 0.0
-            i0 = 1
-        for i in range(i0, end - first):
-            j = first + i - 1  # Euler step from t_j to t_{j+1}
-            idx = indexer(j)
-            if idx != cur_idx:
-                switches.append((j, cur_idx, idx))
-                cur_idx = idx
-                kern = kernels[idx]
-            u = kern(x)
-            if j % stride == 0:
-                records.append((j, x.copy(), u))
-            if U is not None:
-                U[i] = u
-            x = np.add(x, dt * u, out=X[i])
-        self._cur_idx = cur_idx
+        shift = first - 1  # the Euler step from t_j to t_{j+1} fills row j - shift
+        j = max(shift, 0)
+        while j < end - 1:
+            now, change = schedule(j)
+            if now != member:
+                switches.append((j, member, now))
+                member = now
+            kern = kernels[member]
+            stretch_end = min(change, end - 1)
+            for j in range(j, stretch_end):
+                u = kern(x)
+                if j % stride == 0:
+                    records.append((j, x.copy(), u))
+                if U is not None:
+                    U[j - shift] = u
+                x = np.add(x, dt * u, out=X[j - shift])
+            j = stretch_end
+        self._member = member
 
         # spread and largest |x_i| of each system at each step
         rows = len(X)
@@ -462,7 +423,7 @@ class _Run:
         else:
             x = self._x[self._slices[self._live.index(c)]]
         last = c.next - 1
-        u_final = control(c.protocol, c.net.graphs[self._indexer(last)], x)
+        u_final = control(c.protocol, c.net.graphs[self._schedule(last)[0]], x)
         return Trajectory(
             times=self.t0 + self.dt * np.array(c.rec_steps + [last]),
             states=np.vstack(c.rec_states + [x.copy()]),
@@ -522,12 +483,11 @@ def replay_check(traj: Trajectory, net: DynamicNetwork, protocol: Protocol, cfg:
     """
     if cfg.record_stride != 1:
         raise ValueError("replay_check needs a record_stride of 1")
-    dt = cfg.dt
-    t0 = net.signal.t0
-    indexer = _step_indexer(net.signal, dt)
+    dt, t0 = cfg.dt, net.signal.t0
+    schedule = step_schedule(net.signal, dt)
     for m in range(len(traj.times) - 1):
         k = int(round((traj.times[m] - t0) / dt))
-        g = net.graphs[indexer(k)]
+        g = net.graphs[schedule(k)[0]]
         predicted = traj.states[m] + dt * control(protocol, g, traj.states[m])
         if np.max(np.abs(predicted - traj.states[m + 1])) > 1e-12:
             return False, m

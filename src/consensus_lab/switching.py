@@ -5,6 +5,10 @@ applies. FloorModulo realizes sigma(t) = floor(rate*t) (mod modulus) + offset
 with dwell time 1/rate; Breakpoints lists explicit switch times. Both
 guarantee a strictly positive minimum dwell, so any finite interval holds
 finitely many switches.
+
+This module owns the schedule: step_schedule, in integer steps, drives the
+simulator; active_index and switch_times, in float time, serve
+is_tau_jointly_connected, since verify has no dt.
 """
 
 from __future__ import annotations
@@ -98,6 +102,52 @@ def switch_times(sig, t_a, t_b):
     lo = bisect_right(sig.times, t_a)
     hi = bisect_right(sig.times, t_b)
     return list(sig.times[lo:hi])
+
+
+def _nearest_int(value):
+    """value rounded to an int, or None if it is not finite."""
+    return int(round(value)) if math.isfinite(value) else None
+
+
+def step_schedule(sig, dt):
+    """schedule(k) -> (member, change) on the steps t_k = t0 + k dt: the
+    index active over [t_k, t_{k+1}) and the first step after k at which it
+    can change (math.inf after the last breakpoint). Raises ValueError when
+    a switch instant does not land on a step boundary."""
+    if isinstance(sig, FloorModulo):
+        # a tiny rate * dt underflows to 0, or its inverse overflows to inf
+        per = 1.0 / (sig.rate * dt) if sig.rate * dt > 0 else math.inf
+        spt = _nearest_int(per)
+        if spt is None or spt < 1 or abs(per - spt) > 1e-6:
+            raise ValueError(
+                f"switching period 1/rate = {1.0 / sig.rate} is not a whole "
+                f"number of steps at dt = {dt}"
+            )
+        start = sig.t0 / dt
+        k0 = _nearest_int(start)
+        if k0 is None or abs(start - k0) > 1e-6:
+            raise ValueError(f"signal t0 = {sig.t0} is not on a step boundary at dt = {dt}")
+
+        def schedule(k):
+            dwell, into = divmod(k0 + k, spt)
+            return dwell % sig.modulus + sig.offset, k + spt - into
+
+        return schedule
+    if isinstance(sig, Breakpoints):
+        steps = []
+        for bt in sig.times:
+            s = _nearest_int((bt - sig.t0) / dt)
+            if s is None or abs(bt - (sig.t0 + s * dt)) > 1e-12:
+                raise ValueError(f"breakpoint {bt} is not on a step boundary at dt = {dt}")
+            steps.append(s)
+        ends = (*steps, math.inf)
+
+        def schedule(k):
+            i = bisect_right(ends, k)
+            return sig.indices[i], ends[i]
+
+        return schedule
+    raise TypeError(f"unknown signal type: {sig!r}")
 
 
 class DynamicNetwork:

@@ -518,9 +518,9 @@ class TestSideBySide:
             return 8.0, 1.0
 
         with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
-            with pytest.raises(RuntimeError) as got:
+            with pytest.raises(ChildProcessError) as got:
                 run_experiment(1, [25], dt=1e-3)
-        assert type(got.value) is RuntimeError
+        assert type(got.value) is ChildProcessError
         assert str(got.value).endswith(f"sent no result: wait status {signal.SIGKILL}")
         assert_no_child()
 

@@ -335,7 +335,7 @@ class TestStreamedMetrics:
 
         with mock.patch.object(cli, "_format_metrics", die):
             code, err = _main_quietly(self.example1("--out", str(tmp_path / "out")))
-        assert code != cli.EXIT_OK
+        assert code == cli.EXIT_INPUT
         assert err.endswith(f"sent no result: wait status {signal.SIGKILL}\n")
         assert not (tmp_path / "out").exists()
         assert_no_child()

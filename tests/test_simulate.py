@@ -29,12 +29,11 @@ from consensus_lab.simulate import (
     SimConfig,
     Trajectory,
     _Run,
-    _step_indexer,
     replay_check,
     simulate,
     simulate_batch,
 )
-from consensus_lab.switching import Breakpoints, DynamicNetwork, FloorModulo
+from consensus_lab.switching import Breakpoints, DynamicNetwork, FloorModulo, active_index
 
 AGG = Direction.AGGREGATED
 PE = Direction.PER_EDGE
@@ -490,7 +489,6 @@ class _StepwiseRun:
         self.net, self.protocol, self.dt = net, protocol, dt
         self.t0 = net.signal.t0
         self.stopped = False
-        self._indexer = _step_indexer(net.signal, dt)
         self._eps, self._stride = stop_epsilon, record_stride
         self._next = 0
         self._x = np.array(x0, dtype=float)
@@ -500,15 +498,20 @@ class _StepwiseRun:
         self._s_accum = np.zeros(net.n)
         self._e_i = np.zeros(net.n)
         self._e_tot = 0.0
-        self._cur_idx = self._indexer(0)
+        self._cur_idx = self._member(0)
         self._run_below = 0
         self._events = []
         self._rec_steps, self._rec_states, self._rec_controls = [], [], []
 
+    def _member(self, j):
+        """Member of the Euler step from t_j, read off the float signal at
+        the middle of the step."""
+        return active_index(self.net.signal, self.t0 + (j + 0.5) * self.dt)
+
     def advance(self, last_step):
         if self.stopped or last_step < self._next:
             return
-        indexer, graphs, protocol = self._indexer, self.net.graphs, self.protocol
+        graphs, protocol = self.net.graphs, self.protocol
         dt, t0, eps, stride = self.dt, self.t0, self._eps, self._stride
         x, s_accum, e_i_now, e_tot_now = self._x, self._s_accum, self._e_i, self._e_tot
         cur_idx, run_below = self._cur_idx, self._run_below
@@ -516,7 +519,7 @@ class _StepwiseRun:
         for k in range(self._next, last_step + 1):
             if k:
                 j = k - 1
-                idx = indexer(j)
+                idx = self._member(j)
                 if idx != cur_idx:
                     self._events.append((t0 + dt * j, cur_idx, idx))
                     cur_idx = idx
@@ -549,7 +552,7 @@ class _StepwiseRun:
 
     def trajectory(self):
         last = self._next - 1
-        u_final = control(self.protocol, self.net.graphs[self._indexer(last)], self._x)
+        u_final = control(self.protocol, self.net.graphs[self._member(last)], self._x)
         return Trajectory(
             times=self.t0 + self.dt * np.array(self._rec_steps + [last]),
             states=np.vstack(self._rec_states + [self._x.copy()]),

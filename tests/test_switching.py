@@ -11,6 +11,7 @@ from consensus_lab.switching import (
     is_tau_jointly_connected,
     network_from_json,
     network_to_json,
+    step_schedule,
     switch_times,
 )
 
@@ -128,6 +129,60 @@ class TestSwitchTimes:
             assert active_index(sig, s) == active_index(sig, s + half)
             if s - half >= 0:
                 assert active_index(sig, s - half) != active_index(sig, s)
+
+
+@st.composite
+def aligned_signals(draw):
+    """A FloorModulo or Breakpoints signal that starts at t0 > 0 and switches
+    only on the steps of the dt it comes with."""
+    dt = draw(st.sampled_from([1e-4, 1e-3, 0.01, 0.05, 0.1]))
+    t0 = draw(st.integers(1, 10**4)) * dt
+    if draw(st.booleans()):
+        spt = draw(st.integers(1, 60))
+        sig = FloorModulo(
+            rate=1.0 / (spt * dt),
+            modulus=draw(st.integers(1, 4)),
+            offset=draw(st.integers(0, 2)),
+            t0=t0,
+        )
+    else:
+        steps = np.cumsum(draw(st.lists(st.integers(1, 80), max_size=8))).tolist()
+        indices = [draw(st.integers(0, 3))]
+        for _ in steps:
+            indices.append(draw(st.integers(0, 3).filter(lambda i: i != indices[-1])))
+        sig = Breakpoints(times=tuple(t0 + s * dt for s in steps), indices=indices, t0=t0)
+    return sig, dt
+
+
+class TestStepSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(aligned_signals())
+    def test_agrees_with_active_index_at_mid_step(self, signal_and_dt):
+        sig, dt = signal_and_dt
+        schedule = step_schedule(sig, dt)
+        steps = 500
+        members = [active_index(sig, sig.t0 + (k + 0.5) * dt) for k in range(steps + 1)]
+        # first step after k whose member differs, or steps + 1 if none does
+        next_switch = [steps + 1] * (steps + 1)
+        for k in range(steps - 1, -1, -1):
+            next_switch[k] = k + 1 if members[k + 1] != members[k] else next_switch[k + 1]
+        for k in range(steps):
+            member, change = schedule(k)
+            assert member == members[k]
+            # the member holds up to change, which is a switch unless the
+            # signal has a single member
+            held = min(change, steps + 1)
+            assert k < held <= next_switch[k]
+            if held < next_switch[k]:
+                assert isinstance(sig, FloorModulo) and sig.modulus == 1
+
+    def test_switches_off_the_steps_rejected(self):
+        with pytest.raises(ValueError, match=r"^switching period 1/rate = 0.25 is not a whole"):
+            step_schedule(FloorModulo(rate=4.0, modulus=2), 0.1)
+        with pytest.raises(ValueError, match=r"^signal t0 = 0.15 is not on a step boundary"):
+            step_schedule(FloorModulo(rate=1.0, modulus=2, t0=0.15), 0.1)
+        with pytest.raises(ValueError, match=r"^breakpoint 0.5005 is not on a step boundary"):
+            step_schedule(Breakpoints(times=(0.25, 0.5005), indices=(0, 1, 0), t0=0.1), 1e-3)
 
 
 class TestDynamicNetwork:
