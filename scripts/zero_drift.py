@@ -22,7 +22,9 @@ script runs
   regular file, which exits 1;
 - consensus-lab simulate on configs/example2/network_sigma2.json, whose
   ten members switch every 100 steps, with --dt 1e-4 --t-end 2
-  --record-stride 1 (199 switches);
+  --record-stride 1 (199 switches), once without and once with
+  --per-node, whose per-node rows cross five piece edges of the
+  metrics.csv writer and every switch;
 - example 1's graphs and protocol under a breakpoint signal from t0 = 0.1
   with switches at 0.25, 0.5 and 1.3, with --dt 1e-3 --t-end 3.1; and the
   same with the switch at 0.5005, off the steps, which exits 1.
@@ -99,6 +101,14 @@ CASES = {
         "--x0-file",
         os.path.join(EXAMPLE2, "x0.txt"),
         "--dt", "1e-4", "--t-end", "2", "--record-stride", "1",
+    ] + HERE,
+    "example2-fast-signal-per-node": [
+        "simulate",
+        os.path.join(EXAMPLE2, "network_sigma2.json"),
+        os.path.join(EXAMPLE2, "protocol.json"),
+        "--x0-file",
+        os.path.join(EXAMPLE2, "x0.txt"),
+        "--dt", "1e-4", "--t-end", "2", "--record-stride", "1", "--per-node",
     ] + HERE,
     "example1-breakpoints": [_SIMULATE[0], "breakpoints.json", *_SIMULATE[2:]]
     + ["--dt", "1e-3", "--t-end", "3.1"] + HERE,

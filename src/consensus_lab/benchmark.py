@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .forked import ForkedCall
-from .metrics import settling_time
+from .metrics import _require_positive, settling_time
 from .protocols import Direction, FixedTime, Power, Protocol
 # bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
 from .simulate import DivergenceError, _Run, _step_count, simulate  # noqa: F401
@@ -222,8 +222,8 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     prediction costs a round, never a decision: the returned gain and time
     are those of serial full-horizon probes.
     """
-    if target_v <= 0 or target_t <= 0:
-        raise ValueError("target_v and target_t must be positive")
+    for name, value in (("target_v", target_v), ("target_t", target_t), ("dt", dt)):
+        _require_positive(name, value)
     benchmark_protocol(family, direction, 1.0)  # validates the family name
     lcg = lcg or LcgConfig()
     net = benchmark_topology(n)
@@ -436,6 +436,10 @@ def run_experiment(
     sizes = sorted(set(int(s) for s in sizes))
     if 25 not in sizes:
         raise ValueError("sizes must include the calibration anchor n=25")
+    for name, value in (
+        ("dt", dt), ("epsilon", epsilon), ("target_v", target_v), ("target_t", target_t)
+    ):
+        _require_positive(name, value)
     lcg = lcg or LcgConfig()
 
     directions = (Direction.PER_EDGE, Direction.AGGREGATED)

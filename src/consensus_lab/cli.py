@@ -6,8 +6,11 @@ byte-identical files.
 
 simulate advances simulate's run in pieces of PIECE_STEPS steps and sends
 each piece's rows to a forked child, which formats metrics.csv while the
-run goes on (see _MetricsWriter). This process still creates every output
-file itself, in the order trajectory.csv, metrics.csv, events.csv,
+run goes on (see _MetricsWriter); without os.fork, each piece is formatted
+here as it is sent. The run keeps the per-node effort E_i only for the
+steps not yet sent, one piece at a time; V and E_tot, which trajectory.csv
+and the settling time read, stay whole. This process still creates every
+output file itself, in the order trajectory.csv, metrics.csv, events.csv,
 meta.json, and only after the run: a run that diverges writes nothing, and
 an unwritable path fails where it always did.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import shutil
 import sys
@@ -38,7 +42,8 @@ from .graphs import (
     graph_from_json,
     weak_components,
 )
-from .io import (
+# bench/layers.py traces consensus_lab.cli.write_metrics_csv, so the name stays
+from .io import (  # noqa: F401
     load_x0,
     write_events_csv,
     write_meta_json,
@@ -134,7 +139,8 @@ def cmd_simulate(args) -> int:
     run, last = _open_run([(net, protocol, x0)], cfg)
     writer = _MetricsWriter(run, args.per_node)
     try:
-        # fork before the records are reserved, so the child holds none
+        # fork before the records are reserved, so the child holds none;
+        # from here on the run keeps E_i only for the steps not yet sent
         writer.start()
         run.reserve(last)
         c = run.components[0]
@@ -183,57 +189,70 @@ def cmd_simulate(args) -> int:
 
 
 class _MetricsWriter:
-    """metrics.csv of a one-system run, formatted by a forked child while
-    the run integrates.
+    """metrics.csv of a one-system run, formatted piece by piece while the
+    run integrates.
 
-    start() forks the child; send() passes it the rows the run observed
-    since the last send, as the raw bytes of the run's V, E_tot and E_i
-    records after the piece's end step. The child rebuilds each piece's
-    times and formats it with io.write_metrics_rows into an unlinked
-    temporary file. write(path) creates path here, in this process, waits
-    for the child and copies its bytes into path. close() kills and reaps
-    a child that has not finished and frees the pipe and the file. Where
-    os.fork does not exist, start() and send() do nothing, and write(path)
-    formats the run's metrics here, after the run.
+    start() opens an unlinked temporary file and, where os.fork exists,
+    forks the child that formats into it; then it takes the run's first,
+    empty piece. Formatted here, that piece begins the file with the
+    header; the child writes the header with the first rows it reads. From
+    that take on, the run keeps E_i only for the steps not yet taken (see
+    _Run.take).
+    send() takes the rows the run observed since the last take. To the
+    child it passes their raw V, E_tot and E_i bytes through a pipe, after
+    the piece's row count; the child rebuilds each piece's times from dt
+    and t0 and formats it with io.write_metrics_rows. Without os.fork,
+    send() formats the piece here, into the same file. write(path) creates
+    path here, in this process, waits for the child if there is one and
+    copies the file's bytes into path. close() kills and reaps a child that
+    has not finished and frees the pipe and the file.
     """
 
     def __init__(self, run, per_node):
         self._run, self._per_node = run, per_node
-        self._sent = 0  # first step not yet sent
-        self._child = self._wfd = self._tmp = None
+        self._child = self._wfd = self._fh = self._tmp = None
 
     def start(self):
-        if not can_fork():
-            return
         self._tmp = tempfile.TemporaryFile()
-        rfd, self._wfd = os.pipe()
-        try:
-            self._child = ForkedCall(
-                functools.partial(
-                    _format_metrics, rfd, self._wfd, self._tmp.fileno(),
-                    self._run.components[0].n, self._per_node, self._run.dt, self._run.t0,
+        if can_fork():
+            rfd, self._wfd = os.pipe()
+            try:
+                self._child = ForkedCall(
+                    functools.partial(
+                        _format_metrics, rfd, self._wfd, self._tmp.fileno(),
+                        self._run.components[0].n, self._per_node, self._run.dt, self._run.t0,
+                    )
                 )
-            )
-        finally:
-            os.close(rfd)
+            finally:
+                os.close(rfd)
+        else:
+            self._fh = open(self._tmp.fileno(), "w", newline="", closefd=False)
+        self._put(self._run.take(), header=True)
 
     def send(self):
-        if self._wfd is None:
+        self._put(self._run.take(), header=False)
+
+    def _put(self, piece, header):
+        """Format the piece here, or pass it to the child, which writes
+        the header with the first piece it reads. An empty piece is not
+        passed: the header waits for the first rows."""
+        if self._fh is not None:
+            write_metrics_rows(self._fh, [piece], self._per_node, header=header)
             return
-        c = self._run.components[0]
-        a, e = self._sent, c.next
-        piece = [e.to_bytes(8, "little"), c.V[a:e], c.E_tot[a:e]]
+        rows = len(piece.V)
+        if not rows:
+            return
+        data = [rows.to_bytes(8, "little"), piece.V, piece.E_tot]
         if self._per_node:
-            piece.append(c.E_i[a:e])
+            data.append(piece.E_i)
         try:
-            for data in piece:
-                view = memoryview(data).cast("B")
+            for item in data:
+                view = memoryview(item).cast("B")
                 while view:
                     view = view[os.write(self._wfd, view):]
         except BrokenPipeError:
             self._wait()  # raises what stopped the child
             raise
-        self._sent = e
 
     def _wait(self):
         """Close the pipe and wait for the child to format what it was
@@ -245,11 +264,11 @@ class _MetricsWriter:
             raise error
 
     def write(self, path):
-        if self._child is None:
-            write_metrics_csv(path, self._run.metrics(), per_node=self._per_node)
-            return
         with open(path, "wb") as fh:
-            self._wait()
+            if self._child is not None:
+                self._wait()
+            else:
+                self._fh.flush()
             self._tmp.seek(0)
             shutil.copyfileobj(self._tmp, fh)
 
@@ -258,6 +277,8 @@ class _MetricsWriter:
             self._child.close()
         if self._wfd is not None:
             os.close(self._wfd)
+        if self._fh is not None:
+            self._fh.close()
         if self._tmp is not None:
             self._tmp.close()
 
@@ -271,13 +292,12 @@ def _format_metrics(rfd, wfd, tmp_fd, n, per_node, dt, t0):
     def pieces(pipe):
         a = 0
         while head := pipe.read(8):
-            e = int.from_bytes(head, "little")
-            rows = e - a
+            rows = int.from_bytes(head, "little")
             V = np.frombuffer(pipe.read(8 * rows))
             E_tot = np.frombuffer(pipe.read(8 * rows))
             E_i = np.frombuffer(pipe.read(8 * rows * n)).reshape(rows, n) if per_node else None
-            yield MetricSeries(_step_times(a, e, dt, t0), V, E_tot, E_i)
-            a = e
+            yield MetricSeries(_step_times(a, a + rows, dt, t0), V, E_tot, E_i)
+            a += rows
 
     try:
         with open(rfd, "rb") as pipe, open(tmp_fd, "w", newline="", closefd=False) as fh:
@@ -338,8 +358,8 @@ def cmd_verify(args) -> int:
 
     if args.tau is None:
         raise CliError("--tau is required unless --spectral is given")
-    if args.tau <= 0:
-        raise CliError(f"--tau must be positive, got {args.tau}")
+    if not (args.tau > 0 and math.isfinite(args.tau)):
+        raise CliError(f"--tau must be positive and finite, got {args.tau}")
     net = _read(args.input, "network", network_from_json)
     horizon = args.horizon if args.horizon is not None else 3.0 * args.tau
     for i, g in enumerate(net.graphs):

@@ -12,6 +12,7 @@ and Laplacian serve only the public matrix and spectral functions.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +36,8 @@ class WeightedDigraph:
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
             if w <= 0.0:
                 raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({i},{j}) has non-finite weight {w}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))

@@ -140,23 +140,24 @@ def write_metrics_csv(path, metrics, per_node=False) -> None:
         write_metrics_rows(fh, [metrics], per_node)
 
 
-def write_metrics_rows(fh, pieces, per_node=False) -> None:
+def write_metrics_rows(fh, pieces, per_node=False, header=True) -> None:
     """write_metrics_csv of a series given as consecutive pieces, to an
     open text file: the header, then each piece's rows as it arrives.
 
     pieces is an iterable of MetricSeries, each holding the steps after
     the last one's; the bytes are those of the whole series, whatever its
-    division. With no piece, nothing is written.
+    division. With no piece, nothing is written. With header False, the
+    header is left out, for pieces that continue a file already begun.
     """
     for i, piece in enumerate(pieces):
         columns = [piece.times, piece.V, piece.E_tot]
         if per_node:
             columns.append(piece.E_i)
-        if i == 0:
-            header = ["t", "V", "E_tot"]
+        if i == 0 and header:
+            names = ["t", "V", "E_tot"]
             if per_node:
-                header += [f"E_i_{j}" for j in range(piece.E_i.shape[1])]
-            fh.write(",".join(header) + "\n")
+                names += [f"E_i_{j}" for j in range(piece.E_i.shape[1])]
+            fh.write(",".join(names) + "\n")
         _write_rows(fh, columns)
 
 

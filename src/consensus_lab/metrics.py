@@ -8,6 +8,7 @@ rule at the integrator step so the accounting matches the Euler update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,12 @@ class MetricSeries:
     V: np.ndarray
     E_tot: Optional[np.ndarray]
     E_i: Optional[np.ndarray] = None
+
+
+def _require_positive(name, value):
+    """Raise ValueError, naming the value, unless it is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def lyapunov_v(x):
@@ -78,8 +85,7 @@ def isce_accumulate(s_accum: np.ndarray, u, dt: float, out=None) -> np.ndarray:
     and E_tot = sum(E_i) are derived wherever a metric point is
     materialized.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require_positive("dt", dt)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         return s_accum + u * u * dt
@@ -106,8 +112,7 @@ def settling_time(series: MetricSeries, epsilon: float):
     threshold does not produce a spuriously early time. None if V is still
     above epsilon at the final sample.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _require_positive("epsilon", epsilon)
     violations = np.nonzero(series.V > epsilon)[0]
     if violations.size == 0:
         return float(series.times[0])

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import MetricSeries, isce_accumulate, segment_spread
+from .metrics import MetricSeries, _require_positive, isce_accumulate, segment_spread
 from .protocols import Protocol, _kernel, control
 from .switching import DynamicNetwork, step_schedule
 
@@ -83,12 +83,11 @@ class SimConfig:
     track_per_node: bool = False
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _require_positive("dt", self.dt)
         if not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite, got {self.t_end}")
-        if self.stop_epsilon is not None and self.stop_epsilon <= 0:
-            raise ValueError(f"stop_epsilon must be positive, got {self.stop_epsilon}")
+        if self.stop_epsilon is not None:
+            _require_positive("stop_epsilon", self.stop_epsilon)
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
 
@@ -165,20 +164,27 @@ class _Component:
         self.V = np.empty(0)
         self.E_tot = np.empty(0) if effort else None
         self.E_i = np.empty((0, net.n)) if effort == "per_node" else None
+        # first step not yet taken by a streaming caller (see _Run.take), and
+        # the step of E_i's first row; None while E_i holds every step
+        self.taken: Optional[int] = None
         self.events: List[Tuple[float, int, int]] = []
         self.rec_steps: List[int] = []
         self.rec_states: List[np.ndarray] = []
         self.rec_controls: List[np.ndarray] = []
 
-    def grow(self, size):
-        if len(self.V) >= size:
-            return
-        for name in ("V", "E_tot", "E_i"):
+    def grow(self, size, whole):
+        """Make room in the records for the steps below size, E_i's from
+        its first row on. A reservation for the whole run (whole) leaves a
+        taken E_i alone: it holds one piece at a time."""
+        records = [("V", 0), ("E_tot", 0)]
+        if not (whole and self.taken is not None):
+            records.append(("E_i", self.taken or 0))
+        for name, start in records:
             old = getattr(self, name)
-            if old is None:
+            if old is None or len(old) >= size - start:
                 continue
-            new = np.empty((size,) + old.shape[1:])
-            new[: self.next] = old[: self.next]
+            new = np.empty((size - start,) + old.shape[1:])
+            new[: self.next - start] = old[: self.next - start]
             setattr(self, name, new)
 
 
@@ -199,9 +205,15 @@ class _Run:
     uninterrupted run. reserve(last_step) sizes the records for every step
     up to last_step at once; advance sizes them only to the step it is
     given, so a run advanced in many pieces reserves first and copies no
-    record. Each Euler step from t_j applies the kernel u = f(x) of the
-    member active over [t_j, t_{j+1}), bound once per stretch of steps under
-    one member, and steps x by dt*u; effort integrals advance by the
+    record. A caller that streams the record, such as the metrics.csv
+    writer of the command line, takes the steps observed since its last
+    take after each piece (take); the run then keeps E_i only for the
+    steps not yet taken, in one buffer that each piece reuses, while V and
+    E_tot stay whole.
+
+    Each Euler step from t_j applies the kernel u = f(x) of the member
+    active over [t_j, t_{j+1}), bound once per stretch of steps under one
+    member, and steps x by dt*u; effort integrals advance by the
     left-endpoint rule. effort, one of EFFORTS, says which effort the run
     keeps: None keeps none, so the loop neither stores the controls nor
     integrates them and metrics() reports E_tot as None; "total" keeps
@@ -287,10 +299,15 @@ class _Run:
 
     def reserve(self, last_step):
         """Make room in every live system's record for the steps up to
-        last_step, so that advancing to it in pieces copies no record."""
+        last_step, so that advancing to it in pieces copies no record. A
+        taken E_i (see take) is left to advance, which sizes it for one
+        piece."""
+        self._grow(last_step, whole=True)
+
+    def _grow(self, last_step, whole):
         try:
             for c in self._live:
-                c.grow(last_step + 1)
+                c.grow(last_step + 1, whole)
         except MemoryError:
             raise ValueError(
                 f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
@@ -302,7 +319,7 @@ class _Run:
         that comes first."""
         if last_step < self._next:
             return
-        self.reserve(last_step)
+        self._grow(last_step, whole=False)
         with np.errstate(all="ignore"):
             while self._live and self._next <= last_step:
                 self._block(self._next, min(self._next + len(self._X), last_step + 1))
@@ -384,7 +401,8 @@ class _Run:
             if effort:
                 E = S[:k, sl]
                 if effort == "per_node":
-                    E = np.sqrt(E, out=c.E_i[first : last + 1])
+                    row = first - (c.taken or 0)
+                    E = np.sqrt(E, out=c.E_i[row : row + k])
                 np.sum(E, axis=1, out=c.E_tot[first : last + 1])
             c.V[first : last + 1] = V[:k, i]
             # Euler steps from the last observed step on belong to later blocks
@@ -405,14 +423,34 @@ class _Run:
             self._repack()
 
     def metrics(self, i=0) -> MetricSeries:
-        """Per-step record of the steps of system i observed so far."""
+        """Per-step record of the steps of system i observed so far. Once
+        its rows were taken (see take), E_i is None: the run no longer
+        holds them all."""
         c = self.components[i]
         end = c.next
         return MetricSeries(
             times=_step_times(0, end, self.dt, self.t0),
             V=c.V[:end],
             E_tot=c.E_tot[:end] if c.E_tot is not None else None,
-            E_i=c.E_i[:end] if c.E_i is not None else None,
+            E_i=c.E_i[:end] if c.E_i is not None and c.taken is None else None,
+        )
+
+    def take(self, i=0) -> MetricSeries:
+        """Per-step record of the steps of system i observed since the last
+        take, or since the start, for a caller that streams it.
+
+        From the first take on, the run keeps E_i only for the steps not
+        yet taken, in one buffer that advance reuses. The arrays returned
+        are views, valid until the next advance.
+        """
+        c = self.components[i]
+        a, e = c.taken or 0, c.next
+        c.taken = e
+        return MetricSeries(
+            times=_step_times(a, e, self.dt, self.t0),
+            V=c.V[a:e],
+            E_tot=c.E_tot[a:e] if c.E_tot is not None else None,
+            E_i=c.E_i[: e - a] if c.E_i is not None else None,
         )
 
     def trajectory(self, i=0) -> Trajectory:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .graphs import graph_from_json, graph_to_json, is_connected, union_graph
 from .io import json_field
+from .metrics import _require_positive
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,9 @@ def is_tau_jointly_connected(net, tau, horizon):
     this equals the dense quantification over all t_bar in that range.
     Returns (verdict, earliest violating window start or None).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if horizon < tau:
-        raise ValueError("horizon must be at least tau")
+    _require_positive("tau", tau)
+    if not (horizon >= tau and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be finite and at least tau = {tau}, got {horizon}")
     sig = net.signal
     t0 = sig.t0
     anchors = [t0] + switch_times(sig, t0, t0 + horizon - tau)

@@ -548,3 +548,14 @@ class TestRunExperiment:
     def test_experiment_id_checked(self):
         with pytest.raises(ValueError):
             run_experiment(3, [25], dt=1e-3)
+
+    @pytest.mark.parametrize("name", ["dt", "epsilon", "target_v", "target_t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_thresholds_must_be_positive_and_finite(self, name, value):
+        message = f"{name} must be positive and finite, got {value}"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(1, [25], **{name: value})
+        if name != "epsilon":
+            args = {"target_v": 0.05, "target_t": 1.0, "dt": 1e-3, name: value}
+            with pytest.raises(ValueError, match=message):
+                calibrate_gain("power", AGG, n=10, **args)

@@ -19,10 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from consensus_lab import cli
 from consensus_lab.graphs import WeightedDigraph, circulant_graph
-from consensus_lab.io import write_events_csv, write_metrics_csv, write_trajectory_csv
-from consensus_lab.protocols import Direction, Linear, Power, Protocol, Sign, protocol_to_json
+from consensus_lab.io import load_x0, write_events_csv, write_metrics_csv, write_trajectory_csv
+from consensus_lab.protocols import (
+    Direction, Linear, Power, Protocol, Sign, protocol_from_json, protocol_to_json,
+)
 from consensus_lab.simulate import SimConfig, simulate
-from consensus_lab.switching import Breakpoints, DynamicNetwork, network_to_json
+from consensus_lab.switching import (
+    Breakpoints, DynamicNetwork, network_from_json, network_to_json,
+)
 
 from gen import assert_no_child
 
@@ -264,7 +268,10 @@ class TestStreamedMetrics:
                 argv += ["--epsilon", repr(cfg.stop_epsilon)]
             if cfg.track_per_node:
                 argv.append("--per-node")
-            with mock.patch.object(cli, "PIECE_STEPS", piece):
+            # without os.fork, each piece is formatted in this process
+            in_process = data.draw(st.booleans(), label="without os.fork")
+            fork = _without_fork() if in_process else contextlib.nullcontext()
+            with mock.patch.object(cli, "PIECE_STEPS", piece), fork:
                 code, err = _main_quietly(argv)
             assert code in (cli.EXIT_OK, cli.EXIT_NO_SETTLE), err
             write_trajectory_csv(tmp / "trajectory.csv", traj)
@@ -318,6 +325,40 @@ class TestStreamedMetrics:
         for name in self.OUTPUTS:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_run_holds_one_piece_of_per_node_rows(self, tmp_path, monkeypatch):
+        held, runs = [], []
+        send = cli._MetricsWriter.send
+
+        def watched_send(writer):
+            send(writer)
+            runs.append(writer._run)
+            held.append(len(writer._run.components[0].E_i))
+
+        monkeypatch.setattr(cli, "PIECE_STEPS", 100)
+        monkeypatch.setattr(cli._MetricsWriter, "send", watched_send)
+        outs = []
+        for name in ("forked", "in-process"):
+            if name == "in-process":
+                monkeypatch.delattr(os, "fork")
+            outs.append(tmp_path / name)
+            # 1001 steps: ten full pieces and one of a single step
+            code, err = _main_quietly(self.example1("--t-end", "1", "--out", str(outs[-1])))
+            assert code == cli.EXIT_OK, err
+            assert len(held) == 11
+            # after every send the run holds at most one piece of E_i rows
+            assert max(held) <= 100
+            # and never reports a partial E_i
+            run = runs[-1]
+            assert run.metrics().E_i is None
+            assert run.trajectory().metrics.E_i is None
+            assert len(run.metrics().V) == 1001
+            held.clear()
+        assert_no_child()
+        traj = simulate(*_example1_system(), SimConfig(t_end=1.0, dt=1e-3, track_per_node=True))
+        write_metrics_csv(tmp_path / "metrics.csv", traj.metrics, per_node=True)
+        for out in outs:
+            assert (out / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
+
     def test_metrics_csv_that_is_a_directory(self, tmp_path):
         done, out = tmp_path / "done", tmp_path / "out"
         assert _main_quietly(self.example1("--out", str(done)))[0] == cli.EXIT_OK
@@ -339,6 +380,21 @@ class TestStreamedMetrics:
         assert err.endswith(f"sent no result: wait status {signal.SIGKILL}\n")
         assert not (tmp_path / "out").exists()
         assert_no_child()
+
+
+def test_keeps_the_names_the_benchmark_traces(monkeypatch):
+    """bench/layers.py wraps names looked up on cli, write_metrics_csv and
+    simulate among them, which cli itself no longer calls; a name cli drops
+    stops every traced benchmark run in layers.install."""
+    monkeypatch.syspath_prepend(str(EXAMPLE1.parent.parent / "bench"))
+    import layers
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+    finally:
+        tracer.restore()
 
 
 class TestBenchmark:
@@ -500,6 +556,39 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert files[file] in err and field in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--epsilon", "nan"], "stop_epsilon must be positive and finite, got nan"),
+            (["simulate", "--epsilon", "inf"], "stop_epsilon must be positive and finite, got inf"),
+            (["benchmark", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+            (["benchmark", "--target-v", "nan"], "target_v must be positive and finite, got nan"),
+            (["benchmark", "--target-t", "nan"], "target_t must be positive and finite, got nan"),
+            (["benchmark", "--target-t", "-1"], "target_t must be positive and finite, got -1.0"),
+            (["benchmark", "--dt", "nan"], "dt must be positive and finite, got nan"),
+            (["benchmark", "--dt", "inf"], "dt must be positive and finite, got inf"),
+            (["verify", "--tau", "nan"], "--tau must be positive and finite, got nan"),
+        ],
+        ids=["simulate-epsilon-nan", "simulate-epsilon-inf", "benchmark-epsilon-nan",
+             "target-v-nan", "target-t-nan", "target-t-negative", "dt-nan", "dt-inf",
+             "tau-nan"],
+    )
+    def test_thresholds_that_are_not_positive_and_finite(self, capsys, tmp_path, argv, message):
+        command, flags = argv[0], argv[1:]
+        out = ["--out", str(tmp_path / "o")]
+        if command == "simulate":
+            args = TestStreamedMetrics.example1("--t-end", "0.01", *flags, *out)
+        elif command == "benchmark":
+            args = ["benchmark", "--experiment", "1", "--sizes", "25", *flags, *out]
+        else:
+            args = ["verify", str(EXAMPLE1 / "network.json"), *flags]
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_well_formed_files_run(self, files, capsys, tmp_path):
         args = ["simulate", files["net"], files["proto"], "--x0-file", files["x0"],
                 "--t-end", "0.01", "--out", str(tmp_path / "o")]
@@ -548,6 +637,24 @@ class TestMalformedInput:
         assert code == cli.EXIT_INPUT
         assert "Traceback" not in err
         assert "step" in err
+
+
+@contextlib.contextmanager
+def _without_fork():
+    """os.fork removed, as on a platform that has none."""
+    fork = os.fork
+    del os.fork
+    try:
+        yield
+    finally:
+        os.fork = fork
+
+
+def _example1_system():
+    """configs/example1's network, protocol and initial state."""
+    net = network_from_json(json.loads((EXAMPLE1 / "network.json").read_text()))
+    protocol = protocol_from_json(json.loads((EXAMPLE1 / "protocol.json").read_text()))
+    return net, protocol, load_x0(EXAMPLE1 / "x0.txt")
 
 
 def _main_quietly(argv):

@@ -43,6 +43,11 @@ class TestConstruction:
             WeightedDigraph(3, [(0, 1, 0.0)])
         with pytest.raises(ValueError):
             WeightedDigraph(3, [(0, 1, -2.0)])
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"edge \\(0,1\\) has non-finite weight {w}"):
+                WeightedDigraph(3, [(0, 1, w)])
+            with pytest.raises(ValueError, match="non-finite weight"):
+                WeightedDigraph(3, [(0, 1, w), (1, 0, w)], undirected=True)
 
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):

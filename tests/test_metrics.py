@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,8 +126,9 @@ class TestIsce:
         assert abs(e_tot - 2.0) < 1e-3
 
     def test_dt_must_be_positive(self):
-        with pytest.raises(ValueError):
-            isce_accumulate(np.zeros(2), np.ones(2), 0.0)
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {dt}"):
+                isce_accumulate(np.zeros(2), np.ones(2), dt)
 
     @settings(max_examples=50)
     @given(
@@ -232,8 +235,9 @@ class TestSettlingTime:
         assert settling_time(s, 0.05) is None
 
     def test_epsilon_positive(self):
-        with pytest.raises(ValueError):
-            settling_time(_series([0], [1]), 0.0)
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {epsilon}"):
+                settling_time(_series([0], [1]), epsilon)
 
 
 class TestConsensusValue:

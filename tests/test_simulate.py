@@ -51,6 +51,9 @@ class TestValidation:
             SimConfig(t_end=1.0, record_stride=0)
         with pytest.raises(ValueError):
             SimConfig(t_end=1.0, stop_epsilon=-0.1)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {eps}"):
+                SimConfig(t_end=1.0, stop_epsilon=eps)
 
     def test_t_end_after_t0(self):
         net = static_net(circulant_graph(4, {1}))
@@ -479,6 +482,40 @@ class TestResumableRun:
         whole = simulate(net, protocol, x0, cfg).metrics
         for name in ("times", "V", "E_tot", "E_i"):
             assert _same_bytes(getattr(run.metrics(), name), getattr(whole, name))
+
+    def test_taken_pieces_join_into_the_whole_record(self):
+        net = DynamicNetwork(
+            [circulant_graph(6, {1}), circulant_graph(6, {1, 2})], FloorModulo(rate=10.0, modulus=2)
+        )
+        protocol = Protocol(PE, Power(1.0, 0.5))
+        x0 = [3.0, -1.0, 0.5, 2.0, -2.5, 1.0]
+        cfg = SimConfig(t_end=2.0, dt=1e-3, track_per_node=True)
+        steps, piece = 2000, 150
+        run = _Run([(net, protocol, x0)], cfg.dt, effort="per_node")
+        c = run.components[0]
+        pieces = [run.take()]
+        run.reserve(steps)
+        # the whole run's V and E_tot, but no E_i rows for steps not yet taken
+        assert (len(c.V), len(c.E_tot), len(c.E_i)) == (steps + 1, steps + 1, 0)
+        records = [c.V, c.E_tot]
+        buffers = []
+        for end in range(piece - 1, steps + piece, piece):
+            run.advance(min(end, steps))
+            taken = run.take()
+            # the rows are views, valid until the next advance
+            pieces.append(dataclasses.replace(taken, E_i=taken.E_i.copy()))
+            assert len(c.E_i) <= piece
+            buffers.append(c.E_i)
+        # one E_i buffer served every piece, and V and E_tot were never copied
+        assert all(b is buffers[0] for b in buffers)
+        assert all(now is reserved for now, reserved in zip([c.V, c.E_tot], records))
+        assert run.metrics().E_i is None and run.trajectory().metrics.E_i is None
+        whole = simulate(net, protocol, x0, cfg).metrics
+        for name in ("times", "V", "E_tot", "E_i"):
+            joined = np.concatenate([getattr(p, name) for p in pieces])
+            assert _same_bytes(joined, getattr(whole, name)), name
+        for name in ("times", "V", "E_tot"):
+            assert _same_bytes(getattr(run.metrics(), name), getattr(whole, name)), name
 
 
 class _StepwiseRun:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -240,6 +242,20 @@ class TestJointConnectivity:
     def test_fast_switching_needs_tenth_of_the_time(self):
         ok, _ = is_tau_jointly_connected(example2_network(rate=100.0), 0.1, 1.0)
         assert ok
+
+    @pytest.mark.parametrize(
+        "tau, horizon, message",
+        [
+            (math.nan, 30.0, "tau must be positive and finite, got nan"),
+            (0.0, 30.0, "tau must be positive and finite, got 0.0"),
+            (10.0, math.nan, "horizon must be finite and at least tau = 10.0, got nan"),
+            (10.0, math.inf, "horizon must be finite and at least tau = 10.0, got inf"),
+            (10.0, 5.0, "horizon must be finite and at least tau = 10.0, got 5.0"),
+        ],
+    )
+    def test_window_bounds_checked(self, tau, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            is_tau_jointly_connected(example2_network(), tau, horizon)
 
     @settings(max_examples=25, deadline=None)
     @given(
