@@ -11,6 +11,9 @@ script runs
 - consensus-lab benchmark --experiment 1 --sizes 25 --dt 1e-3
   --target-t 0.0001, which fails its calibration and exits 1, so the
   error path is compared too;
+- consensus-lab benchmark --experiment 2 --sizes 25 --dt 1e-3 --target-t
+  0.5, whose per-edge calibration mispredicts its path, so its rounds
+  replay the bisection from brackets the prediction missed;
 - consensus-lab simulate on configs/example1 with --dt 1e-4 --t-end 15
   --per-node --record-stride 1000, with --dt 1e-4 --t-end 10
   --record-stride 100, and with --dt 1e-3 --t-end 15 --epsilon 0.01
@@ -80,6 +83,9 @@ CASES = {
     "benchmark-experiment-2": ["benchmark", "--experiment", "2", "--sizes", SIZES] + HERE,
     "benchmark-calibration-error": [
         "benchmark", "--experiment", "1", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.0001",
+    ] + HERE,
+    "benchmark-mispredicted-calibration": [
+        "benchmark", "--experiment", "2", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.5",
     ] + HERE,
     "example1-per-node-stride-1000": _SIMULATE
     + ["--dt", "1e-4", "--t-end", "15", "--per-node", "--record-stride", "1000"] + HERE,

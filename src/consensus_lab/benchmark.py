@@ -29,7 +29,7 @@ from .forked import ForkedCall
 from .metrics import _require_positive, settling_time
 from .protocols import Direction, FixedTime, Power, Protocol
 # bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
-from .simulate import DivergenceError, _Run, _step_count, simulate  # noqa: F401
+from .simulate import DivergenceError, _Run, simulate  # noqa: F401
 from .switching import DynamicNetwork, FloorModulo
 
 __all__ = [
@@ -48,10 +48,8 @@ GAIN_BRACKET = (1e-3, 1e3)
 RETIRED = "> target_t + band"
 BISECTION_STEPS = 48
 # a bisection round probes the midpoints of the next PATH_LEVELS levels on
-# the path toward the predicted gain, then every midpoint of the
-# HEDGE_LEVELS levels below it: PATH_LEVELS + 2^HEDGE_LEVELS - 1 probes
-PATH_LEVELS = 4
-HEDGE_LEVELS = 2
+# the path toward the predicted gain, as many probes as the pre-scan's grid
+PATH_LEVELS = 7
 H_RULE = "largest h <= floor(n/2) with gcd(h, n) = 1; member 1 = C_n{1, h}"
 
 
@@ -135,8 +133,10 @@ def benchmark_protocol(family: str, direction: Direction, k: float) -> Protocol:
     raise ValueError(f"unknown protocol family {family!r}")
 
 
-def _snap_horizon(horizon: float, dt: float) -> float:
-    return max(1, math.ceil(horizon / dt - 1e-9)) * dt
+def _base_steps(target_t, dt):
+    """Steps of the base horizon of calibration probes and sweep rows:
+    4 target_t, at least 20 steps, rounded up to a whole step."""
+    return math.ceil(max(4 * target_t, 20 * dt) / dt - 1e-9)
 
 
 def _cut_step(t0, dt, target_t, band, last_step):
@@ -152,19 +152,6 @@ def _cut_step(t0, dt, target_t, band, last_step):
     return int(np.argmax(past)) if past.any() else None
 
 
-def _bisection_midpoints(lo, hi, levels):
-    """Every midpoint the next `levels` bisection levels from (lo, hi) may
-    probe, in the floats the bisection computes them in."""
-    if not levels:
-        return []
-    mid = 0.5 * (lo + hi)
-    return (
-        [mid]
-        + _bisection_midpoints(lo, mid, levels - 1)
-        + _bisection_midpoints(mid, hi, levels - 1)
-    )
-
-
 def _predict_gain(hi, t_hi, target_t):
     """Gain predicted to settle at target_t from the fast end hi of the
     bisection bracket, which settles at t_hi <= target_t.
@@ -178,7 +165,7 @@ def _predict_gain(hi, t_hi, target_t):
 
 def _predicted_path(lo, hi, k_hat, levels):
     """Midpoints of the next `levels` bisection levels from (lo, hi) on the
-    path a predicted gain k_hat takes, and the bracket at its end.
+    path a predicted gain k_hat takes.
 
     The path steps to the fast half, (lo, mid), when mid >= k_hat, and to
     the slow half otherwise; a NaN prediction steps to the slow half. The
@@ -192,7 +179,7 @@ def _predicted_path(lo, hi, k_hat, levels):
             hi = mid
         else:
             lo = mid
-    return path, (lo, hi)
+    return path
 
 
 def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
@@ -213,9 +200,7 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     settles. Other probes run the full 4 target_t horizon. The pre-scan is
     one round of all seven grid gains. Each bisection round probes the
     midpoints of the next PATH_LEVELS levels on the path toward the gain
-    that _predict_gain predicts from the bracket's fast end, and every
-    midpoint of the HEDGE_LEVELS levels below that path's last bracket:
-    up to PATH_LEVELS + HEDGE_LEVELS levels in one round. The serial
+    that _predict_gain predicts from the bracket's fast end. The serial
     decisions, including the early exit, are then replayed on the probed
     times, level by level, up to the first level whose midpoint was not
     probed; the next round starts from that level's bracket. A wrong
@@ -228,9 +213,8 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     lcg = lcg or LcgConfig()
     net = benchmark_topology(n)
     x0 = lcg_initial_conditions(lcg, n)
-    horizon = _snap_horizon(max(4 * target_t, 20 * dt), dt)
     band = 10 * dt
-    last = _step_count(horizon, net.signal.t0, dt)
+    last = _base_steps(target_t, dt)
     cut = _cut_step(net.signal.t0, dt, target_t, band, last)
 
     def probe(gains):
@@ -284,12 +268,11 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     lo, hi, t_hi = bracket
     step = 0
     while step < BISECTION_STEPS:
-        left = BISECTION_STEPS - step
-        path, (p_lo, p_hi) = _predicted_path(
-            lo, hi, _predict_gain(hi, t_hi, target_t), min(PATH_LEVELS, left)
+        path = _predicted_path(
+            lo, hi, _predict_gain(hi, t_hi, target_t),
+            min(PATH_LEVELS, BISECTION_STEPS - step),
         )
-        hedge = _bisection_midpoints(p_lo, p_hi, min(HEDGE_LEVELS, left - len(path)))
-        times.update(probe([g for g in path + hedge if g not in times]))
+        times.update(probe([g for g in path if g not in times]))
         while step < BISECTION_STEPS:
             mid = 0.5 * (lo + hi)
             if mid not in times:
@@ -329,12 +312,12 @@ def _settled(run, i, epsilon, dt):
     return t_star, float(metrics.E_tot[idx])
 
 
-def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon):
+def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_steps):
     """Settling time and E_tot of one direction's sweep rows, one per size.
 
-    The rows run as one union (see simulate._Run), advanced to base_horizon
-    and then on through doubled horizons, up to ten times, until every row
-    is resolved. At each horizon a row that diverged gets its
+    The rows run as one union (see simulate._Run), advanced base_steps
+    steps and then on through doubled step counts, up to ten times, until
+    every row is resolved. At each horizon a row that diverged gets its
     DivergenceError, and one that has settled gets (settling time, E_tot)
     and leaves the union, so it costs no further steps. A resolved row's
     record is freed, so it holds no memory while the others run on. A row
@@ -354,9 +337,9 @@ def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon):
     ]
     run = _Run(systems, dt, stop_epsilon=epsilon, record_stride=10**9)
     outcomes = [None] * len(sizes)
-    horizon = base_horizon
+    steps = base_steps
     for _ in range(11):
-        run.advance(_step_count(horizon, run.t0, dt))
+        run.advance(steps)
         for i, (n, c) in enumerate(zip(sizes, run.components)):
             if c is None:
                 continue
@@ -376,18 +359,18 @@ def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon):
             run.components[i] = None
         if None not in outcomes:
             return outcomes
-        horizon *= 2
+        steps *= 2
     for i, n in enumerate(sizes):
         if outcomes[i] is None:
             outcomes[i] = RuntimeError(
                 f"benchmark row n={n} direction={direction.value} did not settle "
-                f"within {horizon / 2} s"
+                f"within {steps // 2 * dt} s"
             )
     return outcomes
 
 
 def _direction_outcomes(
-    family, direction, sizes, epsilon, dt, target_v, target_t, lcg, base_horizon
+    family, direction, sizes, epsilon, dt, target_v, target_t, lcg, base_steps
 ):
     """Calibrate one direction at n = 25, then run its sweep rows.
 
@@ -404,7 +387,7 @@ def _direction_outcomes(
     except Exception as exc:  # carried to run_experiment, which raises it
         return exc, None
     try:
-        rows = _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_horizon)
+        rows = _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_steps)
     except Exception as exc:  # carried to run_experiment, which raises it
         rows = exc
     return (k, achieved), rows
@@ -443,11 +426,11 @@ def run_experiment(
     lcg = lcg or LcgConfig()
 
     directions = (Direction.PER_EDGE, Direction.AGGREGATED)
-    base_horizon = _snap_horizon(max(4 * target_t, 20 * dt), dt)
+    base_steps = _base_steps(target_t, dt)
     chains = [
         functools.partial(
             _direction_outcomes,
-            family, d, sizes, epsilon, dt, target_v, target_t, lcg, base_horizon,
+            family, d, sizes, epsilon, dt, target_v, target_t, lcg, base_steps,
         )
         for d in directions
     ]

@@ -40,6 +40,7 @@ from .graphs import (
     algebraic_connectivity,
     edge_connectivity,
     graph_from_json,
+    is_connected,
     weak_components,
 )
 # bench/layers.py traces consensus_lab.cli.write_metrics_csv, so the name stays
@@ -362,9 +363,15 @@ def cmd_verify(args) -> int:
         raise CliError(f"--tau must be positive and finite, got {args.tau}")
     net = _read(args.input, "network", network_from_json)
     horizon = args.horizon if args.horizon is not None else 3.0 * args.tau
+    # the member lines and the window verdict judge by the same notion
+    print("connectivity: unilateral (each pair of nodes joined by a path one way or the other)")
     for i, g in enumerate(net.graphs):
-        comps = weak_components(g)
-        state = "connected" if len(comps) == 1 else f"disconnected ({len(comps)} components)"
+        if is_connected(g):
+            state = "connected"
+        elif g.undirected:
+            state = f"disconnected ({len(weak_components(g))} components)"
+        else:
+            state = "disconnected"
         print(f"member {i}: {state}")
     ok, witness = is_tau_jointly_connected(net, args.tau, horizon)
     if ok:

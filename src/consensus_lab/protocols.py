@@ -13,6 +13,7 @@ simulator's per-member kernels share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -21,6 +22,7 @@ import numpy as np
 
 from .graphs import WeightedDigraph
 from .io import json_field
+from .metrics import _require_positive
 
 __all__ = [
     "Linear",
@@ -52,8 +54,7 @@ class Linear:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"gain must be positive, got k={self.k}")
+        _require_positive("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class Sign:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"gain must be positive, got k={self.k}")
+        _require_positive("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,8 @@ class Power:
     alpha: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"gain must be positive, got k={self.k}")
-        if self.alpha <= 0 or self.alpha == 1.0:
+        _require_positive("k", self.k)
+        if not (0 < self.alpha < math.inf) or self.alpha == 1.0:
             raise ValueError(f"exponent must lie in (0, 1) or (1, inf), got {self.alpha}")
 
 
@@ -97,12 +96,12 @@ class FixedTime:
     q: float
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError(f"gains must be positive, got k1={self.k1}, k2={self.k2}")
+        _require_positive("k1", self.k1)
+        _require_positive("k2", self.k2)
         if not 0 < self.p < 1:
             raise ValueError(f"low exponent must lie in (0, 1), got p={self.p}")
-        if self.q <= 1:
-            raise ValueError(f"high exponent must exceed 1, got q={self.q}")
+        if not 1 < self.q < math.inf:
+            raise ValueError(f"high exponent must be finite and exceed 1, got q={self.q}")
 
 
 NodeFunction = Union[Linear, Sign, Power, FixedTime]

@@ -30,8 +30,7 @@ class FloorModulo:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        _require_positive("rate", self.rate)
         if self.modulus < 1:
             raise ValueError("modulus must be a positive integer")
 

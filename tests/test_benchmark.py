@@ -11,14 +11,13 @@ import consensus_lab.benchmark as benchmark_module
 from consensus_lab.benchmark import (
     BISECTION_STEPS,
     GAIN_BRACKET,
-    HEDGE_LEVELS,
     PATH_LEVELS,
     RETIRED,
     CalibrationError,
     LcgConfig,
+    _base_steps,
     _predict_gain,
     _predicted_path,
-    _snap_horizon,
     _sweep_rows,
     benchmark_protocol,
     benchmark_topology,
@@ -30,7 +29,7 @@ from consensus_lab.benchmark import (
 from consensus_lab.graphs import circulant_graph, is_connected
 from consensus_lab.metrics import settling_time
 from consensus_lab.protocols import Direction, Power, Protocol
-from consensus_lab.simulate import DivergenceError, SimConfig, simulate
+from consensus_lab.simulate import DivergenceError, SimConfig, _Run, simulate
 from consensus_lab.switching import FloorModulo
 
 from gen import assert_no_child
@@ -128,7 +127,7 @@ def _reference_calibration(
     net = benchmark_topology(n)
     x0 = lcg_initial_conditions(LcgConfig(), n)
     cfg = SimConfig(
-        t_end=_snap_horizon(max(4 * target_t, 20 * dt), dt),
+        t_end=_base_steps(target_t, dt) * dt,
         dt=dt,
         stop_epsilon=target_v,
         record_stride=10**9,
@@ -176,16 +175,15 @@ def _reference_calibration(
 
 
 def _traced_calibration(family, direction, n, target_t, dt):
-    """calibrate_gain's result, and the (path, hedge) probes of each
-    bisection round."""
+    """calibrate_gain's result, and the path probes of each bisection
+    round."""
     rounds = []
     real_path = benchmark_module._predicted_path
 
     def predicted_path(*args):
-        path, bracket = real_path(*args)
-        hedge = benchmark_module._bisection_midpoints(*bracket, HEDGE_LEVELS)
-        rounds.append((path, hedge))
-        return path, bracket
+        path = real_path(*args)
+        rounds.append(path)
+        return path
 
     with mock.patch.object(benchmark_module, "_predicted_path", predicted_path):
         got = calibrate_gain(family, direction, n=n, target_v=0.05, target_t=target_t, dt=dt)
@@ -193,16 +191,14 @@ def _traced_calibration(family, direction, n, target_t, dt):
 
 
 def _mispredicted_rounds(rounds, mids):
-    """Rounds whose path, or the root of their hedge, left the serial
-    midpoints mids; each round starts at the first serial midpoint the
-    rounds before it did not probe."""
+    """Rounds whose path left the serial midpoints mids; each round starts
+    at the first serial midpoint the rounds before it did not probe."""
     probed, level, wrong = set(), 0, []
-    for r, (path, hedge) in enumerate(rounds):
-        predicted = path + hedge[:1]
-        serial = mids[level : level + len(predicted)]
-        if predicted[: len(serial)] != serial:
+    for r, path in enumerate(rounds):
+        serial = mids[level : level + len(path)]
+        if path[: len(serial)] != serial:
             wrong.append(r)
-        probed.update(path + hedge)
+        probed.update(path)
         while level < len(mids) and mids[level] in probed:
             level += 1
     return wrong
@@ -219,12 +215,12 @@ class TestPredictor:
         # T(hi) = 0.0: every midpoint is predicted fast
         k_hat = _predict_gain(10.0, 0.0, 1.0)
         assert k_hat == 0.0
-        path, bracket = _predicted_path(1.0, 10.0, k_hat, PATH_LEVELS)
-        assert path == [5.5, 3.25, 2.125, 1.5625] and bracket == (1.0, 1.5625)
+        assert _predicted_path(1.0, 10.0, k_hat, PATH_LEVELS) == [
+            5.5, 3.25, 2.125, 1.5625, 1.28125, 1.140625, 1.0703125
+        ]
 
     def test_nan_prediction_steps_to_slow_halves(self):
-        path, bracket = _predicted_path(0.0, 16.0, math.nan, 3)
-        assert path == [8.0, 12.0, 14.0] and bracket == (14.0, 16.0)
+        assert _predicted_path(0.0, 16.0, math.nan, 4) == [8.0, 12.0, 14.0, 15.0]
 
 
 class TestCalibration:
@@ -257,18 +253,16 @@ class TestCalibration:
             family, direction, n=10, target_v=0.05, target_t=1.0, dt=1e-3
         ) == _reference_calibration(family, direction, 10, 0.05, 1.0, 1e-3)
 
-    # the serial bisection hits the band at `level`, on the predicted path or
-    # on the hedge below it, in a round whose predictions all held, or after
-    # a round whose path left the serial one
+    # the serial bisection hits the band at `level`, on the predicted path of
+    # the last round: in a round whose predictions all held, or after a round
+    # whose path left the serial one
     @pytest.mark.parametrize(
         "family, direction, target_t, level, where",
         [
-            ("power", PE, 1.0, 7, "path"),
-            ("power", AGG, 0.5, 6, "hedge"),
-            ("fixed_time", PE, 1.5, 5, "hedge"),
+            ("power", AGG, 1.0, 7, "path"),
             ("fixed_time", PE, 1.0, 6, "after misprediction"),
         ],
-        ids=["path", "hedge-power", "hedge-fixed-time", "after-misprediction"],
+        ids=["path", "after-misprediction"],
     )
     def test_band_hit_on_path_hedge_or_after_miss(self, family, direction, target_t, level, where):
         levels, mids = [], []
@@ -278,21 +272,19 @@ class TestCalibration:
         assert levels == [level]
         got, rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
         assert got == want
-        path, hedge = rounds[-1]
+        assert want[0] in rounds[-1]
         mispredicted = _mispredicted_rounds(rounds, mids)
         if where == "after misprediction":
             assert mispredicted and max(mispredicted) < len(rounds) - 1
         else:
             assert not mispredicted
-            assert want[0] in (path if where == "path" else hedge)
-            assert want[0] not in (hedge if where == "path" else path)
 
     @pytest.mark.parametrize(
         "predict", [lambda lo: lo, lambda lo: math.nan], ids=["low-end", "nan"]
     )
     @pytest.mark.parametrize(
         "family, direction, target_t",
-        [("power", PE, 1.0), ("power", AGG, 2.0), ("fixed_time", PE, 2.0)],
+        [("power", PE, 1.0), ("power", AGG, 2.0), ("fixed_time", PE, 3.0)],
         ids=["power-pe", "power-agg", "fixed-time-pe"],
     )
     def test_wrong_predictions_cost_rounds_not_decisions(
@@ -311,10 +303,27 @@ class TestCalibration:
         assert got == want
         assert len(wrong_rounds) > len(rounds)
 
+    @pytest.mark.parametrize("family", ["power", "fixed_time"])
+    @pytest.mark.parametrize("direction", [PE, AGG], ids=["pe", "agg"])
+    def test_anchor_calibration_takes_two_rounds(self, family, direction):
+        # the pre-scan and one bisection round at n = 25, target_t = 1.0
+        runs = []
+
+        def counted_run(*args, **kwargs):
+            runs.append(None)
+            return _Run(*args, **kwargs)
+
+        with mock.patch.object(benchmark_module, "_Run", counted_run):
+            _, achieved = calibrate_gain(
+                family, direction, n=25, target_v=0.05, target_t=1.0, dt=1e-3
+            )
+        assert abs(achieved - 1.0) <= 10 * 1e-3
+        assert len(runs) <= 2
+
     @pytest.mark.parametrize("steps", [2, 4])
     def test_exhausted_bisection_message(self, steps):
-        # a short bisection cannot reach the band; a round's path and hedge
-        # are cut short at the last of the steps levels
+        # a short bisection cannot reach the band; a round's path is cut
+        # short at the last of the steps levels
         with pytest.raises(CalibrationError) as want:
             _reference_calibration("power", AGG, 10, 0.05, 1.0, 1e-3, steps=steps)
         with mock.patch.object(benchmark_module, "BISECTION_STEPS", steps):
@@ -369,7 +378,7 @@ class TestSweepRow:
         k, n, eps, dt, base = 1.0, 10, 0.05, 1e-3, 0.125
         t_star, e_tot, horizon = _serial_row("power", AGG, k, n, eps, dt, base)
         assert horizon >= 4 * base
-        got = _sweep_rows("power", AGG, k, [n], eps, dt, LcgConfig(), base)
+        got = _sweep_rows("power", AGG, k, [n], eps, dt, LcgConfig(), round(base / dt))
         assert got == [(t_star, e_tot)]
 
     # with k = 3 the smallest row settles within base and a larger one only
@@ -388,7 +397,7 @@ class TestSweepRow:
         want = [_serial_row(family, direction, k, n, eps, dt, base) for n in sizes]
         horizons = [h for _, _, h in want]
         assert min(horizons) == base and max(horizons) >= 4 * base
-        got = _sweep_rows(family, direction, k, sizes, eps, dt, LcgConfig(), base)
+        got = _sweep_rows(family, direction, k, sizes, eps, dt, LcgConfig(), round(base / dt))
         assert [(t.hex(), e.hex()) for t, e in got] == [
             (t.hex(), e.hex()) for t, e, _ in want
         ]
@@ -412,10 +421,10 @@ class TestSweepFailures:
         # diverges, so a sweep by direction would raise the per-edge failure
         gains, sizes, eps, dt = {PE: 106.0, AGG: 130.0}, [7, 12, 25, 40], 0.05, 1e-3
         target_t = 0.005
-        base = _snap_horizon(max(4 * target_t, 20 * dt), dt)
+        base = _base_steps(target_t, dt)
         per_edge = _sweep_rows("fixed_time", PE, gains[PE], sizes, eps, dt, LcgConfig(), base)
         assert isinstance(per_edge[2], RuntimeError)
-        want = _first_serial_failure("fixed_time", gains, sizes, eps, dt, base)
+        want = _first_serial_failure("fixed_time", gains, sizes, eps, dt, base * dt)
         assert isinstance(want, DivergenceError)
         assert str(want).startswith("benchmark row n=12 direction=aggregated: state diverged")
         with pytest.raises(DivergenceError) as got:
@@ -430,8 +439,9 @@ class TestSweepFailures:
         # run in the forked child, so the error comes back pickled
         gains, sizes, eps, dt = {PE: 130.0, AGG: 60.0}, [7, 12, 25, 40], 0.05, 1e-3
         target_t = 0.005
-        base = _snap_horizon(max(4 * target_t, 20 * dt), dt)
-        want = _first_serial_failure("fixed_time", gains, sizes, eps, dt, base)
+        want = _first_serial_failure(
+            "fixed_time", gains, sizes, eps, dt, _base_steps(target_t, dt) * dt
+        )
         assert str(want).startswith("benchmark row n=12 direction=per_edge: state diverged")
         with pytest.raises(DivergenceError) as got:
             self._run(2, gains, sizes, eps, dt, target_t)
@@ -466,10 +476,10 @@ class TestSweepFailures:
         # the per-edge failure at n = 25
         gains, sizes, eps, dt = {PE: 1.0, AGG: 1.0}, [12, 25], 1e-6, 1e-3
         target_t = 0.005
-        base = _snap_horizon(max(4 * target_t, 20 * dt), dt)
+        base = _base_steps(target_t, dt)
         per_edge = _sweep_rows("power", PE, 1.0, sizes, eps, dt, LcgConfig(), base)
         assert isinstance(per_edge[0], tuple) and isinstance(per_edge[1], RuntimeError)
-        want = _first_serial_failure("power", gains, sizes, eps, dt, base)
+        want = _first_serial_failure("power", gains, sizes, eps, dt, base * dt)
         assert type(want) is RuntimeError
         assert str(want) == "benchmark row n=12 direction=aggregated did not settle within 20.48 s"
         with pytest.raises(RuntimeError) as got:

@@ -485,6 +485,35 @@ class TestVerify:
         assert res.stdout.count("disconnected (2 components)") == 2
         assert "tau-jointly connected" in res.stdout
 
+    # one static member on 3 nodes: the member line and the window verdict
+    # agree under the unilateral notion they both name
+    @pytest.mark.parametrize(
+        "edges, state, code",
+        [
+            ([[0, 1, 1.0], [2, 1, 1.0]], "disconnected", 4),
+            ([[0, 1, 1.0], [0, 2, 1.0]], "disconnected", 4),
+            ([[0, 1, 1.0], [1, 2, 1.0]], "connected", 0),
+        ],
+        ids=["in-star", "out-star", "directed-path"],
+    )
+    def test_digraph_member_lines_match_the_verdict(self, tmp_path, edges, state, code):
+        net = write_json(
+            tmp_path / "digraph.json",
+            {"signal": {"type": "floor_modulo", "rate": 1.0, "modulus": 1},
+             "graphs": [{"n": 3, "undirected": False, "edges": edges}]},
+        )
+        res = run_cli("verify", net, "--tau", "1")
+        assert res.returncode == code, res.stderr
+        verdict = (
+            "tau-jointly connected: tau=1, horizon=3" if code == 0
+            else "FAIL: union over [0, 1] is disconnected (tau=1, horizon=3)"
+        )
+        assert res.stdout.splitlines() == [
+            "connectivity: unilateral (each pair of nodes joined by a path one way or the other)",
+            f"member 0: {state}",
+            verdict,
+        ]
+
     def test_joint_connectivity_fail(self, phased_net):
         res = run_cli("verify", phased_net, "--tau", "0.5")
         assert res.returncode == 4

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,31 +87,32 @@ class TestEvalF:
 
 class TestValidation:
     def test_gains_must_be_positive(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            named = re.escape(f"must be positive and finite, got {bad}")
+            with pytest.raises(ValueError, match="k " + named):
                 Linear(k=bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="k " + named):
                 Sign(k=bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="k " + named):
                 Power(k=bad, alpha=0.5)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="k1 " + named):
                 FixedTime(k1=bad, k2=1.0, p=0.5, q=1.5)
+            with pytest.raises(ValueError, match="k2 " + named):
+                FixedTime(k1=1.0, k2=bad, p=0.5, q=1.5)
 
     def test_power_exponent_range(self):
-        with pytest.raises(ValueError):
-            Power(k=1.0, alpha=0.0)
-        with pytest.raises(ValueError):
-            Power(k=1.0, alpha=1.0)
-        with pytest.raises(ValueError):
-            Power(k=1.0, alpha=-0.5)
+        for bad in (0.0, 1.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
+                Power(k=1.0, alpha=bad)
         # exponents above one are legal carriers for infinity-limit forms
         Power(k=1.0, alpha=1.5)
 
     def test_fixed_time_exponent_ranges(self):
         with pytest.raises(ValueError):
             FixedTime(k1=1.0, k2=1.0, p=1.0, q=1.5)
-        with pytest.raises(ValueError):
-            FixedTime(k1=1.0, k2=1.0, p=0.5, q=1.0)
+        for bad in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"got q={bad}")):
+                FixedTime(k1=1.0, k2=1.0, p=0.5, q=bad)
 
 
 class TestConsensusError:

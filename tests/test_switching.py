@@ -52,8 +52,9 @@ class TestFloorModulo:
         assert FloorModulo(rate=5.0, modulus=2).tau_min == 0.2
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            FloorModulo(rate=0.0, modulus=2)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"rate must be positive and finite, got {bad}"):
+                FloorModulo(rate=bad, modulus=2)
         with pytest.raises(ValueError):
             FloorModulo(rate=1.0, modulus=0)
 
