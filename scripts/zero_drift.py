@@ -30,7 +30,11 @@ script runs
   metrics.csv writer and every switch;
 - example 1's graphs and protocol under a breakpoint signal from t0 = 0.1
   with switches at 0.25, 0.5 and 1.3, with --dt 1e-3 --t-end 3.1; and the
-  same with the switch at 0.5005, off the steps, which exits 1.
+  same with the switch at 0.5005, off the steps, which exits 1;
+- example 1's graphs with arc weights 0.5, 1.5 and 2.5 under a per-edge
+  sign law with --dt 1e-3 --t-end 15 --per-node --record-stride 7, and
+  under a per-edge linear law of gain 2 with --dt 1e-4 --t-end 10
+  --per-node --record-stride 100.
 
 Every run writes into its own temporary directory, which holds the files
 of INPUTS before it starts, and the other inputs are this checkout's
@@ -61,14 +65,30 @@ _SIMULATE = [
 HERE = ["--out", "."]
 
 
+def _example1_network():
+    with open(os.path.join(EXAMPLE1, "network.json")) as f:
+        return json.load(f)
+
+
 def _example1_breakpoints(times):
     """Example 1's network text with its signal replaced by breakpoints at
     times from t0 = 0.1, alternating its two members."""
-    with open(os.path.join(EXAMPLE1, "network.json")) as f:
-        net = json.load(f)
+    net = _example1_network()
     indices = [i % 2 for i in range(len(times) + 1)]
     net["signal"] = {"type": "breakpoints", "times": times, "indices": indices, "t0": 0.1}
     return json.dumps(net)
+
+
+def _example1_weighted():
+    """Example 1's network text with arc weights 0.5, 1.5 and 2.5 in turn."""
+    net = _example1_network()
+    for g in net["graphs"]:
+        g["edges"] = [[i, j, 0.5 + a % 3] for a, (i, j, _) in enumerate(g["edges"])]
+    return json.dumps(net)
+
+
+def _per_edge(law, k):
+    return json.dumps({"direction": "per_edge", "f": {"type": law, "k": k}})
 
 
 # written into each run's directory before the run
@@ -77,6 +97,9 @@ INPUTS = {
     "a-file": "a regular file, not a directory\n",
     "breakpoints.json": _example1_breakpoints([0.25, 0.5, 1.3]),
     "breakpoint-off-step.json": _example1_breakpoints([0.25, 0.5005, 1.3]),
+    "weighted.json": _example1_weighted(),
+    "per-edge-sign.json": _per_edge("sign", 1.0),
+    "per-edge-linear.json": _per_edge("linear", 2.0),
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
@@ -120,6 +143,14 @@ CASES = {
     + ["--dt", "1e-3", "--t-end", "3.1"] + HERE,
     "example1-breakpoint-off-step": [_SIMULATE[0], "breakpoint-off-step.json", *_SIMULATE[2:]]
     + ["--dt", "1e-3", "--t-end", "3.1"] + HERE,
+    "example1-weighted-per-edge-sign": [
+        _SIMULATE[0], "weighted.json", "per-edge-sign.json", *_SIMULATE[3:],
+        "--dt", "1e-3", "--t-end", "15", "--per-node", "--record-stride", "7",
+    ] + HERE,
+    "example1-weighted-per-edge-linear": [
+        _SIMULATE[0], "weighted.json", "per-edge-linear.json", *_SIMULATE[3:],
+        "--dt", "1e-4", "--t-end", "10", "--per-node", "--record-stride", "100",
+    ] + HERE,
 }
 
 # what a failing case must not leave in its directory

@@ -1,0 +1,130 @@
+"""The compiled stretch loop of _stretch.c, loaded with ctypes.
+
+stretch(union, dt) gives the Euler steps of one member in C for the laws
+whose C arithmetic is numpy's: Linear, Sign and Power with alpha = 0.5.
+The library is built at first use with the installed gcc, never at
+import, and cached under $XDG_CACHE_HOME/consensus-lab (by default
+~/.cache/consensus-lab), keyed by a hash of the source, the flags and the
+compiler version. Where gcc is missing or the build or the load fails,
+stretch returns None and the simulator keeps the numpy kernel, which
+gives the same bytes.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+import subprocess
+import tempfile
+import zlib
+from importlib import resources
+
+import numpy as np
+
+from .protocols import Direction, Linear, Power, Sign
+
+# -ffp-contract=off: where the target has FMA, x + dt*u must not fuse
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_LAWS = {Linear: 0, Sign: 1, Power: 2}  # the law enum of _stretch.c
+PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
+# law, mode, n, m, src, dst, w, k, k_step, dt, acc, then steps, x, X, U
+_INT, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _P, _I64, ctypes.c_double, _P, _I64, _P, _P, _P]
+
+_lib = None  # the bound C function once loaded; False once that failed
+
+
+def load():
+    """The compiled stretch function, built on first use; None where it
+    cannot be built or loaded."""
+    global _lib
+    if _lib is None:
+        try:
+            _lib = _load()
+        except (OSError, AttributeError, subprocess.SubprocessError):
+            _lib = False
+    return _lib or None
+
+
+def _load():
+    source = resources.files(__package__).joinpath("_stretch.c").read_bytes()
+    gcc = subprocess.run(["gcc", "-dumpfullversion"], capture_output=True, check=True)
+    key = _digest(b"\0".join([source, " ".join(FLAGS).encode(), gcc.stdout]))
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    folder = os.path.join(cache, "consensus-lab")
+    # a library is named by the digest of its bytes, which is checked before
+    # the load: dlopen can crash on a truncated file rather than fail
+    for path in glob.glob(os.path.join(glob.escape(folder), f"stretch-{key}-*.so")):
+        with open(path, "rb") as fh:
+            if path.endswith(f"-{_digest(fh.read())}.so"):
+                return _bind(path)
+    try:
+        os.makedirs(folder, exist_ok=True)
+        return _bind(_build(source, folder, key))
+    except OSError:
+        # the cache cannot be written: build where the load alone needs it
+        with tempfile.TemporaryDirectory() as tmp:
+            return _bind(_build(source, tmp, key))
+
+
+def _digest(data):
+    # zlib is loaded with numpy already; hashlib would load libcrypto, whose
+    # pages would count against the peak RSS of every run
+    return f"{zlib.crc32(data):08x}"
+
+
+def _build(source, folder, key):
+    """Compile source into folder through a temporary name, so no reader
+    ever sees a partly written library; the library's path."""
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=folder)
+    os.close(fd)
+    try:
+        cmd = ["gcc", *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"]
+        subprocess.run(cmd, input=source, capture_output=True, check=True)
+        with open(tmp, "rb") as fh:
+            path = os.path.join(folder, f"stretch-{key}-{_digest(fh.read())}.so")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _bind(path):
+    fn = ctypes.CDLL(path).stretch
+    fn.argtypes, fn.restype = _ARGS, None
+    return fn
+
+
+def stretch(union, dt):
+    """The compiled Euler stretch of a member (see protocols._union), or
+    None where its law is out of scope or the library cannot be had.
+
+    The result, called as (steps, x, X, U) with the addresses of float
+    arrays, runs steps Euler steps from the state at x: it writes the state
+    after each step into the rows of X and, unless U is None, its control
+    into the rows of U, with the bits of protocols._kernel and
+    np.add(x, dt * u).
+    """
+    f = union.f
+    law = _LAWS.get(type(f))
+    if law is None or (isinstance(f, Power) and f.alpha != 0.5) or load() is None:
+        return None
+    if union.direction is Direction.AGGREGATED:
+        mode = AGGREGATED
+    else:
+        mode = PER_EDGE_SIGN if law == _LAWS[Sign] else PER_EDGE
+    (k,) = union.gains
+    k = np.asarray(k, dtype=float)
+    src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (union.src, union.dst))
+    w = None if union.w is None else np.ascontiguousarray(union.w, dtype=float)
+    acc = np.empty(union.n)
+    keep = (src, dst, w, k, acc)
+    addresses = [None if a is None else a.ctypes.data for a in keep]
+    call = functools.partial(
+        _lib, law, mode, union.n, len(dst), *addresses[:4], k.ndim, dt, addresses[4]
+    )
+    call.arrays = keep  # the arrays behind the addresses
+    return call

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _stretch
 from .forked import ForkedCall
 from .metrics import _require_positive, settling_time
 from .protocols import Direction, FixedTime, Power, Protocol
@@ -434,6 +434,9 @@ def run_experiment(
         )
         for d in directions
     ]
+    # build the compiled stretch loop here, so children inherit it rather
+    # than race to build it
+    _stretch.load()
     children = [ForkedCall(chain) for chain in chains[:-1]]
     try:
         last = chains[-1]()

@@ -7,8 +7,10 @@ to the stacked consensus error e = -Q x. Both coincide for the linear law
 and differ otherwise. Both directions sum the edge differences
 x_src - x_dst into their destination rows with np.bincount, so every row
 is exactly zero at consensus whatever the weights. Each law's formula is
-written once, in the pre-bound evaluator that eval_f, control and the
-simulator's per-member kernels share.
+written once in Python, in the pre-bound evaluator that eval_f, control
+and the simulator's per-member kernels share; the compiled stretch loop
+(_stretch.c) repeats those of Linear, Sign and Power with alpha = 0.5,
+and the tests hold it bit-equal to them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -172,18 +174,34 @@ def consensus_error(g: WeightedDigraph, x) -> np.ndarray:
     return np.bincount(dst, w * (x[src] - x[dst]), minlength=g.n)
 
 
-def _kernel(protocols, graphs):
-    """The map x -> u of a disjoint union of systems: graphs[c] under
-    protocols[c], with the nodes of component c after those of c - 1.
+class _Union(NamedTuple):
+    """One member of a disjoint union of systems, ready to act on a state.
+
+    src, dst and w are the arcs of the components in component order, with
+    node offsets; w is None when every weight is exactly 1.0. gains are the
+    law's gains in _split_law's order, each a scalar shared by every
+    component or a per-arc or per-node array (see _union).
+    """
+
+    direction: Direction
+    f: NodeFunction
+    n: int
+    src: np.ndarray
+    dst: np.ndarray
+    w: Optional[np.ndarray]
+    gains: tuple
+
+
+def _union(protocols, graphs):
+    """The disjoint union of systems: graphs[c] under protocols[c], with the
+    nodes of component c after those of c - 1.
 
     The protocols share the direction, the law type and its exponents, and
     each brings its own gains. The arcs are concatenated in component order
     with node offsets, so np.bincount sums every destination in the order of
     its component alone. A gain that differs between components becomes a
     per-arc or per-node array, whose product with a value is the scalar
-    product elementwise; a shared gain stays a scalar. The weight multiply
-    is skipped when every arc weight is exactly 1.0, which changes no bit.
-    x must be a float state of the union's size.
+    product elementwise; a shared gain stays a scalar.
     """
     direction = protocols[0].direction
     f = protocols[0].f
@@ -205,33 +223,43 @@ def _kernel(protocols, graphs):
         sizes.append((g.n, len(dst)))
         n += g.n
     src, dst, w = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
+    if len(set(gains)) > 1:
+        per_node = direction is Direction.AGGREGATED or isinstance(f, Sign)
+        counts = [nodes if per_node else arcs for nodes, arcs in sizes]
+        gains = tuple(np.repeat(ks, counts) for ks in zip(*gains))
+    else:
+        gains = gains[0]
+    unit = bool((w == 1.0).all())
+    return _Union(direction, f, n, src, dst, None if unit else w, gains)
+
+
+def _kernel(u):
+    """The map x -> u(x) of a union (see _union), which applies the law's
+    node function with numpy. The weight multiply is skipped when every
+    arc weight is exactly 1.0, which changes no bit. x must be a float
+    state of the union's size.
+    """
+    n, src, dst, w, f = u.n, u.src, u.dst, u.w, u.f
     if not dst.size:
         # bincount would give integer zeros here; f(0) = 0 for every law
         return lambda x: np.zeros(n)
-    per_node = direction is Direction.AGGREGATED or isinstance(f, Sign)
-    if len(set(gains)) > 1:
-        counts = [nodes if per_node else arcs for nodes, arcs in sizes]
-        gains = [np.repeat(ks, counts) for ks in zip(*gains)]
-    else:
-        gains = gains[0]
-    fn = _node_function(f, gains)
-    unit = bool((w == 1.0).all())
-    if direction is Direction.AGGREGATED:
-        if unit:
+    fn = _node_function(f, u.gains)
+    if u.direction is Direction.AGGREGATED:
+        if w is None:
             return lambda x: fn(np.bincount(dst, x[src] - x[dst], minlength=n))
         return lambda x: fn(np.bincount(dst, w * (x[src] - x[dst]), minlength=n))
     if isinstance(f, Sign):
         # per-edge sign sums bare signs of the differences, weights drop out
-        (k,) = gains
+        (k,) = u.gains
         return lambda x: k * np.bincount(dst, np.sign(x[src] - x[dst]), minlength=n)
-    if unit:
+    if w is None:
         return lambda x: np.bincount(dst, fn(x[src] - x[dst]), minlength=n)
     return lambda x: np.bincount(dst, w * fn(x[src] - x[dst]), minlength=n)
 
 
 def control(protocol: Protocol, g: WeightedDigraph, x) -> np.ndarray:
     """Control input of every node under the given protocol on graph g."""
-    return _kernel([protocol], [g])(_check_state(g, x))
+    return _kernel(_union([protocol], [g]))(_check_state(g, x))
 
 
 def homogeneity_degree_estimate(f, x_samples, lam_samples):

@@ -5,12 +5,17 @@ never smears across a step. switching.step_schedule owns the schedule in
 integer steps, exact over long horizons; this module knows no signal type.
 
 The step loop does only the Euler update, in stretches of steps under one
-member with its kernel bound once. The spread, the divergence guard, the
-sticky stop and the effort integrals are evaluated once per block of
-steps, with the metrics module's block forms; the step at which a run stops
-or diverges, and every number it records, are those of a check after every
-step. A run whose caller reads no effort, such as a calibration probe,
-skips the effort integrals altogether.
+member. Where the law's arithmetic in C is numpy's (Linear, Sign, and
+Power with alpha = 0.5) and the library of _stretch.c builds, each stretch
+is one call of that compiled loop; otherwise protocols._kernel, bound once
+per member, runs it step by step with numpy. Both give the same bytes. The
+strided records are read off the block's states and controls afterwards.
+The spread, the divergence guard, the sticky stop and the effort integrals
+are evaluated once per block of steps, with the metrics module's block
+forms; the step at which a run stops or diverges, and every number it
+records, are those of a check after every step. A run whose caller reads
+no effort, such as a calibration probe, skips the effort integrals
+altogether.
 
 Independent systems that share the signal, dt and the protocol's law up to
 its gains run as one union (simulate_batch): one state vector, one kernel
@@ -27,8 +32,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import _stretch
 from .metrics import MetricSeries, _require_positive, isce_accumulate, segment_spread
-from .protocols import Protocol, _kernel, control
+from .protocols import Protocol, _kernel, _union, control
 from .switching import DynamicNetwork, step_schedule
 
 __all__ = [
@@ -47,6 +53,8 @@ BLOCK_STEPS = 1024
 BLOCK_ELEMENTS = 2**14
 # what a run integrates of the control effort: nothing, E_tot, or E_tot and E_i
 EFFORTS = (None, "total", "per_node")
+# the work a run counts (see _Run)
+COUNTERS = ("steps", "blocks", "switches", "stretches_compiled", "stretches_numpy", "discarded")
 
 
 class DivergenceError(RuntimeError):
@@ -212,13 +220,15 @@ class _Run:
     E_tot stay whole.
 
     Each Euler step from t_j applies the kernel u = f(x) of the member
-    active over [t_j, t_{j+1}), bound once per stretch of steps under one
-    member, and steps x by dt*u; effort integrals advance by the
-    left-endpoint rule. effort, one of EFFORTS, says which effort the run
-    keeps: None keeps none, so the loop neither stores the controls nor
-    integrates them and metrics() reports E_tot as None; "total" keeps
-    E_tot, and "per_node" also E_i. V, the stop and the divergence do not
-    depend on it.
+    active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
+    advance by the left-endpoint rule. A stretch of steps under one member
+    runs in one call of the compiled loop (see _stretch) when the union's
+    law is in its scope and the library loads, and on the numpy kernel
+    otherwise, with the same bytes. effort, one of EFFORTS, says which
+    effort the run keeps: None keeps none, so the loop stores the controls
+    only for the recorded steps and integrates none, and metrics() reports
+    E_tot as None; "total" keeps E_tot, and "per_node" also E_i. V, the
+    stop and the divergence do not depend on it.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
     state entries. Once per block the spread V, the divergence guard, the
@@ -231,6 +241,11 @@ class _Run:
     system alone. Steps a block computed past a system's end are discarded.
     A system that ends, or that drop() removes, leaves the union before the
     next block, so the others no longer pay for it.
+
+    counters counts the run's work: Euler steps of the union, blocks,
+    switches, stretches run compiled and on numpy, and discarded, the steps
+    that blocks computed for a system past its sticky stop or its
+    divergence (one per system and step).
     """
 
     def __init__(self, systems, dt, stop_epsilon=None, record_stride=1, effort="total"):
@@ -262,6 +277,7 @@ class _Run:
         self._effort = effort
         self._next = 0  # first step not yet observed by the union
         self._member = self._schedule(0)[0]  # member of the latest Euler step
+        self.counters = dict.fromkeys(COUNTERS, 0)
         comps = self.components
         self._pack(
             list(comps),
@@ -281,14 +297,18 @@ class _Run:
         if not live:
             return
         protocols = [c.protocol for c in live]
-        self._kernels = [
-            _kernel(protocols, [c.net.graphs[m] for c in live]) for m in range(self._members)
+        unions = [
+            _union(protocols, [c.net.graphs[m] for c in live]) for m in range(self._members)
         ]
+        # every member shares the law, so either all or none compile
+        self._stretches = [_stretch.stretch(u, self.dt) for u in unions]
+        if None in self._stretches:
+            self._stretches = None
+            self._kernels = [_kernel(u) for u in unions]
         n = sum(sizes)
         block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
         self._X = np.empty((block, n))  # state observed at each step of a block
-        # control of the step into it, then effort
-        self._U = np.empty((block, n)) if self._effort else None
+        self._U = np.empty((block, n))  # control of the step into it, then effort
 
     def _repack(self):
         """Take the components that have ended out of the union."""
@@ -336,35 +356,56 @@ class _Run:
     def _block(self, first, end):
         """Observe steps first..end-1: run their Euler steps, then check and
         record them in one pass."""
-        X = self._X[: end - first]
-        U = self._U[: end - first] if self._effort else None
-        schedule, kernels = self._schedule, self._kernels
-        dt, stride = self.dt, self._stride
+        X, U = self._X[: end - first], self._U[: end - first]
+        schedule, stretches, counters = self._schedule, self._stretches, self.counters
+        dt, stride, effort = self.dt, self._stride, self._effort
         x, member = self._x, self._member
-        switches, records = [], []
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
             X[0] = x
-            if U is not None:
-                U[0] = 0.0
+            U[0] = 0.0
         shift = first - 1  # the Euler step from t_j to t_{j+1} fills row j - shift
         j = max(shift, 0)
+        counters["steps"] += end - 1 - j
+        # the recorded steps among the Euler steps j..end-2
+        recorded = np.arange(-(-j // stride) * stride, end - 1, stride)
+        keep_u = effort is not None or len(recorded) > 0
+        switches = []
         while j < end - 1:
             now, change = schedule(j)
             if now != member:
                 switches.append((j, member, now))
                 member = now
-            kern = kernels[member]
-            stretch_end = min(change, end - 1)
-            for j in range(j, stretch_end):
-                u = kern(x)
-                if j % stride == 0:
-                    records.append((j, x.copy(), u))
-                if U is not None:
-                    U[j - shift] = u
-                x = np.add(x, dt * u, out=X[j - shift])
-            j = stretch_end
+            a, b = j - shift, min(change, end - 1) - shift  # the stretch's rows
+            if stretches is not None:
+                row = X.strides[0]
+                stretches[member](
+                    b - a,
+                    x.ctypes.data,
+                    X.ctypes.data + a * row,
+                    U.ctypes.data + a * row if keep_u else None,
+                )
+                x = X[b - 1]
+                counters["stretches_compiled"] += 1
+            else:
+                kern = self._kernels[member]
+                for r in range(a, b):
+                    u = kern(x)
+                    if keep_u:
+                        U[r] = u
+                    x = np.add(x, dt * u, out=X[r])
+                counters["stretches_numpy"] += 1
+            j = b + shift
         self._member = member
+        counters["blocks"] += 1
+        counters["switches"] += len(switches)
+
+        # the state and control of each recorded step; the Euler step out of
+        # the block's first step (row 0) starts from the state before it
+        at = recorded - shift
+        states, controls = X[at - 1], U[at]
+        if len(at) and at[0] == 0:
+            states[0] = self._x
 
         # spread and largest |x_i| of each system at each step
         rows = len(X)
@@ -381,7 +422,6 @@ class _Run:
         kept = [min(s + 1, rows) for s in stop]
         m = max((k for k, d in zip(kept, diverged) if not d), default=0)
 
-        effort = self._effort
         if effort:
             S = isce_accumulate(self._s_accum, U[:m], dt, out=U[:m])
             if m == rows:
@@ -395,6 +435,7 @@ class _Run:
                 b = bad[i]
                 c.error = DivergenceError(t0 + dt * (first + b), peak[b, i])
                 c.ended = True
+                counters["discarded"] += rows - 1 - b
                 continue
             k = kept[i]
             last = first + k - 1
@@ -407,15 +448,15 @@ class _Run:
             c.V[first : last + 1] = V[:k, i]
             # Euler steps from the last observed step on belong to later blocks
             c.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
-            for j, state, u in records:
-                if j < last:
-                    c.rec_steps.append(j)
-                    c.rec_states.append(state[sl])
-                    c.rec_controls.append(u[sl])
+            for q in range(np.searchsorted(recorded, last)):
+                c.rec_steps.append(int(recorded[q]))
+                c.rec_states.append(states[q, sl])
+                c.rec_controls.append(controls[q, sl])
             c.next = last + 1
             if stop[i] < rows:
                 c.stopped = c.ended = True
                 c.x = X[k - 1, sl].copy()
+                counters["discarded"] += rows - k
 
         self._next = end
         self._x = X[-1].copy()

@@ -22,6 +22,12 @@ from .io import json_field
 from .metrics import _require_positive
 
 
+def _require_finite(name, value):
+    """Raise ValueError, naming the value, unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FloorModulo:
     rate: float
@@ -31,6 +37,7 @@ class FloorModulo:
 
     def __post_init__(self):
         _require_positive("rate", self.rate)
+        _require_finite("t0", self.t0)
         if self.modulus < 1:
             raise ValueError("modulus must be a positive integer")
 
@@ -51,6 +58,9 @@ class Breakpoints:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        _require_finite("t0", self.t0)
+        for t in self.times:
+            _require_finite("switch time", t)
         if len(self.indices) != len(self.times) + 1:
             raise ValueError("need exactly one more index than switch times")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):

@@ -1,7 +1,13 @@
+import contextlib
 import dataclasses
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import consensus_lab.benchmark as benchmark_module
 import consensus_lab.simulate as simulate_module
+from consensus_lab import _stretch
 from consensus_lab.graphs import WeightedDigraph, circulant_graph
 from consensus_lab.metrics import MetricSeries, settling_time
 from consensus_lab.protocols import (
@@ -24,6 +32,7 @@ from consensus_lab.protocols import (
 from consensus_lab.simulate import (
     BLOCK_STEPS,
     DIVERGENCE_LIMIT,
+    EFFORTS,
     STICKY_STEPS,
     DivergenceError,
     SimConfig,
@@ -33,7 +42,14 @@ from consensus_lab.simulate import (
     simulate,
     simulate_batch,
 )
-from consensus_lab.switching import Breakpoints, DynamicNetwork, FloorModulo, active_index
+from consensus_lab.protocols import protocol_from_json
+from consensus_lab.switching import (
+    Breakpoints,
+    DynamicNetwork,
+    FloorModulo,
+    active_index,
+    network_from_json,
+)
 
 AGG = Direction.AGGREGATED
 PE = Direction.PER_EDGE
@@ -736,22 +752,25 @@ def _member_pool(n):
 
 
 @st.composite
-def union_runs(draw):
+def union_runs(draw, laws=UNION_LAWS):
     """Two to four systems that share a signal with t0 != 0, a direction and
-    a law with its exponents, each with its own size, members, gains and
-    x0; a config and a horizon of whole steps."""
+    a law with its exponents, each with its own size, members and x0, and
+    with its own gains or those of the first; a config and a horizon of
+    whole steps."""
     dt = 1e-3
     t0 = dt * draw(st.integers(min_value=1, max_value=300))
     steps = draw(st.integers(min_value=50, max_value=600))
     signal = _draw_signal(draw, t0, steps, dt)
-    law = UNION_LAWS[draw(st.sampled_from(sorted(UNION_LAWS)))]
+    law = laws[draw(st.sampled_from(sorted(laws)))]
     direction = draw(st.sampled_from([AGG, PE]))
+    shared = law(draw) if draw(st.booleans()) else None
     systems = []
     for _ in range(draw(st.integers(2, 4))):
         n = draw(st.sampled_from([4, 5, 6, 40]))
         members = [draw(st.sampled_from(_member_pool(n))) for _ in range(3)]
         x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-        systems.append((DynamicNetwork(members, signal), Protocol(direction, law(draw)), x0))
+        f = shared or law(draw)
+        systems.append((DynamicNetwork(members, signal), Protocol(direction, f), x0))
     cfg = SimConfig(
         t_end=t0 + dt * steps,
         dt=dt,
@@ -862,3 +881,190 @@ class TestUnionRun:
             simulate_batch([], cfg)
         # gains alone may differ
         assert len(simulate_batch([base, (base[0], Protocol(AGG, Power(3.0, 0.5)), base[2])], cfg)) == 2
+
+
+EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1"
+requires_compiled = pytest.mark.skipif(
+    _stretch.load() is None, reason="the compiled stretch loop cannot be built here"
+)
+# the laws of the compiled stretch loop; Linear(1e200) overflows to inf and
+# then nan within a step
+COMPILED_LAWS = {
+    "linear": lambda draw: Linear(draw(st.sampled_from([1.0, 5.0, 700.0, 1e200]))),
+    "sign": UNION_LAWS["sign"],
+    "power": UNION_LAWS["power"],
+}
+
+
+def _example1():
+    net = network_from_json(json.loads((EXAMPLE1 / "network.json").read_text()))
+    protocol = protocol_from_json(json.loads((EXAMPLE1 / "protocol.json").read_text()))
+    x0 = [float(v) for v in (EXAMPLE1 / "x0.txt").read_text().split()]
+    return net, protocol, x0
+
+
+def _bytes(a):
+    return None if a is None else (np.asarray(a).shape, np.asarray(a).tobytes())
+
+
+def _outcome_bytes(run):
+    """Every record, event, stop and error message of every system of run,
+    as bytes, so that -0.0 and +0.0 differ."""
+    out = []
+    for i, c in enumerate(run.components):
+        if c.error is not None:
+            out.append((str(c.error), _bytes(c.error.time), _bytes(c.error.max_abs)))
+            continue
+        traj = run.trajectory(i)
+        m = traj.metrics
+        arrays = (traj.times, traj.states, traj.controls, m.times, m.V, m.E_tot, m.E_i)
+        out.append(tuple(_bytes(a) for a in arrays) + (repr(traj.events), c.stopped))
+    return out
+
+
+def _numpy_only():
+    """The stretch loader of a machine that cannot build the library."""
+    return mock.patch.object(_stretch, "load", lambda: None)
+
+
+class TestCompiledStretch:
+    @requires_compiled
+    @settings(max_examples=80, deadline=None)
+    @given(case=union_runs(laws=COMPILED_LAWS), data=st.data())
+    def test_same_bytes_as_numpy_kernels(self, case, data):
+        systems, cfg, steps = case
+        effort = data.draw(st.sampled_from(EFFORTS))
+        block = data.draw(st.sampled_from([1, 2, 7, 64, None]))
+        ends = sorted(data.draw(st.lists(st.integers(1, steps), max_size=3))) + [steps]
+        drop = data.draw(
+            st.none() | st.tuples(st.integers(0, len(systems) - 1), st.integers(0, len(ends) - 1))
+        )
+
+        def outcome(compiled):
+            # the union rebuilds its kernels when it compacts, so the
+            # patches cover every advance
+            with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS), (
+                contextlib.nullcontext() if compiled else _numpy_only()
+            ):
+                run = _Run(
+                    systems,
+                    cfg.dt,
+                    stop_epsilon=cfg.stop_epsilon,
+                    record_stride=cfg.record_stride,
+                    effort=effort,
+                )
+                for k, end in enumerate(ends):
+                    run.advance(end)
+                    if drop is not None and drop[1] == k:
+                        run.drop(drop[0])
+            return run.counters, _outcome_bytes(run)
+
+        counted, got = outcome(compiled=True)
+        counted_numpy, want = outcome(compiled=False)
+        assert got == want
+        assert counted["stretches_numpy"] == 0
+        swapped = dict(counted, stretches_compiled=0, stretches_numpy=counted["stretches_compiled"])
+        assert swapped == counted_numpy
+
+    def test_fallback_gives_the_same_bytes(self, monkeypatch):
+        net, protocol, x0 = _example1()
+        cfg = SimConfig(t_end=3.0, dt=1e-3, record_stride=7, track_per_node=True)
+        want = simulate(net, protocol, x0, cfg)
+
+        def no_compiler():
+            raise FileNotFoundError("gcc")
+
+        monkeypatch.setattr(_stretch, "_lib", None)
+        monkeypatch.setattr(_stretch, "_load", no_compiler)
+        assert _stretch.load() is None
+        run = _Run([(net, protocol, x0)], cfg.dt, record_stride=7, effort="per_node")
+        run.advance(3000)
+        assert run.counters["stretches_compiled"] == 0 and run.counters["stretches_numpy"] > 0
+        got = run.trajectory()
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
+        for name in ("times", "states", "controls"):
+            assert _same_bytes(getattr(got, name), getattr(want, name))
+        assert repr(got.events) == repr(want.events)
+
+    def test_missing_compiler_falls_back(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(_stretch, "_lib", None)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert _stretch.load() is None
+
+    @requires_compiled
+    def test_truncated_cached_library_is_rebuilt(self, tmp_path):
+        # in fresh processes: a library this one has loaded must not shrink
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+        build = "from consensus_lab import _stretch; assert _stretch.load()"
+        subprocess.run([sys.executable, "-c", build], env=env, check=True)
+        (lib,) = (tmp_path / "cache" / "consensus-lab").glob("stretch-*.so")
+        whole = lib.read_bytes()
+        lib.write_bytes(whole[: len(whole) // 2])
+        res = subprocess.run(
+            [
+                sys.executable, "-m", "consensus_lab", "simulate",
+                str(EXAMPLE1 / "network.json"), str(EXAMPLE1 / "protocol.json"),
+                "--x0-file", str(EXAMPLE1 / "x0.txt"), "--dt", "1e-3", "--t-end", "1",
+                "--out", str(tmp_path / "run"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (res.returncode, res.stderr) == (0, "")
+        assert lib.read_bytes() == whole
+
+
+class TestCounters:
+    @requires_compiled
+    def test_example1_runs_compiled(self):
+        run = _Run([_example1()], 1e-3, record_stride=100, effort="per_node")
+        run.advance(15000)
+        assert run.counters == {
+            "steps": 15000,
+            "blocks": 15,  # 15 001 observed steps at 1024 a block
+            "switches": 14,
+            "stretches_compiled": 29,  # a stretch per block and per switch
+            "stretches_numpy": 0,
+            "discarded": 0,
+        }
+
+    @requires_compiled
+    def test_calibration_union_runs_compiled(self, monkeypatch):
+        runs = []
+
+        class Recorded(_Run):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        monkeypatch.setattr(benchmark_module, "_Run", Recorded)
+        with open(EXAMPLE1.parent / "benchmark" / "experiment1.json") as fh:
+            cfg = json.load(fh)
+        benchmark_module.calibrate_gain(
+            "power", PE, 25, cfg["target_v"], cfg["target_t"], dt=cfg["dt"]
+        )
+        assert runs
+        for run in runs:
+            assert run.counters["stretches_numpy"] == 0
+            assert run.counters["stretches_compiled"] > 0
+
+    def test_fixed_time_runs_on_numpy(self):
+        net = static_net(circulant_graph(6, {1}))
+        run = _Run([(net, Protocol(PE, FixedTime(1.0, 1.0, 0.5, 1.5)), np.arange(6.0))], 1e-3)
+        run.advance(500)
+        assert run.counters["stretches_compiled"] == 0
+        assert run.counters["stretches_numpy"] == run.counters["blocks"] == 1
+
+    @pytest.mark.parametrize("law", [Linear(1.0), Linear(1e200)])
+    def test_steps_past_the_end_are_discarded(self, law):
+        # a sticky stop, or a divergence, inside a block of 1024 steps
+        net = static_net(WeightedDigraph.undirected(2, [(0, 1)]))
+        run = _Run([(net, Protocol(AGG, law), [1.0, -1.0])], 1e-3, stop_epsilon=1e-3)
+        run.advance(5000)
+        c = run.components[0]
+        end = c.next - 1 if c.error is None else round(c.error.time / 1e-3)
+        assert c.ended and 0 < end < run.counters["steps"]
+        assert run.counters["steps"] - run.counters["discarded"] == end

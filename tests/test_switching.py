@@ -57,6 +57,9 @@ class TestFloorModulo:
                 FloorModulo(rate=bad, modulus=2)
         with pytest.raises(ValueError):
             FloorModulo(rate=1.0, modulus=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"t0 must be finite, got {bad}"):
+                FloorModulo(1.0, 2, t0=bad)
 
 
 class TestBreakpoints:
@@ -66,6 +69,21 @@ class TestBreakpoints:
         assert active_index(sig, 1.0) == 1
         assert active_index(sig, 2.4) == 1
         assert active_index(sig, 2.5) == 0
+
+    @pytest.mark.parametrize(
+        "times, t0, message",
+        [
+            ((math.nan,), 0.0, "switch time must be finite, got nan"),
+            ((1.0, math.inf), 0.0, "switch time must be finite, got inf"),
+            ((-math.inf, 1.0), -5.0, "switch time must be finite, got -inf"),
+            ((1.0,), math.nan, "t0 must be finite, got nan"),
+            ((1.0,), -math.inf, "t0 must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_times(self, times, t0, message):
+        indices = tuple(i % 2 for i in range(len(times) + 1))
+        with pytest.raises(ValueError, match=message):
+            Breakpoints(times=times, indices=indices, t0=t0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
