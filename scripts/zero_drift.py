@@ -26,8 +26,8 @@ script runs
 - consensus-lab simulate on configs/example2/network_sigma2.json, whose
   ten members switch every 100 steps, with --dt 1e-4 --t-end 2
   --record-stride 1 (199 switches), once without and once with
-  --per-node, whose per-node rows cross five piece edges of the
-  metrics.csv writer and every switch;
+  --per-node, whose per-node rows cross five piece edges of simulate's
+  metrics.csv and every switch;
 - example 1's graphs and protocol under a breakpoint signal from t0 = 0.1
   with switches at 0.25, 0.5 and 1.3, with --dt 1e-3 --t-end 3.1; and the
   same with the switch at 0.5005, off the steps, which exits 1;

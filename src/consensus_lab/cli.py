@@ -4,29 +4,25 @@ Exit codes: 0 ok, 1 input or I/O error, 2 divergence, 3 no settle, 4
 verification failed. Outputs are deterministic; identical invocations write
 byte-identical files.
 
-simulate advances simulate's run in pieces of PIECE_STEPS steps and sends
-each piece's rows to a forked child, which formats metrics.csv while the
-run goes on (see _MetricsWriter); without os.fork, each piece is formatted
-here as it is sent. The run keeps the per-node effort E_i only for the
-steps not yet sent, one piece at a time; V and E_tot, which trajectory.csv
-and the settling time read, stay whole. This process still creates every
-output file itself, in the order trajectory.csv, metrics.csv, events.csv,
-meta.json, and only after the run: a run that diverges writes nothing, and
-an unwritable path fails where it always did.
+simulate advances simulate's run in pieces of PIECE_STEPS steps and
+formats each piece's rows of metrics.csv as it comes, into an unlinked
+temporary file. The run keeps the per-node effort E_i only for the steps
+not yet formatted, one piece at a time; V and E_tot, which trajectory.csv
+and the settling time read, stay whole. The output files are created in
+the order trajectory.csv, metrics.csv, events.csv, meta.json, and only
+after the run: a run that diverges writes nothing, and an unwritable path
+fails where it always did.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
-
-import numpy as np
 
 from . import __version__
 from .benchmark import (
@@ -35,7 +31,6 @@ from .benchmark import (
     lcg_initial_conditions,
     run_experiment,
 )
-from .forked import ForkedCall, can_fork
 from .graphs import (
     algebraic_connectivity,
     edge_connectivity,
@@ -53,14 +48,13 @@ from .io import (  # noqa: F401
     write_results_csv,
     write_trajectory_csv,
 )
-from .metrics import MetricSeries, settling_time
+from .metrics import settling_time
 from .protocols import protocol_from_json, protocol_to_json
 # bench/layers.py traces consensus_lab.cli.simulate, so the name stays
 from .simulate import (  # noqa: F401
     DivergenceError,
     SimConfig,
     _open_run,
-    _step_times,
     simulate,
 )
 from .switching import is_tau_jointly_connected, network_from_json, network_to_json
@@ -71,8 +65,9 @@ EXIT_DIVERGED = 2
 EXIT_NO_SETTLE = 3
 EXIT_VERIFY_FAIL = 4
 
-# steps a simulate run advances between two sends to the metrics writer:
-# at 32768 the writer's tail after the run's last piece was too long
+# steps a simulate run advances between two pieces of metrics.csv; with
+# --per-node the run holds E_i for one piece, PIECE_STEPS x n floats
+# (66 MB at n = 2000)
 PIECE_STEPS = 4096
 
 
@@ -135,30 +130,31 @@ def cmd_simulate(args) -> int:
         record_stride=args.record_stride,
         track_per_node=args.per_node,
     )
-    # simulate's run, advanced in pieces so that metrics.csv is formatted
-    # in a forked child while the run goes on
     run, last = _open_run([(net, protocol, x0)], cfg)
-    writer = _MetricsWriter(run, args.per_node)
-    try:
-        # fork before the records are reserved, so the child holds none;
-        # from here on the run keeps E_i only for the steps not yet sent
-        writer.start()
+    c = run.components[0]
+
+    def pieces():
+        # the first, empty piece is taken before the records are reserved:
+        # from then on the run keeps E_i only for the steps not yet taken
+        yield run.take()
         run.reserve(last)
-        c = run.components[0]
         for first in range(0, last + 1, PIECE_STEPS):
             run.advance(min(first + PIECE_STEPS, last + 1) - 1)
-            writer.send()
+            yield run.take()
             if c.ended:
-                break
+                return
+
+    with tempfile.TemporaryFile("w+", newline="") as tmp:
+        write_metrics_rows(tmp, pieces(), args.per_node)
         if c.error is not None:
             raise c.error
         traj = run.trajectory()
 
         os.makedirs(args.out, exist_ok=True)
         write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
-        writer.write(os.path.join(args.out, "metrics.csv"))
-    finally:
-        writer.close()
+        with open(os.path.join(args.out, "metrics.csv"), "wb") as fh:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp.buffer, fh)
     write_events_csv(os.path.join(args.out, "events.csv"), traj.events)
     write_meta_json(
         os.path.join(args.out, "meta.json"),
@@ -187,125 +183,6 @@ def cmd_simulate(args) -> int:
     else:
         print(f"finished at t={traj.metrics.times[-1]:g} with V={final_v:.17g}")
     return EXIT_OK
-
-
-class _MetricsWriter:
-    """metrics.csv of a one-system run, formatted piece by piece while the
-    run integrates.
-
-    start() opens an unlinked temporary file and, where os.fork exists,
-    forks the child that formats into it; then it takes the run's first,
-    empty piece. Formatted here, that piece begins the file with the
-    header; the child writes the header with the first rows it reads. From
-    that take on, the run keeps E_i only for the steps not yet taken (see
-    _Run.take).
-    send() takes the rows the run observed since the last take. To the
-    child it passes their raw V, E_tot and E_i bytes through a pipe, after
-    the piece's row count; the child rebuilds each piece's times from dt
-    and t0 and formats it with io.write_metrics_rows. Without os.fork,
-    send() formats the piece here, into the same file. write(path) creates
-    path here, in this process, waits for the child if there is one and
-    copies the file's bytes into path. close() kills and reaps a child that
-    has not finished and frees the pipe and the file.
-    """
-
-    def __init__(self, run, per_node):
-        self._run, self._per_node = run, per_node
-        self._child = self._wfd = self._fh = self._tmp = None
-
-    def start(self):
-        self._tmp = tempfile.TemporaryFile()
-        if can_fork():
-            rfd, self._wfd = os.pipe()
-            try:
-                self._child = ForkedCall(
-                    functools.partial(
-                        _format_metrics, rfd, self._wfd, self._tmp.fileno(),
-                        self._run.components[0].n, self._per_node, self._run.dt, self._run.t0,
-                    )
-                )
-            finally:
-                os.close(rfd)
-        else:
-            self._fh = open(self._tmp.fileno(), "w", newline="", closefd=False)
-        self._put(self._run.take(), header=True)
-
-    def send(self):
-        self._put(self._run.take(), header=False)
-
-    def _put(self, piece, header):
-        """Format the piece here, or pass it to the child, which writes
-        the header with the first piece it reads. An empty piece is not
-        passed: the header waits for the first rows."""
-        if self._fh is not None:
-            write_metrics_rows(self._fh, [piece], self._per_node, header=header)
-            return
-        rows = len(piece.V)
-        if not rows:
-            return
-        data = [rows.to_bytes(8, "little"), piece.V, piece.E_tot]
-        if self._per_node:
-            data.append(piece.E_i)
-        try:
-            for item in data:
-                view = memoryview(item).cast("B")
-                while view:
-                    view = view[os.write(self._wfd, view):]
-        except BrokenPipeError:
-            self._wait()  # raises what stopped the child
-            raise
-
-    def _wait(self):
-        """Close the pipe and wait for the child to format what it was
-        sent; raise the error it met, if any."""
-        os.close(self._wfd)
-        self._wfd = None
-        error = self._child.result()
-        if error is not None:
-            raise error
-
-    def write(self, path):
-        with open(path, "wb") as fh:
-            if self._child is not None:
-                self._wait()
-            else:
-                self._fh.flush()
-            self._tmp.seek(0)
-            shutil.copyfileobj(self._tmp, fh)
-
-    def close(self):
-        if self._child is not None:
-            self._child.close()
-        if self._wfd is not None:
-            os.close(self._wfd)
-        if self._fh is not None:
-            self._fh.close()
-        if self._tmp is not None:
-            self._tmp.close()
-
-
-def _format_metrics(rfd, wfd, tmp_fd, n, per_node, dt, t0):
-    """Body of the _MetricsWriter child: format the pieces read from rfd
-    into tmp_fd until the sender closes the pipe. Returns None, or the
-    OSError that stopped it."""
-    os.close(wfd)  # the sender's end, or the pipe never reports its end
-
-    def pieces(pipe):
-        a = 0
-        while head := pipe.read(8):
-            rows = int.from_bytes(head, "little")
-            V = np.frombuffer(pipe.read(8 * rows))
-            E_tot = np.frombuffer(pipe.read(8 * rows))
-            E_i = np.frombuffer(pipe.read(8 * rows * n)).reshape(rows, n) if per_node else None
-            yield MetricSeries(_step_times(a, a + rows, dt, t0), V, E_tot, E_i)
-            a += rows
-
-    try:
-        with open(rfd, "rb") as pipe, open(tmp_fd, "w", newline="", closefd=False) as fh:
-            write_metrics_rows(fh, pieces(pipe), per_node)
-    except OSError as exc:
-        return exc
-    return None
 
 
 def cmd_benchmark(args) -> int:

@@ -10,12 +10,7 @@ from __future__ import annotations
 import os
 import pickle
 
-__all__ = ["ForkedCall", "can_fork"]
-
-
-def can_fork() -> bool:
-    """Whether this platform can make a ForkedCall child."""
-    return hasattr(os, "fork")
+__all__ = ["ForkedCall"]
 
 
 class ForkedCall:
@@ -35,7 +30,7 @@ class ForkedCall:
     """
 
     def __init__(self, fn):
-        if not can_fork():
+        if not hasattr(os, "fork"):
             self._pid, self._pipe, self._value = None, None, fn()
             return
         rfd, wfd = os.pipe()

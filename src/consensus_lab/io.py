@@ -140,20 +140,20 @@ def write_metrics_csv(path, metrics, per_node=False) -> None:
         write_metrics_rows(fh, [metrics], per_node)
 
 
-def write_metrics_rows(fh, pieces, per_node=False, header=True) -> None:
+def write_metrics_rows(fh, pieces, per_node=False) -> None:
     """write_metrics_csv of a series given as consecutive pieces, to an
     open text file: the header, then each piece's rows as it arrives.
 
     pieces is an iterable of MetricSeries, each holding the steps after
     the last one's; the bytes are those of the whole series, whatever its
-    division. With no piece, nothing is written. With header False, the
-    header is left out, for pieces that continue a file already begun.
+    division. The header is written with the first piece, which may be
+    empty; with no piece, nothing is written.
     """
     for i, piece in enumerate(pieces):
         columns = [piece.times, piece.V, piece.E_tot]
         if per_node:
             columns.append(piece.E_i)
-        if i == 0 and header:
+        if i == 0:
             names = ["t", "V", "E_tot"]
             if per_node:
                 names += [f"E_i_{j}" for j in range(piece.E_i.shape[1])]

@@ -213,11 +213,11 @@ class _Run:
     uninterrupted run. reserve(last_step) sizes the records for every step
     up to last_step at once; advance sizes them only to the step it is
     given, so a run advanced in many pieces reserves first and copies no
-    record. A caller that streams the record, such as the metrics.csv
-    writer of the command line, takes the steps observed since its last
-    take after each piece (take); the run then keeps E_i only for the
-    steps not yet taken, in one buffer that each piece reuses, while V and
-    E_tot stay whole.
+    record. A caller that streams the record, such as the command line's
+    simulate as it formats metrics.csv, takes the steps observed since
+    its last take after each piece (take); the run then keeps E_i only
+    for the steps not yet taken, in one buffer that each piece reuses,
+    while V and E_tot stay whole.
 
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -17,13 +16,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consensus_lab import cli
+from consensus_lab import __version__, cli
 from consensus_lab.graphs import WeightedDigraph, circulant_graph
-from consensus_lab.io import load_x0, write_events_csv, write_metrics_csv, write_trajectory_csv
+from consensus_lab.io import (
+    load_x0, write_events_csv, write_meta_json, write_metrics_csv, write_trajectory_csv,
+)
 from consensus_lab.protocols import (
     Direction, Linear, Power, Protocol, Sign, protocol_from_json, protocol_to_json,
 )
-from consensus_lab.simulate import SimConfig, simulate
+from consensus_lab.simulate import SimConfig, _Run, simulate
 from consensus_lab.switching import (
     Breakpoints, DynamicNetwork, network_from_json, network_to_json,
 )
@@ -232,8 +233,8 @@ def streamed_runs(draw):
 
 
 class TestStreamedMetrics:
-    """simulate formats metrics.csv in a forked child while the run
-    integrates; every output keeps the bytes of one simulate call."""
+    """simulate formats metrics.csv piece by piece as the run integrates;
+    every output keeps the bytes of one simulate call."""
 
     OUTPUTS = ("trajectory.csv", "metrics.csv", "events.csv", "meta.json")
 
@@ -268,10 +269,7 @@ class TestStreamedMetrics:
                 argv += ["--epsilon", repr(cfg.stop_epsilon)]
             if cfg.track_per_node:
                 argv.append("--per-node")
-            # without os.fork, each piece is formatted in this process
-            in_process = data.draw(st.booleans(), label="without os.fork")
-            fork = _without_fork() if in_process else contextlib.nullcontext()
-            with mock.patch.object(cli, "PIECE_STEPS", piece), fork:
+            with mock.patch.object(cli, "PIECE_STEPS", piece):
                 code, err = _main_quietly(argv)
             assert code in (cli.EXIT_OK, cli.EXIT_NO_SETTLE), err
             write_trajectory_csv(tmp / "trajectory.csv", traj)
@@ -298,7 +296,7 @@ class TestStreamedMetrics:
             argv = self.example1("--out", str(out))
             argv[2] = unstable
             code, err = _main_quietly(argv)
-            # the run diverges in its second piece, with the writer busy
+            # the run diverges in its second piece, with its first formatted
             assert code == cli.EXIT_DIVERGED
             assert err == "error: state diverged at t=7.224: max |x_i| = 1e+12 exceeds 1e+12\n"
             assert_no_child()
@@ -309,55 +307,58 @@ class TestStreamedMetrics:
         assert not any(temp.iterdir())
         assert sorted(os.listdir("/proc/self/fd")) == fds
 
-    def test_same_bytes_without_fork(self, tmp_path, monkeypatch):
+    def test_same_bytes_as_one_simulate_without_a_child(self, tmp_path, monkeypatch):
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: (forks.append(None), fork())[1])
-        outs = []
-        for name in ("forked", "in-process"):
-            if name == "in-process":
-                monkeypatch.delattr(os, "fork")
-            outs.append(tmp_path / name)
-            code, err = _main_quietly(self.example1("--epsilon", "0.01", "--out", str(outs[-1])))
-            assert code == cli.EXIT_OK, err
-            assert len(forks) == 1
-        assert_no_child()
+        out = tmp_path / "out"
+        code, err = _main_quietly(self.example1("--epsilon", "0.01", "--out", str(out)))
+        assert code == cli.EXIT_OK, err
+        assert forks == []
+        net, protocol, x0 = _example1_system()
+        traj = simulate(net, protocol, x0, SimConfig(
+            t_end=15.0, dt=1e-3, stop_epsilon=0.01, track_per_node=True,
+        ))
+        write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        write_metrics_csv(tmp_path / "metrics.csv", traj.metrics, per_node=True)
+        write_events_csv(tmp_path / "events.csv", traj.events)
+        write_meta_json(tmp_path / "meta.json", {
+            "command": "simulate", "dt": 1e-3, "t_end": 15.0, "epsilon": 0.01,
+            "record_stride": 1, "network": network_to_json(net),
+            "protocol": protocol_to_json(protocol), "x0": [float(v) for v in x0],
+            "version": __version__,
+        })
         for name in self.OUTPUTS:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_run_holds_one_piece_of_per_node_rows(self, tmp_path, monkeypatch):
         held, runs = [], []
-        send = cli._MetricsWriter.send
+        take = _Run.take
 
-        def watched_send(writer):
-            send(writer)
-            runs.append(writer._run)
-            held.append(len(writer._run.components[0].E_i))
+        def watched_take(run, i=0):
+            piece = take(run, i)
+            runs.append(run)
+            held.append(len(run.components[i].E_i))
+            return piece
 
         monkeypatch.setattr(cli, "PIECE_STEPS", 100)
-        monkeypatch.setattr(cli._MetricsWriter, "send", watched_send)
-        outs = []
-        for name in ("forked", "in-process"):
-            if name == "in-process":
-                monkeypatch.delattr(os, "fork")
-            outs.append(tmp_path / name)
-            # 1001 steps: ten full pieces and one of a single step
-            code, err = _main_quietly(self.example1("--t-end", "1", "--out", str(outs[-1])))
-            assert code == cli.EXIT_OK, err
-            assert len(held) == 11
-            # after every send the run holds at most one piece of E_i rows
-            assert max(held) <= 100
-            # and never reports a partial E_i
-            run = runs[-1]
-            assert run.metrics().E_i is None
-            assert run.trajectory().metrics.E_i is None
-            assert len(run.metrics().V) == 1001
-            held.clear()
-        assert_no_child()
+        monkeypatch.setattr(_Run, "take", watched_take)
+        out = tmp_path / "out"
+        # 1001 steps: the first, empty piece, ten full pieces and one of a
+        # single step
+        code, err = _main_quietly(self.example1("--t-end", "1", "--out", str(out)))
+        assert code == cli.EXIT_OK, err
+        assert len(held) == 12
+        # after every take the run holds at most one piece of E_i rows
+        assert max(held) <= 100
+        # and never reports a partial E_i
+        run = runs[-1]
+        assert run.metrics().E_i is None
+        assert run.trajectory().metrics.E_i is None
+        assert len(run.metrics().V) == 1001
         traj = simulate(*_example1_system(), SimConfig(t_end=1.0, dt=1e-3, track_per_node=True))
         write_metrics_csv(tmp_path / "metrics.csv", traj.metrics, per_node=True)
-        for out in outs:
-            assert (out / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
+        assert (out / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
 
     def test_metrics_csv_that_is_a_directory(self, tmp_path):
         done, out = tmp_path / "done", tmp_path / "out"
@@ -368,17 +369,6 @@ class TestStreamedMetrics:
         assert err == f"error: [Errno 21] Is a directory: '{out / 'metrics.csv'}'\n"
         assert (out / "trajectory.csv").read_bytes() == (done / "trajectory.csv").read_bytes()
         assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trajectory.csv"]
-        assert_no_child()
-
-    def test_writer_that_dies(self, tmp_path):
-        def die(*args):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        with mock.patch.object(cli, "_format_metrics", die):
-            code, err = _main_quietly(self.example1("--out", str(tmp_path / "out")))
-        assert code == cli.EXIT_INPUT
-        assert err.endswith(f"sent no result: wait status {signal.SIGKILL}\n")
-        assert not (tmp_path / "out").exists()
         assert_no_child()
 
 
@@ -666,17 +656,6 @@ class TestMalformedInput:
         assert code == cli.EXIT_INPUT
         assert "Traceback" not in err
         assert "step" in err
-
-
-@contextlib.contextmanager
-def _without_fork():
-    """os.fork removed, as on a platform that has none."""
-    fork = os.fork
-    del os.fork
-    try:
-        yield
-    finally:
-        os.fork = fork
 
 
 def _example1_system():
