@@ -1,13 +1,12 @@
-"""The compiled stretch loop of _stretch.c, loaded with ctypes.
-
-stretch(union, dt) gives the Euler steps of one member in C for the laws
-whose C arithmetic is numpy's: Linear, Sign and Power with alpha = 0.5.
-The library is built at first use with the installed gcc, never at
-import, and cached under $XDG_CACHE_HOME/consensus-lab (by default
-~/.cache/consensus-lab), keyed by a hash of the source, the flags and the
-compiler version. Where gcc is missing or the build or the load fails,
-stretch returns None and the simulator keeps the numpy kernel, which
-gives the same bytes.
+"""The simulator's Euler stretch: the compiled loop of _stretch.c, loaded
+with ctypes, for Linear, Sign and Power with alpha = 0.5, whose C
+arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
+same bytes, for every other law or where gcc is missing or the build or
+the load fails. Only this module and _stretch.c know the C calling
+convention. The library is built at first use with the installed gcc,
+never at import, and cached under $XDG_CACHE_HOME/consensus-lab (by
+default ~/.cache/consensus-lab), keyed by a hash of the source, the flags
+and the compiler version.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .protocols import Direction, Linear, Power, Sign
+from .protocols import Direction, Linear, Power, Sign, _kernel
 
 # -ffp-contract=off: where the target has FMA, x + dt*u must not fuse
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
@@ -99,19 +98,24 @@ def _bind(path):
 
 
 def stretch(union, dt):
-    """The compiled Euler stretch of a member (see protocols._union), or
-    None where its law is out of scope or the library cannot be had.
-
-    The result, called as (steps, x, X, U) with the addresses of float
-    arrays, runs steps Euler steps from the state at x: it writes the state
-    after each step into the rows of X and, unless U is None, its control
-    into the rows of U, with the bits of protocols._kernel and
-    np.add(x, dt * u).
-    """
+    """(run, compiled): the Euler stretch of a member (see protocols._union)
+    and whether it runs compiled. run(x, X, U) runs len(X) Euler steps from
+    the state x, writing the state after each step into the rows of X and,
+    unless U is None, its control into the rows of U; X and U are
+    C-contiguous float arrays of union.n columns."""
     f = union.f
     law = _LAWS.get(type(f))
     if law is None or (isinstance(f, Power) and f.alpha != 0.5) or load() is None:
-        return None
+        kernel = _kernel(union)
+
+        def run(x, X, U):
+            for r in range(len(X)):
+                u = kernel(x)
+                if U is not None:
+                    U[r] = u
+                x = np.add(x, dt * u, out=X[r])
+
+        return run, False
     if union.direction is Direction.AGGREGATED:
         mode = AGGREGATED
     else:
@@ -126,5 +130,9 @@ def stretch(union, dt):
     call = functools.partial(
         _lib, law, mode, union.n, len(dst), *addresses[:4], k.ndim, dt, addresses[4]
     )
-    call.arrays = keep  # the arrays behind the addresses
-    return call
+
+    def run(x, X, U):
+        call(len(X), x.ctypes.data, X.ctypes.data, None if U is None else U.ctypes.data)
+
+    run.arrays = keep  # the arrays behind the addresses
+    return run, True

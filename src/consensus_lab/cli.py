@@ -5,11 +5,11 @@ verification failed. Outputs are deterministic; identical invocations write
 byte-identical files.
 
 simulate advances simulate's run in pieces of PIECE_STEPS steps and
-formats each piece's rows of metrics.csv as it comes, into an unlinked
+formats the rows of metrics.csv each piece takes, into an unlinked
 temporary file. The run keeps the per-node effort E_i only for the steps
-not yet formatted, one piece at a time; V and E_tot, which trajectory.csv
-and the settling time read, stay whole. The output files are created in
-the order trajectory.csv, metrics.csv, events.csv, meta.json, and only
+not yet taken, one piece at a time; V and E_tot, which trajectory.csv and
+the settling time read, are reserved whole. The output files are created
+in the order trajectory.csv, metrics.csv, events.csv, meta.json, and only
 after the run: a run that diverges writes nothing, and an unwritable path
 fails where it always did.
 """
@@ -131,13 +131,10 @@ def cmd_simulate(args) -> int:
         track_per_node=args.per_node,
     )
     run, last = _open_run([(net, protocol, x0)], cfg)
+    run.reserve(last)
     c = run.components[0]
 
     def pieces():
-        # the first, empty piece is taken before the records are reserved:
-        # from then on the run keeps E_i only for the steps not yet taken
-        yield run.take()
-        run.reserve(last)
         for first in range(0, last + 1, PIECE_STEPS):
             run.advance(min(first + PIECE_STEPS, last + 1) - 1)
             yield run.take()

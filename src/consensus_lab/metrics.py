@@ -9,6 +9,7 @@ rule at the integrator step so the accounting matches the Euler update.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,16 @@ def _require_positive(name, value):
     """Raise ValueError, naming the value, unless it is positive and finite."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_int(name, value):
+    """value as an int; raise ValueError, naming the value, unless it is a
+    whole number."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def lyapunov_v(x):

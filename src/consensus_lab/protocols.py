@@ -8,9 +8,9 @@ and differ otherwise. Both directions sum the edge differences
 x_src - x_dst into their destination rows with np.bincount, so every row
 is exactly zero at consensus whatever the weights. Each law's formula is
 written once in Python, in the pre-bound evaluator that eval_f, control
-and the simulator's per-member kernels share; the compiled stretch loop
-(_stretch.c) repeats those of Linear, Sign and Power with alpha = 0.5,
-and the tests hold it bit-equal to them.
+and _kernel share. _stretch.stretch runs _kernel, the reference, or its
+compiled loop (_stretch.c), which repeats the formulas of Linear, Sign and
+Power with alpha = 0.5 and which the tests hold bit-equal to them.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ never smears across a step. switching.step_schedule owns the schedule in
 integer steps, exact over long horizons; this module knows no signal type.
 
 The step loop does only the Euler update, in stretches of steps under one
-member. Where the law's arithmetic in C is numpy's (Linear, Sign, and
-Power with alpha = 0.5) and the library of _stretch.c builds, each stretch
-is one call of that compiled loop; otherwise protocols._kernel, bound once
-per member, runs it step by step with numpy. Both give the same bytes. The
-strided records are read off the block's states and controls afterwards.
+member, each one call of _stretch.stretch's run: compiled where the law's
+arithmetic in C is numpy's and the library builds, and protocols._kernel
+step by step otherwise, with the same bytes. The strided records are read
+off the block's states and controls afterwards.
 The spread, the divergence guard, the sticky stop and the effort integrals
 are evaluated once per block of steps, with the metrics module's block
 forms; the step at which a run stops or diverges, and every number it
@@ -33,9 +32,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _stretch
-from .metrics import MetricSeries, _require_positive, isce_accumulate, segment_spread
-from .protocols import Protocol, _kernel, _union, control
-from .switching import DynamicNetwork, step_schedule
+from .metrics import MetricSeries, _require_int, _require_positive, isce_accumulate, segment_spread
+from .protocols import Protocol, _union, control
+from .switching import DynamicNetwork, _whole_steps, step_schedule
 
 __all__ = [
     "SimConfig",
@@ -96,8 +95,10 @@ class SimConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.stop_epsilon is not None:
             _require_positive("stop_epsilon", self.stop_epsilon)
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
-            raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
+        stride = _require_int("record_stride", self.record_stride)
+        if stride < 1:
+            raise ValueError(f"record_stride must be a positive integer, got {stride}")
+        object.__setattr__(self, "record_stride", stride)
 
 
 @dataclass
@@ -123,8 +124,8 @@ def _step_count(t_end, t0, dt):
     span = (t_end - t0) / dt
     if not math.isfinite(span):
         raise ValueError(f"t_end = {t_end} and dt = {dt} give too many steps to count")
-    steps = int(round(span))
-    if steps < 1 or abs(span - steps) > 1e-6:
+    steps = _whole_steps(span)
+    if steps is None or steps < 1:
         raise ValueError(
             f"t_end - t0 = {t_end - t0} is not a whole number of steps at dt = {dt}"
         )
@@ -173,22 +174,19 @@ class _Component:
         self.E_tot = np.empty(0) if effort else None
         self.E_i = np.empty((0, net.n)) if effort == "per_node" else None
         # first step not yet taken by a streaming caller (see _Run.take), and
-        # the step of E_i's first row; None while E_i holds every step
-        self.taken: Optional[int] = None
+        # the step of E_i's first row
+        self.taken = 0
         self.events: List[Tuple[float, int, int]] = []
         self.rec_steps: List[int] = []
         self.rec_states: List[np.ndarray] = []
         self.rec_controls: List[np.ndarray] = []
 
-    def grow(self, size, whole):
-        """Make room in the records for the steps below size, E_i's from
-        its first row on. A reservation for the whole run (whole) leaves a
-        taken E_i alone: it holds one piece at a time."""
-        records = [("V", 0), ("E_tot", 0)]
-        if not (whole and self.taken is not None):
-            records.append(("E_i", self.taken or 0))
-        for name, start in records:
+    def grow(self, size, names):
+        """Make room in the named records for the steps below size, E_i's
+        from its first row on."""
+        for name in names:
             old = getattr(self, name)
+            start = self.taken if name == "E_i" else 0
             if old is None or len(old) >= size - start:
                 continue
             new = np.empty((size - start,) + old.shape[1:])
@@ -210,25 +208,22 @@ class _Run:
 
     advance(last_step) integrates up to step last_step and may be called
     again with a later step; the pieces give exactly the numbers of one
-    uninterrupted run. reserve(last_step) sizes the records for every step
-    up to last_step at once; advance sizes them only to the step it is
-    given, so a run advanced in many pieces reserves first and copies no
-    record. A caller that streams the record, such as the command line's
-    simulate as it formats metrics.csv, takes the steps observed since
-    its last take after each piece (take); the run then keeps E_i only
-    for the steps not yet taken, in one buffer that each piece reuses,
-    while V and E_tot stay whole.
+    uninterrupted run. reserve(last_step) sizes V and E_tot for every step
+    up to last_step at once, so a run advanced in many pieces copies
+    neither; advance sizes E_i, from the first step not yet taken. A caller
+    that streams the record, such as the command line's simulate as it
+    formats metrics.csv, takes the steps observed since its last take
+    after each piece (take); the run then keeps E_i only for the steps not
+    yet taken, in one buffer that each piece reuses.
 
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
     advance by the left-endpoint rule. A stretch of steps under one member
-    runs in one call of the compiled loop (see _stretch) when the union's
-    law is in its scope and the library loads, and on the numpy kernel
-    otherwise, with the same bytes. effort, one of EFFORTS, says which
-    effort the run keeps: None keeps none, so the loop stores the controls
-    only for the recorded steps and integrates none, and metrics() reports
-    E_tot as None; "total" keeps E_tot, and "per_node" also E_i. V, the
-    stop and the divergence do not depend on it.
+    runs in one call of its _stretch.stretch. effort, one of EFFORTS, says
+    which effort the run keeps: None keeps none, so the loop stores the
+    controls only for the recorded steps and integrates none, and
+    metrics() reports E_tot as None; "total" keeps E_tot, and "per_node"
+    also E_i. V, the stop and the divergence do not depend on it.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
     state entries. Once per block the spread V, the divergence guard, the
@@ -300,11 +295,7 @@ class _Run:
         unions = [
             _union(protocols, [c.net.graphs[m] for c in live]) for m in range(self._members)
         ]
-        # every member shares the law, so either all or none compile
         self._stretches = [_stretch.stretch(u, self.dt) for u in unions]
-        if None in self._stretches:
-            self._stretches = None
-            self._kernels = [_kernel(u) for u in unions]
         n = sum(sizes)
         block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
         self._X = np.empty((block, n))  # state observed at each step of a block
@@ -318,16 +309,16 @@ class _Run:
         self._pack(live, self._x[cols], self._s_accum[cols], self._run_below[keep])
 
     def reserve(self, last_step):
-        """Make room in every live system's record for the steps up to
-        last_step, so that advancing to it in pieces copies no record. A
-        taken E_i (see take) is left to advance, which sizes it for one
-        piece."""
-        self._grow(last_step, whole=True)
+        """Make room in every live system's V and E_tot for the steps up to
+        last_step, so that advancing to it in pieces copies neither. E_i is
+        left to advance, which sizes it from the first step not yet taken
+        (see take)."""
+        self._grow(last_step, ("V", "E_tot"))
 
-    def _grow(self, last_step, whole):
+    def _grow(self, last_step, names):
         try:
             for c in self._live:
-                c.grow(last_step + 1, whole)
+                c.grow(last_step + 1, names)
         except MemoryError:
             raise ValueError(
                 f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
@@ -339,7 +330,7 @@ class _Run:
         that comes first."""
         if last_step < self._next:
             return
-        self._grow(last_step, whole=False)
+        self._grow(last_step, ("V", "E_tot", "E_i"))
         with np.errstate(all="ignore"):
             while self._live and self._next <= last_step:
                 self._block(self._next, min(self._next + len(self._X), last_step + 1))
@@ -377,24 +368,10 @@ class _Run:
                 switches.append((j, member, now))
                 member = now
             a, b = j - shift, min(change, end - 1) - shift  # the stretch's rows
-            if stretches is not None:
-                row = X.strides[0]
-                stretches[member](
-                    b - a,
-                    x.ctypes.data,
-                    X.ctypes.data + a * row,
-                    U.ctypes.data + a * row if keep_u else None,
-                )
-                x = X[b - 1]
-                counters["stretches_compiled"] += 1
-            else:
-                kern = self._kernels[member]
-                for r in range(a, b):
-                    u = kern(x)
-                    if keep_u:
-                        U[r] = u
-                    x = np.add(x, dt * u, out=X[r])
-                counters["stretches_numpy"] += 1
+            run, compiled = stretches[member]
+            run(x, X[a:b], U[a:b] if keep_u else None)
+            x = X[b - 1]
+            counters["stretches_compiled" if compiled else "stretches_numpy"] += 1
             j = b + shift
         self._member = member
         counters["blocks"] += 1
@@ -442,7 +419,7 @@ class _Run:
             if effort:
                 E = S[:k, sl]
                 if effort == "per_node":
-                    row = first - (c.taken or 0)
+                    row = first - c.taken
                     E = np.sqrt(E, out=c.E_i[row : row + k])
                 np.sum(E, axis=1, out=c.E_tot[first : last + 1])
             c.V[first : last + 1] = V[:k, i]
@@ -465,15 +442,15 @@ class _Run:
 
     def metrics(self, i=0) -> MetricSeries:
         """Per-step record of the steps of system i observed so far. Once
-        its rows were taken (see take), E_i is None: the run no longer
-        holds them all."""
+        rows were taken (see take), E_i is None: the run no longer holds
+        them all."""
         c = self.components[i]
         end = c.next
         return MetricSeries(
             times=_step_times(0, end, self.dt, self.t0),
             V=c.V[:end],
             E_tot=c.E_tot[:end] if c.E_tot is not None else None,
-            E_i=c.E_i[:end] if c.E_i is not None and c.taken is None else None,
+            E_i=c.E_i[:end] if c.E_i is not None and c.taken == 0 else None,
         )
 
     def take(self, i=0) -> MetricSeries:
@@ -485,7 +462,7 @@ class _Run:
         are views, valid until the next advance.
         """
         c = self.components[i]
-        a, e = c.taken or 0, c.next
+        a, e = c.taken, c.next
         c.taken = e
         return MetricSeries(
             times=_step_times(a, e, self.dt, self.t0),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graphs import graph_from_json, graph_to_json, is_connected, union_graph
 from .io import json_field
-from .metrics import _require_positive
+from .metrics import _require_int, _require_positive
 
 
 def _require_finite(name, value):
@@ -38,6 +38,8 @@ class FloorModulo:
     def __post_init__(self):
         _require_positive("rate", self.rate)
         _require_finite("t0", self.t0)
+        object.__setattr__(self, "modulus", _require_int("modulus", self.modulus))
+        object.__setattr__(self, "offset", _require_int("offset", self.offset))
         if self.modulus < 1:
             raise ValueError("modulus must be a positive integer")
 
@@ -57,7 +59,8 @@ class Breakpoints:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        indices = tuple(_require_int("signal index", i) for i in self.indices)
+        object.__setattr__(self, "indices", indices)
         _require_finite("t0", self.t0)
         for t in self.times:
             _require_finite("switch time", t)
@@ -114,9 +117,11 @@ def switch_times(sig, t_a, t_b):
     return list(sig.times[lo:hi])
 
 
-def _nearest_int(value):
-    """value rounded to an int, or None if it is not finite."""
-    return int(round(value)) if math.isfinite(value) else None
+def _whole_steps(span):
+    """span, a time in steps, as an int where it lies on the step grid (to
+    1e-6 of a step, at any distance from t0); None where it does not."""
+    steps = round(span) if math.isfinite(span) else None
+    return steps if steps is not None and abs(span - steps) <= 1e-6 else None
 
 
 def step_schedule(sig, dt):
@@ -127,15 +132,14 @@ def step_schedule(sig, dt):
     if isinstance(sig, FloorModulo):
         # a tiny rate * dt underflows to 0, or its inverse overflows to inf
         per = 1.0 / (sig.rate * dt) if sig.rate * dt > 0 else math.inf
-        spt = _nearest_int(per)
-        if spt is None or spt < 1 or abs(per - spt) > 1e-6:
+        spt = _whole_steps(per)
+        if spt is None or spt < 1:
             raise ValueError(
                 f"switching period 1/rate = {1.0 / sig.rate} is not a whole "
                 f"number of steps at dt = {dt}"
             )
-        start = sig.t0 / dt
-        k0 = _nearest_int(start)
-        if k0 is None or abs(start - k0) > 1e-6:
+        k0 = _whole_steps(sig.t0 / dt)
+        if k0 is None:
             raise ValueError(f"signal t0 = {sig.t0} is not on a step boundary at dt = {dt}")
 
         def schedule(k):
@@ -146,8 +150,8 @@ def step_schedule(sig, dt):
     if isinstance(sig, Breakpoints):
         steps = []
         for bt in sig.times:
-            s = _nearest_int((bt - sig.t0) / dt)
-            if s is None or abs(bt - (sig.t0 + s * dt)) > 1e-12:
+            s = _whole_steps((bt - sig.t0) / dt)
+            if s is None:
                 raise ValueError(f"breakpoint {bt} is not on a step boundary at dt = {dt}")
             steps.append(s)
         ends = (*steps, math.inf)

@@ -344,11 +344,10 @@ class TestStreamedMetrics:
         monkeypatch.setattr(cli, "PIECE_STEPS", 100)
         monkeypatch.setattr(_Run, "take", watched_take)
         out = tmp_path / "out"
-        # 1001 steps: the first, empty piece, ten full pieces and one of a
-        # single step
+        # 1001 steps: ten full pieces and one of a single step
         code, err = _main_quietly(self.example1("--t-end", "1", "--out", str(out)))
         assert code == cli.EXIT_OK, err
-        assert len(held) == 12
+        assert len(held) == 11
         # after every take the run holds at most one piece of E_i rows
         assert max(held) <= 100
         # and never reports a partial E_i

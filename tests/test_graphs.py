@@ -153,9 +153,17 @@ class TestIsConnected:
         assert is_connected(WeightedDigraph(1, []))
 
     def test_unilateral_not_bilateral(self):
-        # 0 -> 1 <- 2: every pair has a path one way or the other
+        # 0 -> 1 <- 2 is weakly connected, yet 0 and 2 have no path either way
         g = WeightedDigraph(3, [(0, 1, 1.0), (2, 1, 1.0)])
-        assert not is_connected(g)  # 0 and 2 see each other in no direction
+        assert not is_connected(g)
+
+    @settings(max_examples=200)
+    @given(digraphs())
+    def test_matches_brute_force_unilateral(self, g):
+        # connected iff every pair of nodes is joined by a path one way or
+        # the other
+        r = brute_reachable(g)
+        assert is_connected(g) == bool(np.all(r | r.T))
 
 
 class TestWeakComponents:

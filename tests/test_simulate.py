@@ -71,6 +71,23 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"positive and finite, got {eps}"):
                 SimConfig(t_end=1.0, stop_epsilon=eps)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: SimConfig(t_end=1.0, record_stride=v).record_stride,
+            lambda v: FloorModulo(rate=1.0, modulus=v).modulus,
+            lambda v: FloorModulo(rate=1.0, modulus=4, offset=v).offset,
+            lambda v: Breakpoints(times=(1.0,), indices=(0, v)).indices[1],
+        ],
+        ids=["record_stride", "modulus", "offset", "indices"],
+    )
+    def test_integer_fields(self, build):
+        # an integral float becomes the int the run indexes with
+        got = build(2.0)
+        assert type(got) is int and got == 2
+        with pytest.raises(ValueError, match=r"must be an integer, got 1\.5"):
+            build(1.5)
+
     def test_t_end_after_t0(self):
         net = static_net(circulant_graph(4, {1}))
         with pytest.raises(ValueError):
@@ -488,12 +505,16 @@ class TestResumableRun:
         run = _Run([(net, protocol, x0)], cfg.dt, effort="per_node")
         run.reserve(steps)
         c = run.components[0]
-        records = [c.V, c.E_tot, c.E_i]
-        assert [len(r) for r in records] == [steps + 1] * 3
+        records = [c.V, c.E_tot]
+        # reserve sizes V and E_tot for the whole run and leaves E_i to advance
+        assert (len(c.V), len(c.E_tot), len(c.E_i)) == (steps + 1, steps + 1, 0)
         for piece in range(20):
-            run.advance((piece + 1) * steps // 20)
+            last = (piece + 1) * steps // 20
+            run.advance(last)
             # advancing wrote into the reserved arrays, never into copies
-            assert all(now is reserved for now, reserved in zip([c.V, c.E_tot, c.E_i], records))
+            assert all(now is reserved for now, reserved in zip([c.V, c.E_tot], records))
+            # and sized E_i, never taken, to every step up to the one given
+            assert len(c.E_i) == last + 1
         assert c.next == steps + 1
         whole = simulate(net, protocol, x0, cfg).metrics
         for name in ("times", "V", "E_tot", "E_i"):

@@ -206,6 +206,14 @@ class TestStepSchedule:
             step_schedule(Breakpoints(times=(0.25, 0.5005), indices=(0, 1, 0), t0=0.1), 1e-3)
 
 
+    def test_breakpoint_far_from_t0_on_the_steps(self):
+        # 10000.3 s is 100002.99999999999 steps of 0.1 s, and step 100003
+        # falls at 10000.300000000001 s: on the grid to within rounding
+        schedule = step_schedule(Breakpoints(times=(10000.3,), indices=(0, 1)), 0.1)
+        assert schedule(0) == schedule(100002) == (0, 100003)
+        assert schedule(100003) == (1, math.inf)
+
+
 class TestDynamicNetwork:
     def test_family_must_share_n(self):
         with pytest.raises(ValueError):
