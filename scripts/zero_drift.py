@@ -34,7 +34,14 @@ script runs
 - example 1's graphs with arc weights 0.5, 1.5 and 2.5 under a per-edge
   sign law with --dt 1e-3 --t-end 15 --per-node --record-stride 7, and
   under a per-edge linear law of gain 2 with --dt 1e-4 --t-end 10
-  --per-node --record-stride 100.
+  --per-node --record-stride 100;
+- consensus-lab verify on configs/example1 with --tau 1 and with --tau
+  0.5 --horizon 20, which pass (each of its members is connected, so no
+  tau fails), and with --tau 0, which exits 1;
+- consensus-lab verify on configs/example2/network_sigma1.json with
+  --tau 10, which passes, --tau 5, which fails, and --tau 8 --horizon
+  40; and on network_sigma2.json, whose signal is 100 times faster, with
+  --tau 0.1, --tau 0.05 and --tau 0.1 --horizon 1.
 
 Every run writes into its own temporary directory, which holds the files
 of INPUTS before it starts, and the other inputs are this checkout's
@@ -63,6 +70,9 @@ _SIMULATE = [
     os.path.join(EXAMPLE1, "x0.txt"),
 ]
 HERE = ["--out", "."]
+_VERIFY1 = ["verify", os.path.join(EXAMPLE1, "network.json")]
+_SIGMA1 = ["verify", os.path.join(EXAMPLE2, "network_sigma1.json")]
+_SIGMA2 = ["verify", os.path.join(EXAMPLE2, "network_sigma2.json")]
 
 
 def _example1_network():
@@ -151,6 +161,15 @@ CASES = {
         _SIMULATE[0], "weighted.json", "per-edge-linear.json", *_SIMULATE[3:],
         "--dt", "1e-4", "--t-end", "10", "--per-node", "--record-stride", "100",
     ] + HERE,
+    "verify-example1": _VERIFY1 + ["--tau", "1"],
+    "verify-example1-horizon": _VERIFY1 + ["--tau", "0.5", "--horizon", "20"],
+    "verify-example1-zero-tau": _VERIFY1 + ["--tau", "0"],
+    "verify-example2-sigma1": _SIGMA1 + ["--tau", "10"],
+    "verify-example2-sigma1-fails": _SIGMA1 + ["--tau", "5"],
+    "verify-example2-sigma1-horizon": _SIGMA1 + ["--tau", "8", "--horizon", "40"],
+    "verify-example2-sigma2": _SIGMA2 + ["--tau", "0.1"],
+    "verify-example2-sigma2-fails": _SIGMA2 + ["--tau", "0.05"],
+    "verify-example2-sigma2-horizon": _SIGMA2 + ["--tau", "0.1", "--horizon", "1"],
 }
 
 # what a failing case must not leave in its directory

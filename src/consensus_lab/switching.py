@@ -6,16 +6,17 @@ with dwell time 1/rate; Breakpoints lists explicit switch times. Both
 guarantee a strictly positive minimum dwell, so any finite interval holds
 finitely many switches.
 
-This module owns the schedule: step_schedule, in integer steps, drives the
-simulator; active_index and switch_times, in float time, serve
-is_tau_jointly_connected, since verify has no dt.
+dwell_member gives each numbered dwell's member; step_schedule steps the
+dwells for the simulator and dwells walks them for verify, which has no dt.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count, takewhile, tee
 
 from .graphs import graph_from_json, graph_to_json, is_connected, union_graph
 from .io import json_field
@@ -82,44 +83,24 @@ class Breakpoints:
         return min(self.indices), max(self.indices)
 
 
+def dwell_member(sig, dwell):
+    """Graph index that the signal selects over its dwell number dwell."""
+    if isinstance(sig, FloorModulo):
+        return dwell % sig.modulus + sig.offset
+    return sig.indices[dwell]
+
+
 def active_index(sig, t):
     """Graph index selected by the signal at time t (right-continuous)."""
     if t < sig.t0:
         raise ValueError(f"t={t} precedes the signal start t0={sig.t0}")
-    if isinstance(sig, FloorModulo):
-        return math.floor(sig.rate * t) % sig.modulus + sig.offset
-    return sig.indices[bisect_right(sig.times, t)]
-
-
-def switch_times(sig, t_a, t_b):
-    """All switch instants inside the half-open interval (t_a, t_b]."""
-    if t_b < t_a:
-        raise ValueError("inverted interval")
-    if isinstance(sig, FloorModulo):
-        if sig.modulus == 1:
-            return []
-        c = sig.rate
-        # smallest j with j/c > t_a; float guard loops absorb rounding at
-        # the boundary
-        j = math.floor(t_a * c) + 1
-        while j - 1 >= 0 and (j - 1) / c > t_a:
-            j -= 1
-        while j / c <= t_a:
-            j += 1
-        jh = math.floor(t_b * c)
-        while jh / c > t_b:
-            jh -= 1
-        while (jh + 1) / c <= t_b:
-            jh += 1
-        return [k / c for k in range(j, jh + 1)]
-    lo = bisect_right(sig.times, t_a)
-    hi = bisect_right(sig.times, t_b)
-    return list(sig.times[lo:hi])
+    fm = isinstance(sig, FloorModulo)
+    return dwell_member(sig, math.floor(sig.rate * t) if fm else bisect_right(sig.times, t))
 
 
 def _whole_steps(span):
-    """span, a time in steps, as an int where it lies on the step grid (to
-    1e-6 of a step, at any distance from t0); None where it does not."""
+    """span, a time in steps or dwells, as an int where it lies on their
+    grid (to 1e-6 of one, at any distance from t0); None where it does not."""
     steps = round(span) if math.isfinite(span) else None
     return steps if steps is not None and abs(span - steps) <= 1e-6 else None
 
@@ -144,24 +125,22 @@ def step_schedule(sig, dt):
 
         def schedule(k):
             dwell, into = divmod(k0 + k, spt)
-            return dwell % sig.modulus + sig.offset, k + spt - into
+            return dwell_member(sig, dwell), k + spt - into
 
         return schedule
-    if isinstance(sig, Breakpoints):
-        steps = []
-        for bt in sig.times:
-            s = _whole_steps((bt - sig.t0) / dt)
-            if s is None:
-                raise ValueError(f"breakpoint {bt} is not on a step boundary at dt = {dt}")
-            steps.append(s)
-        ends = (*steps, math.inf)
+    steps = []
+    for bt in sig.times:
+        s = _whole_steps((bt - sig.t0) / dt)
+        if s is None:
+            raise ValueError(f"breakpoint {bt} is not on a step boundary at dt = {dt}")
+        steps.append(s)
+    ends = (*steps, math.inf)
 
-        def schedule(k):
-            i = bisect_right(ends, k)
-            return sig.indices[i], ends[i]
+    def schedule(k):
+        i = bisect_right(ends, k)
+        return dwell_member(sig, i), ends[i]
 
-        return schedule
-    raise TypeError(f"unknown signal type: {sig!r}")
+    return schedule
 
 
 class DynamicNetwork:
@@ -185,25 +164,45 @@ class DynamicNetwork:
         self.n = n
 
 
+def dwells(sig):
+    """Yield (start, member) of each dwell from the one active at t0, whose
+    start is given as t0; dwell d starts at d / rate or at times[d - 1]."""
+    if isinstance(sig, FloorModulo):
+        # a t0 within 1e-6 dwell of a switch instant is on it, as in step_schedule
+        d = _whole_steps(sig.rate * sig.t0)
+        d = math.floor(sig.rate * sig.t0) if d is None else d
+        starts = (k / sig.rate for k in count(d + 1))
+    else:
+        d, starts = 0, sig.times
+    yield sig.t0, dwell_member(sig, d)
+    for d, start in enumerate(starts, d + 1):
+        yield start, dwell_member(sig, d)
+
+
 def is_tau_jointly_connected(net, tau, horizon):
     """Check every window [t_bar, t_bar+tau] unions to a connected graph.
 
-    Window starts are anchored at t0 and the switch times in
-    [t0, t0+horizon-tau]; active sets only change at switch instants, so
-    this equals the dense quantification over all t_bar in that range.
-    Returns (verdict, earliest violating window start or None).
-    """
+    A window holds the dwell active at t_bar and each dwell starting in it.
+    Moving t_bar off a dwell start only adds dwells, so the windows anchored
+    at t0 and at the dwell starts in (t0, t0+horizon-tau] decide. Returns
+    (verdict, earliest violating window start or None)."""
     _require_positive("tau", tau)
     if not (horizon >= tau and math.isfinite(horizon)):
         raise ValueError(f"horizon must be finite and at least tau = {tau}, got {horizon}")
-    sig = net.signal
-    t0 = sig.t0
-    anchors = [t0] + switch_times(sig, t0, t0 + horizon - tau)
-    for t_bar in anchors:
-        idxs = {active_index(sig, t_bar)}
-        idxs.update(active_index(sig, s) for s in switch_times(sig, t_bar, t_bar + tau))
-        if not is_connected(union_graph([net.graphs[i] for i in idxs])):
-            return False, t_bar
+    last = max(net.signal.t0, net.signal.t0 + horizon - tau)  # the sum can round below t0
+    anchors, ends = tee(dwells(net.signal))  # a window's first dwell, the next past it
+    end = next(ends)
+    held, connected = Counter(), set()  # window members by count; sets known connected
+    for t_bar, member in takewhile(lambda dwell: dwell[0] <= last, anchors):
+        while end is not None and end[0] <= t_bar + tau:
+            held[end[1]] += 1
+            end = next(ends, None)
+        members = frozenset(+held)
+        if members not in connected:
+            if not is_connected(union_graph([net.graphs[m] for m in members])):
+                return False, t_bar
+            connected.add(members)
+        held[member] -= 1
     return True, None
 
 

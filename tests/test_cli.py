@@ -32,6 +32,7 @@ from consensus_lab.switching import (
 from gen import assert_no_child
 
 EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1"
+EXAMPLE2 = EXAMPLE1.parent / "example2"
 # the exit codes of the README's table
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_DIVERGED, cli.EXIT_NO_SETTLE,
               cli.EXIT_VERIFY_FAIL}
@@ -507,6 +508,40 @@ class TestVerify:
         res = run_cli("verify", phased_net, "--tau", "0.5")
         assert res.returncode == 4
         assert "FAIL" in res.stdout
+
+    @staticmethod
+    def _ring_and_pairs(tmp_path, signal):
+        """A network of a 4-ring (member 0) and the two edges {0,1} and
+        {2,3} (member 1) under signal."""
+        ring = cycle_graph_json(4)
+        pairs = {"n": 4, "undirected": True, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}
+        return write_json(tmp_path / "ring-pairs.json", {"signal": signal, "graphs": [ring, pairs]})
+
+    # windows hold members by dwell number, so a float floor at a switch
+    # instant cannot pick the wrong one
+    def test_fast_example2_windows_hold_every_member(self, capsys):
+        argv = ["verify", str(EXAMPLE2 / "network_sigma2.json"), "--tau", "0.1", "--horizon", "40"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "tau-jointly connected: tau=0.1, horizon=40"
+        )
+
+    def test_window_of_the_disconnected_member_alone_fails(self, tmp_path, capsys):
+        net = self._ring_and_pairs(tmp_path, {"type": "floor_modulo", "rate": 1.9, "modulus": 2})
+        assert cli.main(["verify", net, "--tau", "0.3"]) == cli.EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "FAIL: union over [0.52631578947368418, 0.82631578947368411] "
+            "is disconnected (tau=0.3, horizon=0.9)"
+        )
+
+    def test_horizon_equal_to_tau_after_a_late_t0(self, tmp_path, capsys):
+        # t0 + horizon - tau rounds below t0: the window at t0 alone
+        signal = {"type": "floor_modulo", "rate": 2.0, "modulus": 2, "t0": 0.25}
+        net = self._ring_and_pairs(tmp_path, signal)
+        assert cli.main(["verify", net, "--tau", "0.1", "--horizon", "0.1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "tau-jointly connected: tau=0.1, horizon=0.1"
+        )
 
     def test_tau_required(self, phased_net):
         res = run_cli("verify", phased_net)

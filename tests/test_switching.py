@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from consensus_lab.switching import (
     DynamicNetwork,
     FloorModulo,
     active_index,
+    dwells,
     is_tau_jointly_connected,
     network_from_json,
     network_to_json,
     step_schedule,
-    switch_times,
 )
 
 from gen import random_undirected
@@ -26,6 +28,13 @@ def example2_network(rate=1.0):
         WeightedDigraph.undirected(10, [(b, (b + 1) % 10)]) for b in range(10)
     ]
     return DynamicNetwork(family, FloorModulo(rate=rate, modulus=10))
+
+
+def ring_and_pairs(signal):
+    """Member 0 is a 4-ring, member 1 only the edges {0,1} and {2,3}."""
+    ring = circulant_graph(4, {1})
+    pairs = WeightedDigraph.undirected(4, [(0, 1), (2, 3)])
+    return DynamicNetwork([ring, pairs], signal)
 
 
 class TestFloorModulo:
@@ -102,54 +111,41 @@ class TestBreakpoints:
         assert sig.tau_min == 0.5
 
 
-class TestSwitchTimes:
+class TestDwells:
     def test_benchmark_signal_unit_interval(self):
-        sig = FloorModulo(rate=5.0, modulus=2)
-        assert switch_times(sig, 0.0, 1.0) == [0.2, 0.4, 0.6, 0.8, 1.0]
-
-    def test_constant_signal_never_switches(self):
-        sig = FloorModulo(rate=3.0, modulus=1)
-        assert switch_times(sig, 0.0, 10.0) == []
+        walk = list(islice(dwells(FloorModulo(rate=5.0, modulus=2)), 6))
+        assert walk == [(0.0, 0), (0.2, 1), (0.4, 0), (0.6, 1), (0.8, 0), (1.0, 1)]
 
     def test_unit_dwell(self):
         sig = FloorModulo(rate=1.0, modulus=10, offset=1)
-        assert switch_times(sig, 0.0, 3.0) == [1.0, 2.0, 3.0]
+        assert list(islice(dwells(sig), 4)) == [(0.0, 1), (1.0, 2), (2.0, 3), (3.0, 4)]
 
-    def test_half_open_semantics(self):
-        sig = FloorModulo(rate=1.0, modulus=2)
-        assert switch_times(sig, 1.0, 2.0) == [2.0]  # excludes t_a, includes t_b
-
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            switch_times(FloorModulo(rate=1.0, modulus=2), 2.0, 1.0)
+    def test_starts_from_the_dwell_active_at_t0(self):
+        sig = FloorModulo(rate=1.0, modulus=10, offset=1, t0=2.5)
+        assert list(islice(dwells(sig), 3)) == [(2.5, 3), (3.0, 4), (4.0, 5)]
+        # floor(1.9 * (1 / 1.9)) is 0, but t0 is where dwell 1 starts
+        sig = FloorModulo(rate=1.9, modulus=2, t0=1 / 1.9)
+        assert list(islice(dwells(sig), 2)) == [(1 / 1.9, 1), (2 / 1.9, 0)]
 
     def test_breakpoints(self):
-        sig = Breakpoints(times=(1.0, 2.5, 4.0), indices=(0, 1, 2, 0))
-        assert switch_times(sig, 1.0, 4.0) == [2.5, 4.0]
-
-    @settings(max_examples=80)
-    @given(
-        st.sampled_from([0.5, 1.0, 2.0, 4.0, 5.0]),
-        st.integers(min_value=1, max_value=4),
-        st.floats(min_value=0.0, max_value=8.0),
-        st.floats(min_value=0.0, max_value=4.0),
-        st.floats(min_value=0.0, max_value=4.0),
-    )
-    def test_concatenation(self, rate, modulus, t_a, gap1, gap2):
-        sig = FloorModulo(rate=rate, modulus=modulus)
-        t_b, t_c = t_a + gap1, t_a + gap1 + gap2
-        joined = switch_times(sig, t_a, t_b) + switch_times(sig, t_b, t_c)
-        assert joined == switch_times(sig, t_a, t_c)
+        sig = Breakpoints(times=(1.0, 2.5, 4.0), indices=(0, 1, 2, 0), t0=0.5)
+        assert list(dwells(sig)) == [(0.5, 0), (1.0, 1), (2.5, 2), (4.0, 0)]
 
     @settings(max_examples=40)
-    @given(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.integers(min_value=2, max_value=5))
-    def test_right_continuity_at_switches(self, rate, modulus):
-        sig = FloorModulo(rate=rate, modulus=modulus)
+    @given(
+        st.sampled_from([0.5, 0.7, 1.0, 1.9, 2.0, 4.0, 100.0]),
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from([0.0, 0.3, 1.25]),
+    )
+    def test_right_continuity_at_switches(self, rate, modulus, t0):
+        # each dwell's member holds just after its start and differs from
+        # the member of the dwell before, which holds just before it
+        sig = FloorModulo(rate=rate, modulus=modulus, t0=t0)
         half = sig.tau_min / 2
-        for s in switch_times(sig, 0.0, 6.0):
-            assert active_index(sig, s) == active_index(sig, s + half)
-            if s - half >= 0:
-                assert active_index(sig, s - half) != active_index(sig, s)
+        walk = list(islice(dwells(sig), 12))
+        for (prev, before), (start, member) in zip(walk, walk[1:]):
+            assert active_index(sig, start + half) == member
+            assert active_index(sig, (prev + start) / 2) == before != member
 
 
 @st.composite
@@ -196,6 +192,22 @@ class TestStepSchedule:
             assert k < held <= next_switch[k]
             if held < next_switch[k]:
                 assert isinstance(sig, FloorModulo) and sig.modulus == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(aligned_signals())
+    def test_dwells_follow_the_schedule(self, signal_and_dt):
+        # the verifier walks the same members as the simulator: dwell i of
+        # the walk is the schedule's stretch i, which starts at t0 + dt k
+        sig, dt = signal_and_dt
+        schedule = step_schedule(sig, dt)
+        walk = list(islice(dwells(sig), 12))
+        k = 0
+        for start, member in walk:
+            assert start == pytest.approx(sig.t0 + dt * k, rel=1e-12)
+            member_k, k = schedule(k)
+            assert member == member_k
+        # a walk that ends early ends with the schedule's last stretch
+        assert len(walk) == 12 or k == math.inf
 
     def test_switches_off_the_steps_rejected(self):
         with pytest.raises(ValueError, match=r"^switching period 1/rate = 0.25 is not a whole"):
@@ -284,31 +296,83 @@ class TestJointConnectivity:
         with pytest.raises(ValueError, match=message):
             is_tau_jointly_connected(example2_network(), tau, horizon)
 
-    @settings(max_examples=25, deadline=None)
+    def test_dwell_starting_at_the_window_end_is_inside(self):
+        # each member alone is disconnected; the window [t_bar, t_bar + 1]
+        # also holds the dwell that starts at its end
+        family = [WeightedDigraph.undirected(3, [(0, 1)]), WeightedDigraph.undirected(3, [(1, 2)])]
+        net = DynamicNetwork(family, FloorModulo(rate=1.0, modulus=2))
+        assert is_tau_jointly_connected(net, 1.0, 3.0) == (True, None)
+        assert is_tau_jointly_connected(net, 0.999, 3.0) == (False, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_anchor_equal_to_t0_is_not_repeated(self, k):
+        # t0 is the start of dwell k, where floor(rate * t0) falls one
+        # short; the window at t0 holds dwell k alone, once
+        sig = FloorModulo(rate=1.9, modulus=2, t0=k / 1.9)
+        (first, _), (second, _) = islice(dwells(sig), 2)
+        assert first == sig.t0 < second
+        got = is_tau_jointly_connected(ring_and_pairs(sig), 0.3, 0.3)
+        assert got == ((True, None) if k % 2 == 0 else (False, sig.t0))
+
+    def test_modulus_one(self):
+        connected = FloorModulo(rate=3.0, modulus=1, t0=0.2)
+        assert is_tau_jointly_connected(ring_and_pairs(connected), 0.5, 5.0) == (True, None)
+        disconnected = FloorModulo(rate=3.0, modulus=1, offset=1, t0=0.2)
+        assert is_tau_jointly_connected(ring_and_pairs(disconnected), 0.5, 5.0) == (False, 0.2)
+
+    @pytest.mark.parametrize(
+        "t0, tau, horizon, expected",
+        [
+            (0.0, 1.5, 3.0, (False, 0.0)),
+            # [0, 2.5] holds the dwell from 2.5, [1, 3.5] lacks member 0
+            (0.0, 2.5, 4.0, (False, 1.0)),
+            # [1, 4] holds the dwell from 4 on
+            (0.0, 3.0, 4.0, (True, None)),
+            (0.0, 3.0, 6.0, (False, 2.5)),
+            (0.5, 2.0, 2.5, (False, 1.0)),
+            # anchors beyond the last breakpoint: none
+            (0.0, 3.0, 4.5, (True, None)),
+        ],
+    )
+    def test_breakpoints(self, t0, tau, horizon, expected):
+        # the three members are the edges of a path; a window needs them all
+        family = [WeightedDigraph.undirected(4, [(b, b + 1)]) for b in range(3)]
+        sig = Breakpoints(times=(1.0, 2.5, 4.0), indices=(0, 1, 2, 0), t0=t0)
+        assert is_tau_jointly_connected(DynamicNetwork(family, sig), tau, horizon) == expected
+
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
-        st.sampled_from([1.0, 2.0, 4.0]),
+        st.sampled_from([0.7, 1.0, 1.9, 2.0, 4.0, 100.0]),
         st.sampled_from([0.75, 1.0, 1.5, 2.25]),
         st.sampled_from([1.0, 2.0, 3.5]),
+        st.sampled_from([0.0, 0.3, 1.25]),
     )
-    def test_window_anchoring_matches_dense_grid(self, seed, rate, tau, extra):
-        # unions change only at switch instants, so checking windows anchored
-        # at switch times must agree with a dense sweep of window starts;
-        # dyadic rates/times keep every float comparison exact
+    def test_window_anchoring_matches_dense_grid(self, seed, rate, tau, extra, t0):
+        # moving a window's start within a dwell only adds dwells at its
+        # end, so the anchored check must agree with a dense sweep of window
+        # starts. The sweep runs in exact rational arithmetic over t0, the
+        # last window start and 15 points inside each dwell, and takes each
+        # window's members from its dwell numbers, so no float floor at a
+        # switch instant decides it. Every rate * tau here is an integer or
+        # at least 1/16 short of one, so the point 1/16 into a dwell sees
+        # the same window as its start
         rng = np.random.default_rng(seed)
         family = [random_undirected(rng, 5, p_edge=0.3) for _ in range(3)]
-        net = DynamicNetwork(family, FloorModulo(rate=rate, modulus=3))
+        net = DynamicNetwork(family, FloorModulo(rate=rate, modulus=3, t0=t0))
         horizon = tau + extra
         got, _ = is_tau_jointly_connected(net, tau, horizon)
 
-        step = net.signal.tau_min / 4
-        expect = True
-        t_bar = 0.0
-        while t_bar <= horizon - tau:
-            sample = np.arange(t_bar, t_bar + tau + step / 8, step / 2)
-            idxs = {active_index(net.signal, float(t)) for t in sample}
-            if not is_connected(union_graph([family[i] for i in idxs])):
-                expect = False
-                break
-            t_bar += step
-        assert got == expect
+        r, first, last = Fraction(rate), Fraction(t0), Fraction(t0 + horizon - tau)
+        inside = [
+            (d + Fraction(j, 16)) / r
+            for d in range(math.floor(r * first), math.ceil(r * last))
+            for j in range(1, 16)
+        ]
+
+        def connected(t_bar):
+            held = range(math.floor(r * t_bar), math.floor(r * (t_bar + Fraction(tau))) + 1)
+            # any three dwells in a row hold every member
+            return is_connected(union_graph([family[d % 3] for d in held[:3]]))
+
+        assert got == all(connected(t) for t in [first, *inside, last] if first <= t <= last)
