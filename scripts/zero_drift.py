@@ -41,7 +41,12 @@ script runs
 - consensus-lab verify on configs/example2/network_sigma1.json with
   --tau 10, which passes, --tau 5, which fails, and --tau 8 --horizon
   40; and on network_sigma2.json, whose signal is 100 times faster, with
-  --tau 0.1, --tau 0.05 and --tau 0.1 --horizon 1.
+  --tau 0.1, --tau 0.05 and --tau 0.1 --horizon 1;
+- consensus-lab verify on a directed family on 3 nodes that switches
+  every second between the path 0->1->2, unilaterally but not strongly
+  connected, and 0->1<-2, weakly but not unilaterally connected, with
+  --tau 1, whose windows union both and pass, and --tau 0.5, which fails
+  on the window that holds 0->1<-2 alone.
 
 Every run writes into its own temporary directory, which holds the files
 of INPUTS before it starts, and the other inputs are this checkout's
@@ -97,6 +102,16 @@ def _example1_weighted():
     return json.dumps(net)
 
 
+def _directed_family():
+    """A network text switching every second between the directed path
+    0->1->2 and the arcs 0->1<-2."""
+    graphs = [[[0, 1, 1.0], [1, 2, 1.0]], [[0, 1, 1.0], [2, 1, 1.0]]]
+    return json.dumps({
+        "signal": {"type": "floor_modulo", "rate": 1.0, "modulus": 2},
+        "graphs": [{"n": 3, "undirected": False, "edges": edges} for edges in graphs],
+    })
+
+
 def _per_edge(law, k):
     return json.dumps({"direction": "per_edge", "f": {"type": law, "k": k}})
 
@@ -110,6 +125,7 @@ INPUTS = {
     "weighted.json": _example1_weighted(),
     "per-edge-sign.json": _per_edge("sign", 1.0),
     "per-edge-linear.json": _per_edge("linear", 2.0),
+    "directed.json": _directed_family(),
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
@@ -170,6 +186,8 @@ CASES = {
     "verify-example2-sigma2": _SIGMA2 + ["--tau", "0.1"],
     "verify-example2-sigma2-fails": _SIGMA2 + ["--tau", "0.05"],
     "verify-example2-sigma2-horizon": _SIGMA2 + ["--tau", "0.1", "--horizon", "1"],
+    "verify-directed": ["verify", "directed.json", "--tau", "1"],
+    "verify-directed-fails": ["verify", "directed.json", "--tau", "0.5"],
 }
 
 # what a failing case must not leave in its directory

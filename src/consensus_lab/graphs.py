@@ -5,8 +5,9 @@ so the adjacency entry A[i, j] holds the weight of edge (j, i): row i of A
 lists the in-neighborhood of vertex i. Undirected graphs store both
 directions explicitly with equal weights. Graphs are immutable after
 construction; derived structures are cached on the instance. The edge
-arrays (src, dst, w) are how a graph acts on a state; the dense adjacency
-and Laplacian serve only the public matrix and spectral functions.
+arrays (src, dst, w) are how a graph acts on a state, and connectivity is
+one depth-first search over them; the dense adjacency and Laplacian serve
+only the public matrix and spectral functions.
 """
 
 from __future__ import annotations
@@ -111,23 +112,6 @@ class WeightedDigraph:
             np.array(w),
         )
 
-    @cached_property
-    def _reachability(self):
-        out = [[] for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            out[i].append(j)
-        reach = np.zeros((self.n, self.n), dtype=bool)
-        for s in range(self.n):
-            reach[s, s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for t in out[v]:
-                    if not reach[s, t]:
-                        reach[s, t] = True
-                        stack.append(t)
-        return reach
-
 
 def adjacency_matrix(g):
     """A[i, j] = weight of edge (j, i), zero when absent."""
@@ -146,35 +130,55 @@ def in_neighbors(g, i):
     return {s for s, t, _ in g.edges if t == i}
 
 
+def _search(n, src, dst, order):
+    """Iterative depth-first search over the arcs src[a] -> dst[a], a tree from
+    each vertex of order not yet reached. Returns the vertices in the order it
+    leaves them and each vertex's tree number, trees numbered as they start."""
+    out = [[] for _ in range(n)]
+    for i, j in zip(src, dst):
+        out[i].append(j)
+    left, tree = [], [-1] * n
+    # the filter is lazy, so it skips the vertices that earlier trees reached
+    for t, root in enumerate(v for v in order if tree[v] < 0):
+        tree[root] = t
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, arcs = stack[-1]
+            for w in arcs:
+                if tree[w] < 0:
+                    tree[w] = t
+                    stack.append((w, iter(out[w])))
+                    break
+            else:
+                left.append(stack.pop()[0])
+    return left, tree
+
+
 def is_connected(g):
-    """Unilateral connectivity: every pair joined by a path one way or the other."""
-    r = g._reachability
-    return bool(np.all(r | r.T))
+    """Unilateral connectivity: every pair joined by a path one way or the other.
+
+    Kosaraju's second search, over the reversed arcs in reverse leaving order,
+    numbers the strong components in topological order; the graph is
+    unilateral iff each component has an arc into the next (Tarjan 1972)."""
+    src, dst = (a.tolist() for a in g._edge_arrays[:2])
+    left, _ = _search(g.n, src, dst, range(g.n))
+    _, comp = _search(g.n, dst, src, reversed(left))
+    joined = {comp[i] for i, j in zip(src, dst) if comp[j] == comp[i] + 1}
+    return len(joined) == max(comp)
 
 
-def _component_roots(n, pairs):
-    """Each vertex's component root once every pair is joined (union-find)."""
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return [find(v) for v in range(n)]
+def _weak_labels(n, pairs):
+    """Each vertex's component number once every pair is joined, by least vertex."""
+    src, dst = zip(*pairs) if pairs else ((), ())
+    return _search(n, src + dst, dst + src, range(n))[1]
 
 
 def weak_components(g):
-    """Partition into components of the symmetrized graph."""
+    """Partition into components of the symmetrized graph, by least vertex."""
     blocks = {}
-    for v, root in enumerate(_component_roots(g.n, ((i, j) for i, j, _ in g.edges))):
-        blocks.setdefault(root, []).append(v)
-    return sorted(blocks.values())
+    for v, label in enumerate(_weak_labels(g.n, [(i, j) for i, j, _ in g.edges])):
+        blocks.setdefault(label, []).append(v)
+    return list(blocks.values())
 
 
 def union_graph(gs):
@@ -216,16 +220,9 @@ def edge_connectivity(g):
     if g.n > 12:
         raise ValueError("edge_connectivity is brute force; n <= 12 only")
     pairs = sorted({(min(i, j), max(i, j)) for i, j, _ in g.edges})
-
-    def n_components(removed):
-        return len(set(_component_roots(g.n, (p for p in pairs if p not in removed))))
-
-    base = n_components(frozenset())
-    if base > 1:
-        return 0
-    for k in range(1, len(pairs) + 1):
-        for combo in itertools.combinations(pairs, k):
-            if n_components(frozenset(combo)) > base:
+    for k in range(len(pairs) + 1):
+        for cut in itertools.combinations(pairs, k):
+            if max(_weak_labels(g.n, [p for p in pairs if p not in cut])) > 0:
                 return k
     return len(pairs)
 

@@ -189,6 +189,9 @@ def is_tau_jointly_connected(net, tau, horizon):
     _require_positive("tau", tau)
     if not (horizon >= tau and math.isfinite(horizon)):
         raise ValueError(f"horizon must be finite and at least tau = {tau}, got {horizon}")
+    lo, hi = net.signal.index_range()
+    if lo == hi:  # one member throughout: every window holds it alone
+        return (True, None) if is_connected(net.graphs[lo]) else (False, net.signal.t0)
     last = max(net.signal.t0, net.signal.t0 + horizon - tau)  # the sum can round below t0
     anchors, ends = tee(dwells(net.signal))  # a window's first dwell, the next past it
     end = next(ends)

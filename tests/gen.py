@@ -46,6 +46,40 @@ def digraphs(draw, min_n=2, max_n=8, weights=st.sampled_from(DYADIC_WEIGHTS)):
     return WeightedDigraph(n, edges)
 
 
+@st.composite
+def block_chains(draw, max_blocks=6, max_size=5):
+    """Digraphs of up to max_blocks strongly connected blocks of up to
+    max_size vertices laid in a chain, so up to 30 vertices and often many
+    strong components. Each block is a directed cycle with random chords.
+    Consecutive blocks are joined by an arc forward, by one backward or not
+    at all, random forward arcs skip blocks, and the vertices are relabelled
+    by a random permutation."""
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=max_blocks))
+    starts = [sum(sizes[:b]) for b in range(len(sizes) + 1)]
+
+    def vertex(b):
+        return draw(st.integers(starts[b], starts[b + 1] - 1))
+
+    arcs = set()
+    for b, size in enumerate(sizes):
+        first = starts[b]
+        if size > 1:
+            arcs.update((first + v, first + (v + 1) % size) for v in range(size))
+        arcs.update((vertex(b), vertex(b)) for _ in range(draw(st.integers(0, size))))
+    for b in range(len(sizes) - 1):
+        link = draw(st.sampled_from(("forward", "backward", "absent")))
+        if link != "absent":
+            i, j = vertex(b), vertex(b + 1)
+            arcs.add((i, j) if link == "forward" else (j, i))
+    for _ in range(draw(st.integers(0, max(len(sizes) - 2, 0)))):
+        b = draw(st.integers(0, len(sizes) - 3))
+        arcs.add((vertex(b), vertex(draw(st.integers(b + 2, len(sizes) - 1)))))
+    label = draw(st.permutations(range(starts[-1])))
+    return WeightedDigraph(
+        starts[-1], [(label[i], label[j], 1.0) for i, j in sorted(arcs) if i != j]
+    )
+
+
 def random_undirected(rng, n, p_edge=0.5, unit_weights=True):
     """numpy-seeded counterpart of undirected_graphs for fixed-count sweeps."""
     edges = []

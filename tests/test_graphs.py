@@ -19,7 +19,7 @@ from consensus_lab.graphs import (
     weak_components,
 )
 
-from gen import brute_components, brute_reachable, digraphs, undirected_graphs
+from gen import block_chains, brute_components, brute_reachable, digraphs, undirected_graphs
 
 
 def two_node():
@@ -157,8 +157,17 @@ class TestIsConnected:
         g = WeightedDigraph(3, [(0, 1, 1.0), (2, 1, 1.0)])
         assert not is_connected(g)
 
+    def test_long_directed_path(self):
+        # the search is iterative and linear in the arcs, so a deep path
+        # neither exhausts the recursion limit nor takes quadratic time
+        n = 20_000
+        arcs = [(i, i + 1, 1.0) for i in range(n - 1)]
+        assert is_connected(WeightedDigraph(n, arcs))
+        arcs[n // 2] = (n // 2 + 1, n // 2, 1.0)
+        assert not is_connected(WeightedDigraph(n, arcs))
+
     @settings(max_examples=200)
-    @given(digraphs())
+    @given(st.one_of(digraphs(), block_chains()))
     def test_matches_brute_force_unilateral(self, g):
         # connected iff every pair of nodes is joined by a path one way or
         # the other
@@ -184,7 +193,7 @@ class TestWeakComponents:
         assert sizes == [1] * 8 + [2]
 
     @settings(max_examples=100)
-    @given(digraphs())
+    @given(st.one_of(digraphs(), block_chains()))
     def test_matches_brute_force(self, g):
         got = {frozenset(c) for c in weak_components(g)}
         assert got == brute_components(g)

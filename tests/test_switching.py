@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from consensus_lab import switching
 from consensus_lab.graphs import WeightedDigraph, circulant_graph, is_connected, union_graph
 from consensus_lab.switching import (
     Breakpoints,
@@ -319,6 +320,19 @@ class TestJointConnectivity:
         assert is_tau_jointly_connected(ring_and_pairs(connected), 0.5, 5.0) == (True, None)
         disconnected = FloorModulo(rate=3.0, modulus=1, offset=1, t0=0.2)
         assert is_tau_jointly_connected(ring_and_pairs(disconnected), 0.5, 5.0) == (False, 0.2)
+
+    def test_modulus_one_walks_no_dwells(self, monkeypatch):
+        # a lone member never changes, so its verdict needs no walk over the
+        # rate * horizon dwells
+        def walk(sig):
+            raise AssertionError("walked the dwells of a one-member signal")
+
+        monkeypatch.setattr(switching, "dwells", walk)
+        connected = FloorModulo(rate=1e4, modulus=1)
+        assert is_tau_jointly_connected(ring_and_pairs(connected), 100.0, 300.0) == (True, None)
+        disconnected = FloorModulo(rate=1e4, modulus=1, offset=1, t0=0.2)
+        got = is_tau_jointly_connected(ring_and_pairs(disconnected), 100.0, 300.0)
+        assert got == (False, 0.2)
 
     @pytest.mark.parametrize(
         "t0, tau, horizon, expected",
