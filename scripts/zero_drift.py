@@ -35,6 +35,10 @@ script runs
   sign law with --dt 1e-3 --t-end 15 --per-node --record-stride 7, and
   under a per-edge linear law of gain 2 with --dt 1e-4 --t-end 10
   --per-node --record-stride 100;
+- example 1's network and x0 under a per-edge fixed-time law with k1 = k2
+  = 1, p = 0.5 and q = 1.5, which runs in the compiled stretch loop, and
+  the same with q = 2, which runs on numpy, each with --dt 1e-3 --t-end 10
+  --per-node --record-stride 10;
 - consensus-lab verify on configs/example1 with --tau 1 and with --tau
   0.5 --horizon 20, which pass (each of its members is connected, so no
   tau fails), and with --tau 0, which exits 1;
@@ -116,6 +120,11 @@ def _per_edge(law, k):
     return json.dumps({"direction": "per_edge", "f": {"type": law, "k": k}})
 
 
+def _per_edge_fixed_time(q):
+    law = {"type": "fixed_time", "k1": 1.0, "k2": 1.0, "p": 0.5, "q": q}
+    return json.dumps({"direction": "per_edge", "f": law})
+
+
 # written into each run's directory before the run
 INPUTS = {
     "unstable-protocol.json": '{"direction": "aggregated", "f": {"type": "linear", "k": 1002.0}}\n',
@@ -125,6 +134,8 @@ INPUTS = {
     "weighted.json": _example1_weighted(),
     "per-edge-sign.json": _per_edge("sign", 1.0),
     "per-edge-linear.json": _per_edge("linear", 2.0),
+    "per-edge-fixed-time.json": _per_edge_fixed_time(1.5),
+    "per-edge-fixed-time-q2.json": _per_edge_fixed_time(2.0),
     "directed.json": _directed_family(),
 }
 CASES = {
@@ -176,6 +187,14 @@ CASES = {
     "example1-weighted-per-edge-linear": [
         _SIMULATE[0], "weighted.json", "per-edge-linear.json", *_SIMULATE[3:],
         "--dt", "1e-4", "--t-end", "10", "--per-node", "--record-stride", "100",
+    ] + HERE,
+    "example1-per-edge-fixed-time": [
+        _SIMULATE[0], _SIMULATE[1], "per-edge-fixed-time.json", *_SIMULATE[3:],
+        "--dt", "1e-3", "--t-end", "10", "--per-node", "--record-stride", "10",
+    ] + HERE,
+    "example1-per-edge-fixed-time-q2": [
+        _SIMULATE[0], _SIMULATE[1], "per-edge-fixed-time-q2.json", *_SIMULATE[3:],
+        "--dt", "1e-3", "--t-end", "10", "--per-node", "--record-stride", "10",
     ] + HERE,
     "verify-example1": _VERIFY1 + ["--tau", "1"],
     "verify-example1-horizon": _VERIFY1 + ["--tau", "0.5", "--horizon", "20"],

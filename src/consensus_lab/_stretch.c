@@ -7,26 +7,37 @@
 #include <math.h>
 #include <stdint.h>
 
-enum { LINEAR, SIGN, POWER_HALF };        /* law */
+enum { LINEAR, SIGN, POWER_HALF, FIXED_TIME }; /* law; FIXED_TIME has p = 1/2, q = 3/2 */
 enum { PER_EDGE, PER_EDGE_SIGN, AGGREGATED }; /* where f and the gain apply */
 
-static double f(int law, double v)
+static double sign(double v) /* np.sign: +0.0 for either zero, NaN stays NaN */
 {
+    return v > 0 ? 1.0 : v < 0 ? -1.0 : v == 0 ? 0.0 : v;
+}
+
+/* the node function with its gains k and k2 */
+static double f(int law, double k, double k2, double v)
+{
+    double a = fabs(v), r;
     if (law == LINEAR)
-        return v;
-    if (law == SIGN) /* np.sign: +0.0 for either zero, NaN stays NaN */
-        return v > 0 ? 1.0 : v < 0 ? -1.0 : v == 0 ? 0.0 : v;
-    return copysign(sqrt(fabs(v)), v); /* numpy's |v| ** 0.5 is sqrt */
+        return k * v;
+    if (law == SIGN)
+        return k * sign(v);
+    r = sqrt(a); /* numpy's |v| ** 0.5 is sqrt */
+    if (law == POWER_HALF)
+        return k * copysign(r, v);
+    return k * copysign(r, v) + k2 * copysign(a * r, v);
 }
 
 /* Runs steps Euler steps x -> x + dt*u(x) from the state x, writing the
    state after each step into the rows of X and, unless U is NULL, the
    control of each step into the rows of U. The m arcs run from src to dst
-   with weights w, NULL for unit weights. k holds one gain (k_step 0) or one
-   per arc or node (k_step 1). acc holds n doubles. */
+   with weights w, NULL for unit weights. k and k2 hold the gains, k2 only
+   for FIXED_TIME: one each (k_step 0) or one per arc or node (k_step 1).
+   acc holds n doubles. */
 void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
              const int64_t *dst, const double *w, const double *k,
-             int64_t k_step, double dt, double *acc, int64_t steps,
+             const double *k2, int64_t k_step, double dt, double *acc, int64_t steps,
              const double *x, double *X, double *U)
 {
     for (int64_t s = 0; s < steps; s++) {
@@ -38,9 +49,9 @@ void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
             if (mode == AGGREGATED)
                 v = w ? w[a] * d : d;
             else if (mode == PER_EDGE_SIGN)
-                v = f(SIGN, d);
+                v = sign(d);
             else {
-                v = k[a * k_step] * f(law, d);
+                v = f(law, k[a * k_step], k2 ? k2[a * k_step] : 0.0, d);
                 if (w)
                     v = w[a] * v;
             }
@@ -49,7 +60,7 @@ void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
         for (int64_t i = 0; i < n; i++) {
             double u = acc[i];
             if (mode == AGGREGATED)
-                u = k[i * k_step] * f(law, u);
+                u = f(law, k[i * k_step], k2 ? k2[i * k_step] : 0.0, u);
             else if (mode == PER_EDGE_SIGN)
                 u = k[i * k_step] * u;
             if (U)

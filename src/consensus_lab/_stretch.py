@@ -1,6 +1,6 @@
 """The simulator's Euler stretch: the compiled loop of _stretch.c, loaded
-with ctypes, for Linear, Sign and Power with alpha = 0.5, whose C
-arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
+with ctypes, for Linear, Sign, Power with alpha = 0.5 and FixedTime with
+p = 0.5 and q = 1.5, whose C arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
 same bytes, for every other law or where gcc is missing or the build or
 the load fails. Only this module and _stretch.c know the C calling
 convention. The library is built at first use with the installed gcc,
@@ -22,15 +22,15 @@ from importlib import resources
 
 import numpy as np
 
-from .protocols import Direction, Linear, Power, Sign, _kernel
+from .protocols import Direction, FixedTime, Linear, Power, Sign, _kernel
 
 # -ffp-contract=off: where the target has FMA, x + dt*u must not fuse
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
-_LAWS = {Linear: 0, Sign: 1, Power: 2}  # the law enum of _stretch.c
+_LAWS = {Linear: 0, Sign: 1, Power: 2, FixedTime: 3}  # the law enum of _stretch.c
 PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
-# law, mode, n, m, src, dst, w, k, k_step, dt, acc, then steps, x, X, U
+# law, mode, n, m, src, dst, w, k, k2, k_step, dt, acc, then steps, x, X, U
 _INT, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _P, _I64, ctypes.c_double, _P, _I64, _P, _P, _P]
+_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _P, _P, _I64, ctypes.c_double, _P, _I64, _P, _P, _P]
 
 _lib = None  # the bound C function once loaded; False once that failed
 
@@ -97,6 +97,15 @@ def _bind(path):
     return fn
 
 
+def _compiled_exponents(f):
+    """Whether the exponents of f are those of _stretch.c's laws."""
+    if isinstance(f, Power):
+        return f.alpha == 0.5
+    if isinstance(f, FixedTime):
+        return (f.p, f.q) == (0.5, 1.5)
+    return True
+
+
 def stretch(union, dt):
     """(run, compiled): the Euler stretch of a member (see protocols._union)
     and whether it runs compiled. run(x, X, U) runs len(X) Euler steps from
@@ -105,7 +114,7 @@ def stretch(union, dt):
     C-contiguous float arrays of union.n columns."""
     f = union.f
     law = _LAWS.get(type(f))
-    if law is None or (isinstance(f, Power) and f.alpha != 0.5) or load() is None:
+    if law is None or not _compiled_exponents(f) or load() is None:
         kernel = _kernel(union)
 
         def run(x, X, U):
@@ -120,15 +129,15 @@ def stretch(union, dt):
         mode = AGGREGATED
     else:
         mode = PER_EDGE_SIGN if law == _LAWS[Sign] else PER_EDGE
-    (k,) = union.gains
-    k = np.asarray(k, dtype=float)
+    gains = [np.asarray(g, dtype=float) for g in union.gains]
+    k, k2 = gains[0], gains[1] if len(gains) > 1 else None
     src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (union.src, union.dst))
     w = None if union.w is None else np.ascontiguousarray(union.w, dtype=float)
     acc = np.empty(union.n)
-    keep = (src, dst, w, k, acc)
+    keep = (src, dst, w, k, k2, acc)
     addresses = [None if a is None else a.ctypes.data for a in keep]
     call = functools.partial(
-        _lib, law, mode, union.n, len(dst), *addresses[:4], k.ndim, dt, addresses[4]
+        _lib, law, mode, union.n, len(dst), *addresses[:5], k.ndim, dt, addresses[5]
     )
 
     def run(x, X, U):

@@ -9,8 +9,9 @@ x_src - x_dst into their destination rows with np.bincount, so every row
 is exactly zero at consensus whatever the weights. Each law's formula is
 written once in Python, in the pre-bound evaluator that eval_f, control
 and _kernel share. _stretch.stretch runs _kernel, the reference, or its
-compiled loop (_stretch.c), which repeats the formulas of Linear, Sign and
-Power with alpha = 0.5 and which the tests hold bit-equal to them.
+compiled loop (_stretch.c), which repeats the formulas of Linear, Sign,
+Power with alpha = 0.5 and FixedTime with p = 0.5 and q = 1.5 and which the
+tests hold bit-equal to them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ __all__ = [
 
 
 def _signed_power(x, alpha):
-    # |x|^alpha sign(x), the odd power that keeps f(0) = 0
-    return np.copysign(np.abs(x) ** alpha, x)
+    # |x|^alpha sign(x), the odd power that keeps f(0) = 0; alpha = 1.5 is
+    # |x| sqrt|x|, whose bits, unlike numpy's SIMD pow, do not depend on the
+    # CPU and which C computes alike
+    a = np.abs(x)
+    return np.copysign(a * np.sqrt(a) if alpha == 1.5 else a ** alpha, x)
 
 
 @dataclass(frozen=True)

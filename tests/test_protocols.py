@@ -1,9 +1,16 @@
+import contextlib
+import io
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+import consensus_lab
 
 from consensus_lab.graphs import WeightedDigraph, circulant_graph, laplacian
 from consensus_lab.protocols import (
@@ -320,3 +327,55 @@ class TestJson:
             protocol_from_json(
                 {"direction": "aggregated", "f": {"type": "power", "k": 1.0, "alpha": 1.5}}
             )
+
+
+# hashes the bytes of the fixed-time law on a fixed array, and of a short
+# fixed-time run on the numpy path; run in this process and in a child
+# whose numpy dispatches no AVX-512 kernels
+_FIXED_TIME_DIGESTS = """
+import hashlib
+from unittest import mock
+
+import numpy as np
+
+from consensus_lab import _stretch
+from consensus_lab.benchmark import benchmark_topology, lcg_initial_conditions, LcgConfig
+from consensus_lab.protocols import Direction, FixedTime, Protocol, eval_f
+from consensus_lab.simulate import SimConfig, simulate
+
+# exact arithmetic only, so that x itself does not depend on the dispatch
+x = np.concatenate(
+    [np.arange(-3000, 3001) / 97.0, np.ldexp(np.arange(1, 2001) / 7.0, np.arange(-1000, 1000) // 2)]
+)
+print(hashlib.sha256(eval_f(FixedTime(1.0, 1.0, 0.5, 1.5), x).tobytes()).hexdigest())
+protocol = Protocol(Direction.PER_EDGE, FixedTime(2.0, 3.0, 0.5, 1.5))
+cfg = SimConfig(t_end=0.5, dt=1e-3, track_per_node=True)
+with mock.patch.object(_stretch, "load", lambda: None):
+    x0 = lcg_initial_conditions(LcgConfig(), 10)
+    traj = simulate(benchmark_topology(10), protocol, x0, cfg)
+arrays = (traj.states, traj.controls, traj.metrics.V, traj.metrics.E_tot, traj.metrics.E_i)
+print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def _dispatches_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return all(__cpu_features__.get(name) for name in _AVX512)
+
+
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+def test_fixed_time_bits_do_not_depend_on_simd_dispatch():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_FIXED_TIME_DIGESTS, {})
+    src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512), PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", _FIXED_TIME_DIGESTS], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == out.getvalue()
