@@ -3,7 +3,9 @@
    operation is the one numpy does, in the same order: the gathered
    differences, the weight and gain products, the per-destination sums of
    np.bincount (in arc order, from +0.0) and x + dt*u. Built with
-   -ffp-contract=off, so no multiply and add fuse into one rounding. */
+   -ffp-contract=off, so no multiply and add fuse into one rounding, and
+   with -funswitch-loops, which hoists the tests of w and U out of the
+   loops. */
 #include <math.h>
 #include <stdint.h>
 
@@ -29,16 +31,13 @@ static double f(int law, double k, double k2, double v)
     return k * copysign(r, v) + k2 * copysign(a * r, v);
 }
 
-/* Runs steps Euler steps x -> x + dt*u(x) from the state x, writing the
-   state after each step into the rows of X and, unless U is NULL, the
-   control of each step into the rows of U. The m arcs run from src to dst
-   with weights w, NULL for unit weights. k and k2 hold the gains, k2 only
-   for FIXED_TIME: one each (k_step 0) or one per arc or node (k_step 1).
-   acc holds n doubles. */
-void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
-             const int64_t *dst, const double *w, const double *k,
-             const double *k2, int64_t k_step, double dt, double *acc, int64_t steps,
-             const double *x, double *X, double *U)
+/* One stretch's loops for a law and mode known at compile time: stretch
+   inlines a copy per pair, so no test of either runs per arc. */
+static inline __attribute__((always_inline)) void
+steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
+         const int64_t *dst, const double *w, double k, double k2,
+         double dt, double *acc, int64_t steps,
+         const double *x, double *X, double *U)
 {
     for (int64_t s = 0; s < steps; s++) {
         double *next = X + s * n;
@@ -51,7 +50,7 @@ void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
             else if (mode == PER_EDGE_SIGN)
                 v = sign(d);
             else {
-                v = f(law, k[a * k_step], k2 ? k2[a * k_step] : 0.0, d);
+                v = f(law, k, k2, d);
                 if (w)
                     v = w[a] * v;
             }
@@ -60,13 +59,42 @@ void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
         for (int64_t i = 0; i < n; i++) {
             double u = acc[i];
             if (mode == AGGREGATED)
-                u = f(law, k[i * k_step], k2 ? k2[i * k_step] : 0.0, u);
+                u = f(law, k, k2, u);
             else if (mode == PER_EDGE_SIGN)
-                u = k[i * k_step] * u;
+                u = k * u;
             if (U)
                 U[s * n + i] = u;
             next[i] = x[i] + dt * u;
         }
         x = next;
     }
+}
+
+/* Runs steps Euler steps x -> x + dt*u(x) from the state x, writing the
+   state after each step into the rows of X and, unless U is NULL, the
+   control of each step into the rows of U. The m arcs run from src to dst
+   with weights w, NULL for unit weights. k is the law's gain, k2 the
+   second gain of FIXED_TIME. acc holds n doubles. */
+void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
+             const int64_t *dst, const double *w, double k, double k2,
+             double dt, double *acc, int64_t steps,
+             const double *x, double *X, double *U)
+{
+#define STEPS(LAW, MODE) steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, acc, steps, x, X, U)
+    if (mode == PER_EDGE_SIGN)
+        STEPS(SIGN, PER_EDGE_SIGN);
+    else if (mode == PER_EDGE)
+        switch (law) {
+        case LINEAR: STEPS(LINEAR, PER_EDGE); break;
+        case SIGN: STEPS(SIGN, PER_EDGE); break;
+        case POWER_HALF: STEPS(POWER_HALF, PER_EDGE); break;
+        default: STEPS(FIXED_TIME, PER_EDGE);
+        }
+    else
+        switch (law) {
+        case LINEAR: STEPS(LINEAR, AGGREGATED); break;
+        case SIGN: STEPS(SIGN, AGGREGATED); break;
+        case POWER_HALF: STEPS(POWER_HALF, AGGREGATED); break;
+        default: STEPS(FIXED_TIME, AGGREGATED);
+        }
 }

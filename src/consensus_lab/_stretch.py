@@ -22,15 +22,17 @@ from importlib import resources
 
 import numpy as np
 
-from .protocols import Direction, FixedTime, Linear, Power, Sign, _kernel
+from .protocols import Direction, FixedTime, Linear, Power, Sign, _arcs, _kernel
 
-# -ffp-contract=off: where the target has FMA, x + dt*u must not fuse
-FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
-_LAWS = {Linear: 0, Sign: 1, Power: 2, FixedTime: 3}  # the law enum of _stretch.c
+# -ffp-contract=off: where the target has FMA, x + dt*u must not fuse;
+# -funswitch-loops: a test of w or U per arc costs up to a fifth of a step
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-funswitch-loops", "-shared", "-fPIC")
+# the enums of _stretch.c
+LINEAR, SIGN, POWER_HALF, FIXED_TIME = range(4)
 PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
-# law, mode, n, m, src, dst, w, k, k2, k_step, dt, acc, then steps, x, X, U
-_INT, _I64, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _P, _P, _I64, ctypes.c_double, _P, _I64, _P, _P, _P]
+# law, mode, n, m, src, dst, w, k, k2, dt, acc, then steps, x, X, U
+_INT, _I64, _P, _D = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _P, _I64, _P, _P, _P]
 
 _lib = None  # the bound C function once loaded; False once that failed
 
@@ -97,25 +99,26 @@ def _bind(path):
     return fn
 
 
-def _compiled_exponents(f):
-    """Whether the exponents of f are those of _stretch.c's laws."""
+def _law(f):
+    """The law of _stretch.c that computes the node function f; None if
+    none does."""
     if isinstance(f, Power):
-        return f.alpha == 0.5
+        return POWER_HALF if f.alpha == 0.5 else None
     if isinstance(f, FixedTime):
-        return (f.p, f.q) == (0.5, 1.5)
-    return True
+        return FIXED_TIME if (f.p, f.q) == (0.5, 1.5) else None
+    return {Linear: LINEAR, Sign: SIGN}.get(type(f))
 
 
-def stretch(union, dt):
-    """(run, compiled): the Euler stretch of a member (see protocols._union)
-    and whether it runs compiled. run(x, X, U) runs len(X) Euler steps from
-    the state x, writing the state after each step into the rows of X and,
-    unless U is None, its control into the rows of U; X and U are
-    C-contiguous float arrays of union.n columns."""
-    f = union.f
-    law = _LAWS.get(type(f))
-    if law is None or not _compiled_exponents(f) or load() is None:
-        kernel = _kernel(union)
+def stretch(protocol, g, dt):
+    """(run, compiled): the Euler stretch of the protocol on the member
+    graph g and whether it runs compiled. run(x, X, U) runs len(X) Euler
+    steps from the state x, writing the state after each step into the rows
+    of X and, unless U is None, its control into the rows of U; X and U are
+    C-contiguous float arrays of g.n columns."""
+    f = protocol.f
+    law = _law(f)
+    if law is None or load() is None:
+        kernel = _kernel(protocol, g)
 
         def run(x, X, U):
             for r in range(len(X)):
@@ -125,20 +128,18 @@ def stretch(union, dt):
                 x = np.add(x, dt * u, out=X[r])
 
         return run, False
-    if union.direction is Direction.AGGREGATED:
+    if protocol.direction is Direction.AGGREGATED:
         mode = AGGREGATED
     else:
-        mode = PER_EDGE_SIGN if law == _LAWS[Sign] else PER_EDGE
-    gains = [np.asarray(g, dtype=float) for g in union.gains]
-    k, k2 = gains[0], gains[1] if len(gains) > 1 else None
-    src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (union.src, union.dst))
-    w = None if union.w is None else np.ascontiguousarray(union.w, dtype=float)
-    acc = np.empty(union.n)
-    keep = (src, dst, w, k, k2, acc)
-    addresses = [None if a is None else a.ctypes.data for a in keep]
-    call = functools.partial(
-        _lib, law, mode, union.n, len(dst), *addresses[:5], k.ndim, dt, addresses[5]
-    )
+        mode = PER_EDGE_SIGN if law == SIGN else PER_EDGE
+    k, k2 = (f.k1, f.k2) if law == FIXED_TIME else (f.k, 0.0)
+    src, dst, w = _arcs(g)
+    src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (src, dst))
+    w = None if w is None else np.ascontiguousarray(w, dtype=float)
+    acc = np.empty(g.n)
+    keep = (src, dst, w, acc)
+    src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in keep]
+    call = functools.partial(_lib, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, acc_p)
 
     def run(x, X, U):
         call(len(X), x.ctypes.data, X.ctypes.data, None if U is None else U.ctypes.data)

@@ -7,10 +7,8 @@ directions of a protocol family settle to V = 0.05 at 1.00 s, then held
 fixed across sizes so settling time and control effort can be compared as
 the algebraic connectivity falls.
 
-Calibration probes and sweep rows are independent systems that share the
-signal, dt and the law, so each calibration round and each direction's
-sweep runs as one union (see simulate._Run); every gain, settling time and
-E_tot is that of a serial run. The two directions share nothing at all, so
+Each calibration probe and each sweep row is one run of one system (see
+simulate._Run). The two directions share nothing at all, so
 run_experiment calibrates and sweeps the per-edge direction in a forked
 child process beside the aggregated one, and raises the first failure in
 serial order.
@@ -47,9 +45,6 @@ __all__ = [
 GAIN_BRACKET = (1e-3, 1e3)
 RETIRED = "> target_t + band"
 BISECTION_STEPS = 48
-# a bisection round probes the midpoints of the next PATH_LEVELS levels on
-# the path toward the predicted gain, as many probes as the pre-scan's grid
-PATH_LEVELS = 7
 H_RULE = "largest h <= floor(n/2) with gcd(h, n) = 1; member 1 = C_n{1, h}"
 
 
@@ -152,60 +147,23 @@ def _cut_step(t0, dt, target_t, band, last_step):
     return int(np.argmax(past)) if past.any() else None
 
 
-def _predict_gain(hi, t_hi, target_t):
-    """Gain predicted to settle at target_t from the fast end hi of the
-    bisection bracket, which settles at t_hi <= target_t.
-
-    T(k) falls roughly like 1/k, so the prediction is hi t_hi / target_t.
-    The bracket's end is used, not the slowest fast probe so far, because
-    T(k) rises again at high gains, where Euler chatter delays the stop.
-    """
-    return hi * t_hi / target_t
-
-
-def _predicted_path(lo, hi, k_hat, levels):
-    """Midpoints of the next `levels` bisection levels from (lo, hi) on the
-    path a predicted gain k_hat takes.
-
-    The path steps to the fast half, (lo, mid), when mid >= k_hat, and to
-    the slow half otherwise; a NaN prediction steps to the slow half. The
-    midpoints are the floats the bisection computes.
-    """
-    path = []
-    for _ in range(levels):
-        mid = 0.5 * (lo + hi)
-        path.append(mid)
-        if mid >= k_hat:
-            hi = mid
-        else:
-            lo = mid
-    return path
-
-
 def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     """Bisect the gain so settling_time(eps=target_v) hits target_t.
 
     k = k1 = k2 for the fixed-time family. Returns (gain, achieved time);
     the bisection exits early once the achieved time is within 10 dt of the
     target. Raises CalibrationError when the bracket endpoints do not
-    straddle the target; its report of the pre-scan lists the gains a
-    serial scan probes, with None for probes that diverged or never settled
-    and RETIRED for retired ones.
+    straddle the target; its report of the pre-scan lists the gains probed,
+    with None for probes that diverged or never settled and RETIRED for
+    retired ones.
 
-    Probes run in rounds, each round one union run (see simulate._Run)
-    that integrates no effort. Every probe first runs to the cut step (see
-    _cut_step). If V is still above target_v there, the probe retires and
-    leaves the union: its settling time lies past target_t + band, which
-    every pre-scan and bisection test treats like a probe that never
-    settles. Other probes run the full 4 target_t horizon. The pre-scan is
-    one round of all seven grid gains. Each bisection round probes the
-    midpoints of the next PATH_LEVELS levels on the path toward the gain
-    that _predict_gain predicts from the bracket's fast end. The serial
-    decisions, including the early exit, are then replayed on the probed
-    times, level by level, up to the first level whose midpoint was not
-    probed; the next round starts from that level's bracket. A wrong
-    prediction costs a round, never a decision: the returned gain and time
-    are those of serial full-horizon probes.
+    Each probe is one run that integrates no effort. It first runs to the
+    cut step (see _cut_step). If V is still above target_v there, the probe
+    retires: its settling time lies past target_t + band, which every
+    pre-scan and bisection test treats like a probe that never settles.
+    Other probes run the full 4 target_t horizon. The pre-scan probes the
+    geometric grid up to the first gain that settles by target_t; plain
+    bisection follows.
     """
     for name, value in (("target_v", target_v), ("target_t", target_t), ("dt", dt)):
         _require_positive(name, value)
@@ -217,23 +175,20 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     last = _base_steps(target_t, dt)
     cut = _cut_step(net.signal.t0, dt, target_t, band, last)
 
-    def probe(gains):
-        # settling time per gain; math.inf stands for a retired probe: past
-        # the band, exact time unknown
-        systems = [(net, benchmark_protocol(family, direction, k), x0) for k in gains]
-        run = _Run(systems, dt, stop_epsilon=target_v, record_stride=10**9, effort=None)
-        times = [None] * len(gains)
+    def probe(k):
+        # the settling time; math.inf stands for a retired probe: past the
+        # band, exact time unknown
+        protocol = benchmark_protocol(family, direction, k)
+        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9, effort=None)
         if cut is not None:
             run.advance(cut)
-            for i, c in enumerate(run.components):
-                if c.error is None and run.metrics(i).V[-1] > target_v:
-                    times[i] = math.inf
-                    run.drop(i)
+            if run.error is None and run.V[run.next - 1] > target_v:
+                return math.inf
         run.advance(last)
-        for i, c in enumerate(run.components):
-            if times[i] is None and c.error is None:
-                times[i] = settling_time(run.metrics(i), target_v)
-        return dict(zip(gains, times))
+        return None if run.error else settling_time(run.metrics(), target_v)
+
+    def fast(t):
+        return t is not None and t <= target_t
 
     # T(k) falls like 1/k in the useful range but stops settling again at
     # extreme gains, where the Euler chatter amplitude outgrows target_v.
@@ -241,50 +196,32 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     grid = [GAIN_BRACKET[0]]
     while grid[-1] < GAIN_BRACKET[1]:
         grid.append(min(grid[-1] * 10.0, GAIN_BRACKET[1]))
-    times = probe(grid)
     scanned = {}
-    t_first = times[grid[0]]
-    scanned[grid[0]] = t_first
-    if t_first is not None and t_first <= target_t:
-        raise CalibrationError(
-            f"T({grid[0]}) = {t_first} is already at or below "
-            f"target_t={target_t}; no slow endpoint to bracket from"
-        )
-    bracket = None
-    lo = grid[0]
-    for g in grid[1:]:
-        t_g = times[g]
-        scanned[g] = t_g
-        if t_g is not None and t_g <= target_t:
-            bracket = (lo, g, t_g)
+    for hi in grid:
+        scanned[hi] = t_hi = probe(hi)
+        if fast(t_hi):
             break
-        lo = g
-    if bracket is None:
+    else:
         report = {g: RETIRED if t == math.inf else t for g, t in scanned.items()}
         raise CalibrationError(
             f"no gain in {GAIN_BRACKET} settles within target_t={target_t}; "
             f"scanned {report}"
         )
-    lo, hi, t_hi = bracket
-    step = 0
-    while step < BISECTION_STEPS:
-        path = _predicted_path(
-            lo, hi, _predict_gain(hi, t_hi, target_t),
-            min(PATH_LEVELS, BISECTION_STEPS - step),
+    if hi == grid[0]:
+        raise CalibrationError(
+            f"T({grid[0]}) = {t_hi} is already at or below "
+            f"target_t={target_t}; no slow endpoint to bracket from"
         )
-        times.update(probe([g for g in path if g not in times]))
-        while step < BISECTION_STEPS:
-            mid = 0.5 * (lo + hi)
-            if mid not in times:
-                break
-            step += 1
-            t_mid = times[mid]
-            if t_mid is not None and abs(t_mid - target_t) <= band:
-                return mid, t_mid
-            if t_mid is not None and t_mid <= target_t:
-                hi, t_hi = mid, t_mid
-            else:
-                lo = mid
+    lo = grid[len(scanned) - 2]
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        t_mid = probe(mid)
+        if t_mid is not None and abs(t_mid - target_t) <= band:
+            return mid, t_mid
+        if fast(t_mid):
+            hi, t_hi = mid, t_mid
+        else:
+            lo = mid
     if abs(t_hi - target_t) <= band:
         return hi, t_hi
     raise CalibrationError(
@@ -301,10 +238,10 @@ def _experiment_family(experiment: int) -> str:
     raise ValueError(f"experiment must be 1 or 2, got {experiment}")
 
 
-def _settled(run, i, epsilon, dt):
-    """(settling time, E_tot at it) of system i of the run, or None if it
-    has not settled."""
-    metrics = run.metrics(i)
+def _settled(run, epsilon, dt):
+    """(settling time, E_tot at it) of the run, or None if it has not
+    settled."""
+    metrics = run.metrics()
     t_star = settling_time(metrics, epsilon)
     if t_star is None:
         return None
@@ -312,61 +249,38 @@ def _settled(run, i, epsilon, dt):
     return t_star, float(metrics.E_tot[idx])
 
 
-def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_steps):
-    """Settling time and E_tot of one direction's sweep rows, one per size.
+def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
+    """Settling time and E_tot of one direction's sweep row at size n.
 
-    The rows run as one union (see simulate._Run), advanced base_steps
-    steps and then on through doubled step counts, up to ten times, until
-    every row is resolved. At each horizon a row that diverged gets its
-    DivergenceError, and one that has settled gets (settling time, E_tot)
-    and leaves the union, so it costs no further steps. A resolved row's
-    record is freed, so it holds no memory while the others run on. A row
-    unresolved after the last horizon gets a RuntimeError.
-    Returns the outcome of each row in the order of sizes; each is that of
-    a serial run of the row alone resumed through the same horizons, since
-    a run's prefix does not depend on where it ends or on the rows beside
-    it.
+    The row's run is advanced base_steps steps and then on through doubled
+    step counts, up to ten times, until it is resolved. Returns (settling
+    time, E_tot) once it has settled, its DivergenceError if it diverged,
+    or a RuntimeError if it is unresolved after the last horizon. The
+    outcome is that of a fresh run at each horizon, since a run's prefix
+    does not depend on where it ends.
     """
-    systems = [
-        (
-            benchmark_topology(n),
-            benchmark_protocol(family, direction, k),
-            lcg_initial_conditions(lcg, n),
-        )
-        for n in sizes
-    ]
-    run = _Run(systems, dt, stop_epsilon=epsilon, record_stride=10**9)
-    outcomes = [None] * len(sizes)
+    protocol = benchmark_protocol(family, direction, k)
+    x0 = lcg_initial_conditions(lcg, n)
+    run = _Run(benchmark_topology(n), protocol, x0, dt, stop_epsilon=epsilon, record_stride=10**9)
+    context = f"benchmark row n={n} direction={direction.value}"
     steps = base_steps
     for _ in range(11):
         run.advance(steps)
-        for i, (n, c) in enumerate(zip(sizes, run.components)):
-            if c is None:
-                continue
-            if c.error is not None:
-                outcomes[i] = DivergenceError(
-                    c.error.time,
-                    c.error.max_abs,
-                    context=f"benchmark row n={n} direction={direction.value}",
-                )
-                outcomes[i].__cause__ = c.error
-            else:
-                outcomes[i] = _settled(run, i, epsilon, dt)
-                if outcomes[i] is None:
-                    continue
-                run.drop(i)
-            # the row is resolved: free its record while the others run on
-            run.components[i] = None
-        if None not in outcomes:
-            return outcomes
+        if run.error is not None:
+            exc = DivergenceError(run.error.time, run.error.max_abs, context=context)
+            exc.__cause__ = run.error
+            return exc
+        settled = _settled(run, epsilon, dt)
+        if settled is not None:
+            return settled
         steps *= 2
-    for i, n in enumerate(sizes):
-        if outcomes[i] is None:
-            outcomes[i] = RuntimeError(
-                f"benchmark row n={n} direction={direction.value} did not settle "
-                f"within {steps // 2 * dt} s"
-            )
-    return outcomes
+    return RuntimeError(f"{context} did not settle within {steps // 2 * dt} s")
+
+
+def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_steps):
+    """The outcome of each of one direction's sweep rows (see _sweep_row),
+    in the order of sizes."""
+    return [_sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps) for n in sizes]
 
 
 def _direction_outcomes(

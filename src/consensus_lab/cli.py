@@ -130,21 +130,20 @@ def cmd_simulate(args) -> int:
         record_stride=args.record_stride,
         track_per_node=args.per_node,
     )
-    run, last = _open_run([(net, protocol, x0)], cfg)
+    run, last = _open_run(net, protocol, x0, cfg)
     run.reserve(last)
-    c = run.components[0]
 
     def pieces():
         for first in range(0, last + 1, PIECE_STEPS):
             run.advance(min(first + PIECE_STEPS, last + 1) - 1)
             yield run.take()
-            if c.ended:
+            if run.ended:
                 return
 
     with tempfile.TemporaryFile("w+", newline="") as tmp:
         write_metrics_rows(tmp, pieces(), args.per_node)
-        if c.error is not None:
-            raise c.error
+        if run.error is not None:
+            raise run.error
         traj = run.trajectory()
 
         os.makedirs(args.out, exist_ok=True)
@@ -219,9 +218,12 @@ def cmd_verify(args) -> int:
         print("connected: " + ("yes" if len(comps) == 1 else f"no ({len(comps)} components)"))
         print(f"lambda2 = {lam2:.17g}")
         if g.n <= 12:
-            kappa = edge_connectivity(g)
+            complete = len(g.edges) == g.n * (g.n - 1)
+            # a complete graph's edge connectivity is n - 1, which the brute
+            # force search would take minutes to find from n = 9 on
+            kappa = g.n - 1 if complete else edge_connectivity(g)
             print(f"kappa1 = {kappa:.17g}")
-            if len(g.edges) == g.n * (g.n - 1):
+            if complete:
                 # the spectral lower bound does not cover complete graphs
                 print("lambda2 <= kappa1: skipped (complete graph)")
             elif lam2 > kappa + 1e-9:

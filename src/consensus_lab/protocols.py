@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -124,37 +124,21 @@ class Protocol:
     f: NodeFunction
 
 
-def _split_law(f):
-    """(gains, shape) of a node function: its gains in the order
-    _node_function takes them, and its type with its exponents."""
-    if isinstance(f, (Linear, Sign)):
-        return (f.k,), (type(f),)
-    if isinstance(f, Power):
-        return (f.k,), (Power, f.alpha)
-    if isinstance(f, FixedTime):
-        return (f.k1, f.k2), (FixedTime, f.p, f.q)
-    raise TypeError(f"not a node function: {f!r}")
-
-
-def _node_function(f, gains=None):
-    """Elementwise evaluator of a node function with its parameters bound.
-
-    gains, if given, replace the law's own gains (see _split_law); they may
-    be arrays that match the evaluated array elementwise.
-    """
-    if gains is None:
-        gains = _split_law(f)[0]
+def _node_function(f):
+    """Elementwise evaluator of a node function with its parameters bound."""
     if isinstance(f, Linear):
-        (k,) = gains
+        k = f.k
         return lambda x: k * x
     if isinstance(f, Sign):
-        (k,) = gains
+        k = f.k
         return lambda x: k * np.sign(x)
     if isinstance(f, Power):
-        (k,), alpha = gains, f.alpha
+        k, alpha = f.k, f.alpha
         return lambda x: k * _signed_power(x, alpha)
-    (k1, k2), p, q = gains, f.p, f.q
-    return lambda x: k1 * _signed_power(x, p) + k2 * _signed_power(x, q)
+    if isinstance(f, FixedTime):
+        k1, k2, p, q = f.k1, f.k2, f.p, f.q
+        return lambda x: k1 * _signed_power(x, p) + k2 * _signed_power(x, q)
+    raise TypeError(f"not a node function: {f!r}")
 
 
 def eval_f(f, x):
@@ -178,83 +162,29 @@ def consensus_error(g: WeightedDigraph, x) -> np.ndarray:
     return np.bincount(dst, w * (x[src] - x[dst]), minlength=g.n)
 
 
-class _Union(NamedTuple):
-    """One member of a disjoint union of systems, ready to act on a state.
-
-    src, dst and w are the arcs of the components in component order, with
-    node offsets; w is None when every weight is exactly 1.0. gains are the
-    law's gains in _split_law's order, each a scalar shared by every
-    component or a per-arc or per-node array (see _union).
-    """
-
-    direction: Direction
-    f: NodeFunction
-    n: int
-    src: np.ndarray
-    dst: np.ndarray
-    w: Optional[np.ndarray]
-    gains: tuple
+def _arcs(g):
+    """The arcs (src, dst, w) of g as a kernel applies them: w is None when
+    every weight is exactly 1.0, since multiplying by it changes no bit."""
+    src, dst, w = g._edge_arrays
+    return src, dst, None if (w == 1.0).all() else w
 
 
-def _union(protocols, graphs):
-    """The disjoint union of systems: graphs[c] under protocols[c], with the
-    nodes of component c after those of c - 1.
-
-    The protocols share the direction, the law type and its exponents, and
-    each brings its own gains. The arcs are concatenated in component order
-    with node offsets, so np.bincount sums every destination in the order of
-    its component alone. A gain that differs between components becomes a
-    per-arc or per-node array, whose product with a value is the scalar
-    product elementwise; a shared gain stays a scalar.
-    """
-    direction = protocols[0].direction
-    f = protocols[0].f
-    shape = _split_law(f)[1]
-    gains, sizes, srcs, dsts, ws = [], [], [], [], []
-    n = 0
-    for p, g in zip(protocols, graphs):
-        k, law = _split_law(p.f)
-        if p.direction is not direction or law != shape:
-            raise ValueError(
-                "the systems of one run must share the direction, the law "
-                "type and its exponents"
-            )
-        src, dst, w = g._edge_arrays
-        srcs.append(src + n)
-        dsts.append(dst + n)
-        ws.append(w)
-        gains.append(k)
-        sizes.append((g.n, len(dst)))
-        n += g.n
-    src, dst, w = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
-    if len(set(gains)) > 1:
-        per_node = direction is Direction.AGGREGATED or isinstance(f, Sign)
-        counts = [nodes if per_node else arcs for nodes, arcs in sizes]
-        gains = tuple(np.repeat(ks, counts) for ks in zip(*gains))
-    else:
-        gains = gains[0]
-    unit = bool((w == 1.0).all())
-    return _Union(direction, f, n, src, dst, None if unit else w, gains)
-
-
-def _kernel(u):
-    """The map x -> u(x) of a union (see _union), which applies the law's
-    node function with numpy. The weight multiply is skipped when every
-    arc weight is exactly 1.0, which changes no bit. x must be a float
-    state of the union's size.
-    """
-    n, src, dst, w, f = u.n, u.src, u.dst, u.w, u.f
+def _kernel(protocol, g):
+    """The map x -> u(x) of the protocol on graph g, which applies the
+    law's node function with numpy. x must be a float state of g's size."""
+    n, f = g.n, protocol.f
+    src, dst, w = _arcs(g)
     if not dst.size:
         # bincount would give integer zeros here; f(0) = 0 for every law
         return lambda x: np.zeros(n)
-    fn = _node_function(f, u.gains)
-    if u.direction is Direction.AGGREGATED:
+    fn = _node_function(f)
+    if protocol.direction is Direction.AGGREGATED:
         if w is None:
             return lambda x: fn(np.bincount(dst, x[src] - x[dst], minlength=n))
         return lambda x: fn(np.bincount(dst, w * (x[src] - x[dst]), minlength=n))
     if isinstance(f, Sign):
         # per-edge sign sums bare signs of the differences, weights drop out
-        (k,) = u.gains
+        k = f.k
         return lambda x: k * np.bincount(dst, np.sign(x[src] - x[dst]), minlength=n)
     if w is None:
         return lambda x: np.bincount(dst, fn(x[src] - x[dst]), minlength=n)
@@ -263,7 +193,7 @@ def _kernel(u):
 
 def control(protocol: Protocol, g: WeightedDigraph, x) -> np.ndarray:
     """Control input of every node under the given protocol on graph g."""
-    return _kernel(_union([protocol], [g]))(_check_state(g, x))
+    return _kernel(protocol, g)(_check_state(g, x))
 
 
 def homogeneity_degree_estimate(f, x_samples, lam_samples):

@@ -14,13 +14,8 @@ are evaluated once per block of steps, with the metrics module's block
 forms; the step at which a run stops or diverges, and every number it
 records, are those of a check after every step. A run whose caller reads
 no effort, such as a calibration probe, skips the effort integrals
-altogether.
-
-Independent systems that share the signal, dt and the protocol's law up to
-its gains run as one union (simulate_batch): one state vector, one kernel
-per member over the disjoint union of their arcs, and per-system spread,
-stop, divergence and effort. Each system gets the numbers of its own run
-for far less than one run each; simulate is the one-system case.
+altogether. Each run integrates one system; simulate_batch runs
+independent systems one after another.
 """
 
 from __future__ import annotations
@@ -32,8 +27,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _stretch
-from .metrics import MetricSeries, _require_int, _require_positive, isce_accumulate, segment_spread
-from .protocols import Protocol, _union, control
+from .metrics import MetricSeries, _require_int, _require_positive, isce_accumulate, spread_and_peak
+from .protocols import Protocol, control
 from .switching import DynamicNetwork, _whole_steps, step_schedule
 
 __all__ = [
@@ -141,70 +136,27 @@ def _step_times(first, end, dt, t0):
 
 
 def _sticky_stop(V, eps, run_below):
-    """Sticky stops in a block of spreads, one column per component.
+    """The sticky stop in a block of spreads V.
 
-    Returns, per column of V, the row at which the sticky stop falls
-    (len(V) if none) and the run of steps at or below eps after V, given
-    run_below such steps before it.
+    Returns the row at which the sticky stop falls (len(V) if none) and the
+    run of steps at or below eps after V, given run_below such steps before
+    it.
     """
-    rows = np.arange(len(V))[:, None]
+    rows = np.arange(len(V))
     # index of the last row above eps at or before each row; the carried
     # run counts as rows before V
     last_above = np.where(V <= eps, -1 - run_below, rows)
-    np.maximum.accumulate(last_above, axis=0, out=last_above)
+    np.maximum.accumulate(last_above, out=last_above)
     run = rows - last_above
-    hit = run >= STICKY_STEPS
-    stop = np.where(hit.any(axis=0), hit.argmax(axis=0), len(V))
-    return stop, np.where(stop < len(V), STICKY_STEPS, run[-1])
-
-
-class _Component:
-    """One system of a run and the record of its steps observed so far."""
-
-    def __init__(self, net, protocol, x, effort):
-        self.net = net
-        self.protocol = protocol
-        self.n = net.n
-        self.x = x  # the state at step next - 1 once the component has ended
-        self.next = 0  # first step not yet observed
-        self.stopped = False
-        self.error: Optional[DivergenceError] = None
-        self.ended = False
-        self.V = np.empty(0)
-        self.E_tot = np.empty(0) if effort else None
-        self.E_i = np.empty((0, net.n)) if effort == "per_node" else None
-        # first step not yet taken by a streaming caller (see _Run.take), and
-        # the step of E_i's first row
-        self.taken = 0
-        self.events: List[Tuple[float, int, int]] = []
-        self.rec_steps: List[int] = []
-        self.rec_states: List[np.ndarray] = []
-        self.rec_controls: List[np.ndarray] = []
-
-    def grow(self, size, names):
-        """Make room in the named records for the steps below size, E_i's
-        from its first row on."""
-        for name in names:
-            old = getattr(self, name)
-            start = self.taken if name == "E_i" else 0
-            if old is None or len(old) >= size - start:
-                continue
-            new = np.empty((size - start,) + old.shape[1:])
-            new[: self.next - start] = old[: self.next - start]
-            setattr(self, name, new)
+    hit = np.flatnonzero(run >= STICKY_STEPS)
+    if hit.size:
+        return int(hit[0]), STICKY_STEPS
+    return len(V), int(run[-1])
 
 
 class _Run:
-    """Closed-loop integration of one or more independent systems from their
-    initial states, which can be advanced in pieces.
-
-    systems lists (net, protocol, x0) triples. They share the switching
-    signal, the number of family members, the protocol direction, the law
-    type and its exponents; each brings its own member graphs, x0 and
-    gains. They run as one union: the state stacks their states, and each
-    member's kernel acts on the disjoint union of their arcs (see
-    protocols._kernel), so every system computes the numbers it computes
-    alone.
+    """Closed-loop integration of one system from its initial state, which
+    can be advanced in pieces.
 
     advance(last_step) integrates up to step last_step and may be called
     again with a later step; the pieces give exactly the numbers of one
@@ -227,130 +179,103 @@ class _Run:
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
     state entries. Once per block the spread V, the divergence guard, the
-    sticky stop and the effort are evaluated for every step and system of
-    the block at once, with segmented reductions over the systems' nodes.
-    A system whose state fails the guard ends with its DivergenceError as
-    its outcome, and one whose spread has stayed at or below stop_epsilon
-    for STICKY_STEPS consecutive steps stops for good: both steps, and every
-    number recorded up to them, are those of a step-by-step check of the
-    system alone. Steps a block computed past a system's end are discarded.
-    A system that ends, or that drop() removes, leaves the union before the
-    next block, so the others no longer pay for it.
+    sticky stop and the effort are evaluated for every step of the block at
+    once. A state that fails the guard ends the run with its
+    DivergenceError as error, and a spread that has stayed at or below
+    stop_epsilon for STICKY_STEPS consecutive steps stops it for good: both
+    steps, and every number recorded up to them, are those of a check after
+    every step. Steps a block computed past the end are discarded.
 
-    counters counts the run's work: Euler steps of the union, blocks,
-    switches, stretches run compiled and on numpy, and discarded, the steps
-    that blocks computed for a system past its sticky stop or its
-    divergence (one per system and step).
+    counters counts the run's work: Euler steps, blocks, switches,
+    stretches run compiled and on numpy, and discarded, the steps that
+    blocks computed past the sticky stop or the divergence.
     """
 
-    def __init__(self, systems, dt, stop_epsilon=None, record_stride=1, effort="total"):
+    def __init__(self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, effort="total"):
         if effort not in EFFORTS:
             raise ValueError(f"effort must be one of {EFFORTS}, got {effort!r}")
-        systems = list(systems)
-        if not systems:
-            raise ValueError("a run needs at least one system")
-        signal, members = systems[0][0].signal, len(systems[0][0].graphs)
-        self.components = []
-        for net, protocol, x0 in systems:
-            x = np.array(x0, dtype=float)
-            if x.shape != (net.n,):
-                raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
-            if not np.isfinite(x).all():
-                raise ValueError("x0 must be finite")
-            if net.signal != signal or len(net.graphs) != members:
-                raise ValueError(
-                    "the systems of one run must share the switching signal "
-                    "and the number of family members"
-                )
-            self.components.append(_Component(net, protocol, x, effort))
+        x = np.array(x0, dtype=float)
+        if x.shape != (net.n,):
+            raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
+        if not np.isfinite(x).all():
+            raise ValueError("x0 must be finite")
+        self.net = net
+        self.protocol = protocol
         self.dt = dt
-        self.t0 = signal.t0
-        self._schedule = step_schedule(signal, dt)
-        self._members = members
+        self.t0 = net.signal.t0
+        self._schedule = step_schedule(net.signal, dt)
         self._eps = stop_epsilon
         self._stride = record_stride
         self._effort = effort
-        self._next = 0  # first step not yet observed by the union
+        self.x = x  # the state at step next - 1
+        self.next = 0  # first step not yet observed
+        self.stopped = False
+        self.error: Optional[DivergenceError] = None
+        self.V = np.empty(0)
+        self.E_tot = np.empty(0) if effort else None
+        self.E_i = np.empty((0, net.n)) if effort == "per_node" else None
+        # first step not yet taken by a streaming caller (see take), and the
+        # step of E_i's first row
+        self.taken = 0
+        self.events: List[Tuple[float, int, int]] = []
+        self.rec_steps: List[int] = []
+        self.rec_states: List[np.ndarray] = []
+        self.rec_controls: List[np.ndarray] = []
+        self._s_accum = np.zeros(net.n)
+        self._run_below = 0  # steps at or below epsilon up to step next - 1
         self._member = self._schedule(0)[0]  # member of the latest Euler step
+        self._stretches = [_stretch.stretch(protocol, g, dt) for g in net.graphs]
+        block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n))
+        self._X = np.empty((block, net.n))  # state observed at each step of a block
+        self._U = np.empty((block, net.n))  # control of the step into it, then effort
         self.counters = dict.fromkeys(COUNTERS, 0)
-        comps = self.components
-        self._pack(
-            list(comps),
-            np.concatenate([c.x for c in comps]),
-            np.zeros(sum(c.n for c in comps)),
-            np.zeros(len(comps), dtype=int),
-        )
 
-    def _pack(self, live, x, s_accum, run_below):
-        """Make the union of the live components, with their state, effort
-        accumulators and carried runs below epsilon in component order."""
-        self._live = live
-        self._x, self._s_accum, self._run_below = x, s_accum, run_below
-        sizes = [c.n for c in live]
-        self._starts = np.cumsum([0] + sizes[:-1])
-        self._slices = [slice(a, a + n) for a, n in zip(self._starts.tolist(), sizes)]
-        if not live:
-            return
-        protocols = [c.protocol for c in live]
-        unions = [
-            _union(protocols, [c.net.graphs[m] for c in live]) for m in range(self._members)
-        ]
-        self._stretches = [_stretch.stretch(u, self.dt) for u in unions]
-        n = sum(sizes)
-        block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
-        self._X = np.empty((block, n))  # state observed at each step of a block
-        self._U = np.empty((block, n))  # control of the step into it, then effort
-
-    def _repack(self):
-        """Take the components that have ended out of the union."""
-        keep = np.array([not c.ended for c in self._live])
-        cols = np.repeat(keep, [c.n for c in self._live])
-        live = [c for c in self._live if not c.ended]
-        self._pack(live, self._x[cols], self._s_accum[cols], self._run_below[keep])
+    @property
+    def ended(self):
+        return self.stopped or self.error is not None
 
     def reserve(self, last_step):
-        """Make room in every live system's V and E_tot for the steps up to
-        last_step, so that advancing to it in pieces copies neither. E_i is
-        left to advance, which sizes it from the first step not yet taken
-        (see take)."""
+        """Make room in V and E_tot for the steps up to last_step, so that
+        advancing to it in pieces copies neither. E_i is left to advance,
+        which sizes it from the first step not yet taken (see take)."""
         self._grow(last_step, ("V", "E_tot"))
 
     def _grow(self, last_step, names):
-        try:
-            for c in self._live:
-                c.grow(last_step + 1, names)
-        except MemoryError:
-            raise ValueError(
-                f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
-                f"{last_step} steps, too many to record"
-            ) from None
+        """Make room in the named records for the steps up to last_step,
+        E_i's from its first row on."""
+        size = last_step + 1
+        for name in names:
+            old = getattr(self, name)
+            start = self.taken if name == "E_i" else 0
+            if old is None or len(old) >= size - start:
+                continue
+            try:
+                new = np.empty((size - start,) + old.shape[1:])
+            except MemoryError:
+                raise ValueError(
+                    f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
+                    f"{last_step} steps, too many to record"
+                ) from None
+            new[: self.next - start] = old[: self.next - start]
+            setattr(self, name, new)
 
     def advance(self, last_step):
-        """Integrate every live system to step last_step, or to its end if
-        that comes first."""
-        if last_step < self._next:
+        """Integrate to step last_step, or to the run's end if that comes
+        first."""
+        if self.ended or last_step < self.next:
             return
         self._grow(last_step, ("V", "E_tot", "E_i"))
         with np.errstate(all="ignore"):
-            while self._live and self._next <= last_step:
-                self._block(self._next, min(self._next + len(self._X), last_step + 1))
-
-    def drop(self, i):
-        """End system i where it stands, at the last step observed."""
-        c = self.components[i]
-        if c.ended:
-            return
-        c.x = self._x[self._slices[self._live.index(c)]].copy()
-        c.ended = True
-        self._repack()
+            while not self.ended and self.next <= last_step:
+                self._block(self.next, min(self.next + len(self._X), last_step + 1))
 
     def _block(self, first, end):
         """Observe steps first..end-1: run their Euler steps, then check and
         record them in one pass."""
         X, U = self._X[: end - first], self._U[: end - first]
         schedule, stretches, counters = self._schedule, self._stretches, self.counters
-        dt, stride, effort = self.dt, self._stride, self._effort
-        x, member = self._x, self._member
+        dt, t0, stride, effort = self.dt, self.t0, self._stride, self._effort
+        x, member = self.x, self._member
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
             X[0] = x
@@ -382,118 +307,95 @@ class _Run:
         at = recorded - shift
         states, controls = X[at - 1], U[at]
         if len(at) and at[0] == 0:
-            states[0] = self._x
+            states[0] = self.x
 
-        # spread and largest |x_i| of each system at each step
         rows = len(X)
-        V, peak = segment_spread(X, self._starts)
-        ok = peak <= DIVERGENCE_LIMIT
-        # the first step that fails the guard ends a system unless the sticky
+        V, peak = spread_and_peak(X)
+        # the first step that fails the guard ends the run unless the sticky
         # stop came before it; steps past either are discarded
-        bad = np.where(ok.all(axis=0), rows, np.argmin(ok, axis=0)).tolist()
-        stop = [rows] * len(self._live)
+        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
+        bad = int(bad[0]) if bad.size else rows
+        stop = rows
         if self._eps is not None:
             stop, self._run_below = _sticky_stop(V, self._eps, self._run_below)
-            stop = stop.tolist()
-        diverged = [b < rows and b <= s for b, s in zip(bad, stop)]
-        kept = [min(s + 1, rows) for s in stop]
-        m = max((k for k, d in zip(kept, diverged) if not d), default=0)
-
+        if bad < rows and bad <= stop:
+            self.error = DivergenceError(t0 + dt * (first + bad), peak[bad])
+            counters["discarded"] += rows - 1 - bad
+            return
+        k = min(stop + 1, rows)  # the rows kept
+        last = first + k - 1
         if effort:
-            S = isce_accumulate(self._s_accum, U[:m], dt, out=U[:m])
-            if m == rows:
+            S = isce_accumulate(self._s_accum, U[:k], dt, out=U[:k])
+            if k == rows:
                 self._s_accum = S[-1].copy()
-            if effort == "total":
+            if effort == "per_node":
+                row = first - self.taken
+                E = np.sqrt(S, out=self.E_i[row : row + k])
+            else:
                 # without per-node tracking the square roots overwrite S
-                np.sqrt(S, out=S)
-        t0 = self.t0
-        for i, (c, sl) in enumerate(zip(self._live, self._slices)):
-            if diverged[i]:
-                b = bad[i]
-                c.error = DivergenceError(t0 + dt * (first + b), peak[b, i])
-                c.ended = True
-                counters["discarded"] += rows - 1 - b
-                continue
-            k = kept[i]
-            last = first + k - 1
-            if effort:
-                E = S[:k, sl]
-                if effort == "per_node":
-                    row = first - c.taken
-                    E = np.sqrt(E, out=c.E_i[row : row + k])
-                np.sum(E, axis=1, out=c.E_tot[first : last + 1])
-            c.V[first : last + 1] = V[:k, i]
-            # Euler steps from the last observed step on belong to later blocks
-            c.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
-            for q in range(np.searchsorted(recorded, last)):
-                c.rec_steps.append(int(recorded[q]))
-                c.rec_states.append(states[q, sl])
-                c.rec_controls.append(controls[q, sl])
-            c.next = last + 1
-            if stop[i] < rows:
-                c.stopped = c.ended = True
-                c.x = X[k - 1, sl].copy()
-                counters["discarded"] += rows - k
+                E = np.sqrt(S, out=S)
+            np.sum(E, axis=1, out=self.E_tot[first : last + 1])
+        self.V[first : last + 1] = V[:k]
+        # Euler steps from the last observed step on belong to later blocks
+        self.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
+        for q in range(np.searchsorted(recorded, last)):
+            self.rec_steps.append(int(recorded[q]))
+            self.rec_states.append(states[q])
+            self.rec_controls.append(controls[q])
+        self.next = last + 1
+        self.x = X[k - 1].copy()
+        if stop < rows:
+            self.stopped = True
+            counters["discarded"] += rows - k
 
-        self._next = end
-        self._x = X[-1].copy()
-        if any(c.ended for c in self._live):
-            self._repack()
-
-    def metrics(self, i=0) -> MetricSeries:
-        """Per-step record of the steps of system i observed so far. Once
-        rows were taken (see take), E_i is None: the run no longer holds
-        them all."""
-        c = self.components[i]
-        end = c.next
+    def metrics(self) -> MetricSeries:
+        """Per-step record of the steps observed so far. Once rows were
+        taken (see take), E_i is None: the run no longer holds them all."""
+        end = self.next
         return MetricSeries(
             times=_step_times(0, end, self.dt, self.t0),
-            V=c.V[:end],
-            E_tot=c.E_tot[:end] if c.E_tot is not None else None,
-            E_i=c.E_i[:end] if c.E_i is not None and c.taken == 0 else None,
+            V=self.V[:end],
+            E_tot=self.E_tot[:end] if self.E_tot is not None else None,
+            E_i=self.E_i[:end] if self.E_i is not None and self.taken == 0 else None,
         )
 
-    def take(self, i=0) -> MetricSeries:
-        """Per-step record of the steps of system i observed since the last
-        take, or since the start, for a caller that streams it.
+    def take(self) -> MetricSeries:
+        """Per-step record of the steps observed since the last take, or
+        since the start, for a caller that streams it.
 
         From the first take on, the run keeps E_i only for the steps not
         yet taken, in one buffer that advance reuses. The arrays returned
         are views, valid until the next advance.
         """
-        c = self.components[i]
-        a, e = c.taken, c.next
-        c.taken = e
+        a, e = self.taken, self.next
+        self.taken = e
         return MetricSeries(
             times=_step_times(a, e, self.dt, self.t0),
-            V=c.V[a:e],
-            E_tot=c.E_tot[a:e] if c.E_tot is not None else None,
-            E_i=c.E_i[: e - a] if c.E_i is not None else None,
+            V=self.V[a:e],
+            E_tot=self.E_tot[a:e] if self.E_tot is not None else None,
+            E_i=self.E_i[: e - a] if self.E_i is not None else None,
         )
 
-    def trajectory(self, i=0) -> Trajectory:
-        """Package system i so far; its current state is always the last sample."""
-        c = self.components[i]
-        if c.ended:
-            x = c.x
-        else:
-            x = self._x[self._slices[self._live.index(c)]]
-        last = c.next - 1
-        u_final = control(c.protocol, c.net.graphs[self._schedule(last)[0]], x)
+    def trajectory(self) -> Trajectory:
+        """Package the run so far; its current state is always the last sample."""
+        last = self.next - 1
+        u_final = control(self.protocol, self.net.graphs[self._schedule(last)[0]], self.x)
         return Trajectory(
-            times=self.t0 + self.dt * np.array(c.rec_steps + [last]),
-            states=np.vstack(c.rec_states + [x.copy()]),
-            controls=np.vstack(c.rec_controls + [u_final]),
-            metrics=self.metrics(i),
-            events=list(c.events),
+            times=self.t0 + self.dt * np.array(self.rec_steps + [last]),
+            states=np.vstack(self.rec_states + [self.x.copy()]),
+            controls=np.vstack(self.rec_controls + [u_final]),
+            metrics=self.metrics(),
+            events=list(self.events),
         )
 
 
-def _open_run(systems, cfg: SimConfig):
-    """The _Run that simulate_batch integrates, not yet advanced, and the
-    last step it runs to."""
+def _open_run(net, protocol, x0, cfg: SimConfig):
+    """The _Run that simulate integrates, not yet advanced, and the last
+    step it runs to."""
     run = _Run(
-        systems,
+        net,
+        protocol,
+        x0,
         cfg.dt,
         stop_epsilon=cfg.stop_epsilon,
         record_stride=cfg.record_stride,
@@ -502,32 +404,35 @@ def _open_run(systems, cfg: SimConfig):
     return run, _step_count(cfg.t_end, run.t0, cfg.dt)
 
 
-def simulate_batch(systems, cfg: SimConfig) -> list:
-    """Integrate independent closed loops as one union run, each from its x0
-    until t_end or its own sticky stop.
-
-    systems lists (net, protocol, x0) triples that share the switching
-    signal, the number of family members, the protocol direction, the law
-    type and its exponents (see _Run). Returns, per system, its Trajectory,
-    or the DivergenceError that ended it; every number is the one simulate
-    gives for that system alone.
-    """
-    run, last = _open_run(systems, cfg)
-    run.advance(last)
-    return [c.error or run.trajectory(i) for i, c in enumerate(run.components)]
-
-
 def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Trajectory:
     """Integrate the closed loop from x0 until t_end or the sticky stop.
 
-    The one-system case of simulate_batch: the step rules are those of
-    _Run; the final state is always a sample, also when an early stop falls
-    between strides. Raises DivergenceError when the state fails the guard.
+    The step rules are those of _Run; the final state is always a sample,
+    also when an early stop falls between strides. Raises DivergenceError
+    when the state fails the guard.
     """
-    (out,) = simulate_batch([(net, protocol, x0)], cfg)
-    if isinstance(out, DivergenceError):
-        raise out
-    return out
+    run, last = _open_run(net, protocol, x0, cfg)
+    run.advance(last)
+    if run.error is not None:
+        raise run.error
+    return run.trajectory()
+
+
+def simulate_batch(systems, cfg: SimConfig) -> list:
+    """Integrate independent closed loops, each from its x0 until t_end or
+    its own sticky stop.
+
+    systems lists (net, protocol, x0) triples. Returns, per system, its
+    Trajectory, or the DivergenceError that ended it, as simulate gives
+    them.
+    """
+    outcomes = []
+    for system in systems:
+        try:
+            outcomes.append(simulate(*system, cfg))
+        except DivergenceError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def replay_check(traj: Trajectory, net: DynamicNetwork, protocol: Protocol, cfg: SimConfig):

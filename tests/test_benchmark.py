@@ -11,13 +11,11 @@ import consensus_lab.benchmark as benchmark_module
 from consensus_lab.benchmark import (
     BISECTION_STEPS,
     GAIN_BRACKET,
-    PATH_LEVELS,
     RETIRED,
     CalibrationError,
     LcgConfig,
     _base_steps,
-    _predict_gain,
-    _predicted_path,
+    _cut_step,
     _sweep_rows,
     benchmark_protocol,
     benchmark_topology,
@@ -29,7 +27,7 @@ from consensus_lab.benchmark import (
 from consensus_lab.graphs import circulant_graph, is_connected
 from consensus_lab.metrics import settling_time
 from consensus_lab.protocols import Direction, Power, Protocol
-from consensus_lab.simulate import DivergenceError, SimConfig, _Run, simulate
+from consensus_lab.simulate import DivergenceError, SimConfig, simulate
 from consensus_lab.switching import FloorModulo
 
 from gen import assert_no_child
@@ -117,29 +115,32 @@ def _settle_at_gain(k, n=10, dt=1e-3):
 
 
 def _reference_calibration(
-    family, direction, n, target_v, target_t, dt, steps=BISECTION_STEPS, levels=None, mids=None
+    family, direction, n, target_v, target_t, dt, steps=BISECTION_STEPS, retire=True
 ):
-    """Geometric pre-scan, then bisection, every probe a full-horizon simulate.
+    """The serial calibration, every probe a simulate: a geometric pre-scan
+    up to the first gain that settles by target_t, then bisection.
 
-    levels, if given, receives the number of bisection levels probed, and
-    mids every midpoint probed, in order.
+    With retire, a probe still above target_v at the cut step retires, as
+    in calibrate_gain, so the pre-scan's report matches too; without it,
+    every probe runs the full horizon.
     """
     net = benchmark_topology(n)
     x0 = lcg_initial_conditions(LcgConfig(), n)
-    cfg = SimConfig(
-        t_end=_base_steps(target_t, dt) * dt,
-        dt=dt,
-        stop_epsilon=target_v,
-        record_stride=10**9,
-    )
     band = 10 * dt
+    last = _base_steps(target_t, dt)
+    cut = _cut_step(0.0, dt, target_t, band, last) if retire else None
+
+    def spread(k, horizon):
+        cfg = SimConfig(t_end=horizon * dt, dt=dt, stop_epsilon=target_v, record_stride=10**9)
+        return simulate(net, benchmark_protocol(family, direction, k), x0, cfg).metrics
 
     def probe(k):
         try:
-            traj = simulate(net, benchmark_protocol(family, direction, k), x0, cfg)
+            if cut is not None and spread(k, cut).V[-1] > target_v:
+                return math.inf
+            return settling_time(spread(k, last), target_v)
         except DivergenceError:
             return None
-        return settling_time(traj.metrics, target_v)
 
     def fast(t):
         return t is not None and t <= target_t
@@ -147,25 +148,33 @@ def _reference_calibration(
     grid = [GAIN_BRACKET[0]]
     while grid[-1] < GAIN_BRACKET[1]:
         grid.append(min(grid[-1] * 10.0, GAIN_BRACKET[1]))
-    times = [probe(g) for g in grid]
-    assert not fast(times[0])
-    i = next(i for i, t in enumerate(times) if fast(t))
-    lo, hi, t_hi = grid[i - 1], grid[i], times[i]
-    for level in range(1, steps + 1):
+    scanned = {}
+    for g in grid:
+        scanned[g] = probe(g)
+        if fast(scanned[g]):
+            break
+    probed = list(scanned.items())
+    if not fast(probed[-1][1]):
+        report = {g: RETIRED if t == math.inf else t for g, t in probed}
+        raise CalibrationError(
+            f"no gain in {GAIN_BRACKET} settles within target_t={target_t}; "
+            f"scanned {report}"
+        )
+    if len(probed) == 1:
+        raise CalibrationError(
+            f"T({grid[0]}) = {probed[0][1]} is already at or below "
+            f"target_t={target_t}; no slow endpoint to bracket from"
+        )
+    (lo, _), (hi, t_hi) = probed[-2:]
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if mids is not None:
-            mids.append(mid)
         t_mid = probe(mid)
         if t_mid is not None and abs(t_mid - target_t) <= band:
-            if levels is not None:
-                levels.append(level)
             return mid, t_mid
         if fast(t_mid):
             hi, t_hi = mid, t_mid
         else:
             lo = mid
-    if levels is not None:
-        levels.append(steps)
     if abs(t_hi - target_t) <= band:
         return hi, t_hi
     raise CalibrationError(
@@ -174,53 +183,12 @@ def _reference_calibration(
     )
 
 
-def _traced_calibration(family, direction, n, target_t, dt):
-    """calibrate_gain's result, and the path probes of each bisection
-    round."""
-    rounds = []
-    real_path = benchmark_module._predicted_path
-
-    def predicted_path(*args):
-        path = real_path(*args)
-        rounds.append(path)
-        return path
-
-    with mock.patch.object(benchmark_module, "_predicted_path", predicted_path):
-        got = calibrate_gain(family, direction, n=n, target_v=0.05, target_t=target_t, dt=dt)
-    return got, rounds
-
-
-def _mispredicted_rounds(rounds, mids):
-    """Rounds whose path left the serial midpoints mids; each round starts
-    at the first serial midpoint the rounds before it did not probe."""
-    probed, level, wrong = set(), 0, []
-    for r, path in enumerate(rounds):
-        serial = mids[level : level + len(path)]
-        if path[: len(serial)] != serial:
-            wrong.append(r)
-        probed.update(path)
-        while level < len(mids) and mids[level] in probed:
-            level += 1
-    return wrong
-
-
-class TestPredictor:
-    def test_one_over_k(self):
-        # T(k) = 8 / k: the fast end alone predicts the gain that settles at
-        # target_t
-        assert _predict_gain(10.0, 0.8, 1.0) == 8.0
-        assert _predict_gain(10.0, 0.8, 2.0) == 4.0
-
-    def test_probe_settled_at_t0(self):
-        # T(hi) = 0.0: every midpoint is predicted fast
-        k_hat = _predict_gain(10.0, 0.0, 1.0)
-        assert k_hat == 0.0
-        assert _predicted_path(1.0, 10.0, k_hat, PATH_LEVELS) == [
-            5.5, 3.25, 2.125, 1.5625, 1.28125, 1.140625, 1.0703125
-        ]
-
-    def test_nan_prediction_steps_to_slow_halves(self):
-        assert _predicted_path(0.0, 16.0, math.nan, 4) == [8.0, 12.0, 14.0, 15.0]
+def _outcome(calibrate, *args, **kwargs):
+    """A calibration's (gain, time), or its CalibrationError's message."""
+    try:
+        return calibrate(*args, **kwargs)
+    except CalibrationError as exc:
+        return str(exc)
 
 
 class TestCalibration:
@@ -249,81 +217,28 @@ class TestCalibration:
     @pytest.mark.parametrize("family", ["power", "fixed_time"])
     @pytest.mark.parametrize("direction", [PE, AGG], ids=["pe", "agg"])
     def test_matches_full_horizon_reference(self, family, direction):
+        # retiring a probe at the cut step changes no decision
         assert calibrate_gain(
             family, direction, n=10, target_v=0.05, target_t=1.0, dt=1e-3
-        ) == _reference_calibration(family, direction, 10, 0.05, 1.0, 1e-3)
+        ) == _reference_calibration(family, direction, 10, 0.05, 1.0, 1e-3, retire=False)
 
-    # the serial bisection hits the band at `level`, on the predicted path of
-    # the last round: in a round whose predictions all held, or after a round
-    # whose path left the serial one
-    @pytest.mark.parametrize(
-        "family, direction, target_t, level, where",
-        [
-            ("power", AGG, 1.0, 7, "path"),
-            ("fixed_time", PE, 1.0, 6, "after misprediction"),
-        ],
-        ids=["path", "after-misprediction"],
-    )
-    def test_band_hit_on_path_hedge_or_after_miss(self, family, direction, target_t, level, where):
-        levels, mids = [], []
-        want = _reference_calibration(
-            family, direction, 10, 0.05, target_t, 1e-3, levels=levels, mids=mids
-        )
-        assert levels == [level]
-        got, rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
-        assert got == want
-        assert want[0] in rounds[-1]
-        mispredicted = _mispredicted_rounds(rounds, mids)
-        if where == "after misprediction":
-            assert mispredicted and max(mispredicted) < len(rounds) - 1
-        else:
-            assert not mispredicted
-
-    @pytest.mark.parametrize(
-        "predict", [lambda lo: lo, lambda lo: math.nan], ids=["low-end", "nan"]
-    )
-    @pytest.mark.parametrize(
-        "family, direction, target_t",
-        [("power", PE, 1.0), ("power", AGG, 2.0), ("fixed_time", PE, 3.0)],
-        ids=["power-pe", "power-agg", "fixed-time-pe"],
-    )
-    def test_wrong_predictions_cost_rounds_not_decisions(
-        self, family, direction, target_t, predict
-    ):
-        want = _reference_calibration(family, direction, 10, 0.05, target_t, 1e-3)
-        _, rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
-        real_path = benchmark_module._predicted_path
-
-        def forced_path(lo, hi, k_hat, levels):
-            return real_path(lo, hi, predict(lo), levels)
-
-        # the prediction is forced to the bracket's low end, or to NaN
-        with mock.patch.object(benchmark_module, "_predicted_path", forced_path):
-            got, wrong_rounds = _traced_calibration(family, direction, 10, target_t, 1e-3)
-        assert got == want
-        assert len(wrong_rounds) > len(rounds)
-
+    # target_t = 1e-3 retires every probe of the pre-scan; 0.5 and 1.0 are
+    # reached by bisection
+    @pytest.mark.parametrize("target_t", [1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [10, 25])
     @pytest.mark.parametrize("family", ["power", "fixed_time"])
     @pytest.mark.parametrize("direction", [PE, AGG], ids=["pe", "agg"])
-    def test_anchor_calibration_takes_two_rounds(self, family, direction):
-        # the pre-scan and one bisection round at n = 25, target_t = 1.0
-        runs = []
-
-        def counted_run(*args, **kwargs):
-            runs.append(None)
-            return _Run(*args, **kwargs)
-
-        with mock.patch.object(benchmark_module, "_Run", counted_run):
-            _, achieved = calibrate_gain(
-                family, direction, n=25, target_v=0.05, target_t=1.0, dt=1e-3
-            )
-        assert abs(achieved - 1.0) <= 10 * 1e-3
-        assert len(runs) <= 2
+    def test_matches_serial_reference(self, family, direction, n, target_t):
+        want = _outcome(_reference_calibration, family, direction, n, 0.05, target_t, 1e-3)
+        got = _outcome(
+            calibrate_gain, family, direction, n=n, target_v=0.05, target_t=target_t, dt=1e-3
+        )
+        assert got == want
+        assert isinstance(want, str) == (target_t == 1e-3)
 
     @pytest.mark.parametrize("steps", [2, 4])
     def test_exhausted_bisection_message(self, steps):
-        # a short bisection cannot reach the band; a round's path is cut
-        # short at the last of the steps levels
+        # a short bisection cannot reach the band
         with pytest.raises(CalibrationError) as want:
             _reference_calibration("power", AGG, 10, 0.05, 1.0, 1e-3, steps=steps)
         with mock.patch.object(benchmark_module, "BISECTION_STEPS", steps):
@@ -405,8 +320,8 @@ class TestSweepRow:
 
 class TestSweepFailures:
     """run_experiment raises the failure of the first failing row in serial
-    order, with the serial message, although each direction runs its rows
-    as one union."""
+    order, with the serial message, although the directions run side by
+    side."""
 
     def _run(self, experiment, gains, sizes, eps, dt, target_t):
         # the calibration is replaced by the given gains

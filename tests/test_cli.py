@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_lab import __version__, cli
-from consensus_lab.graphs import WeightedDigraph, circulant_graph
+from consensus_lab.graphs import WeightedDigraph, circulant_graph, edge_connectivity
 from consensus_lab.io import (
     load_x0, write_events_csv, write_meta_json, write_metrics_csv, write_trajectory_csv,
 )
@@ -336,10 +336,10 @@ class TestStreamedMetrics:
         held, runs = [], []
         take = _Run.take
 
-        def watched_take(run, i=0):
-            piece = take(run, i)
+        def watched_take(run):
+            piece = take(run)
             runs.append(run)
-            held.append(len(run.components[i].E_i))
+            held.append(len(run.E_i))
             return piece
 
         monkeypatch.setattr(cli, "PIECE_STEPS", 100)
@@ -449,6 +449,27 @@ class TestVerify:
         res = run_cli("verify", g, "--spectral")
         assert res.returncode == 0, res.stderr
         assert "skipped (complete graph)" in res.stdout
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_spectral_complete_graph_without_the_search(self, tmp_path, monkeypatch, capsys, n):
+        # the brute force search would run for minutes on K9 and beyond
+        def no_search(g):
+            raise AssertionError("edge_connectivity called on a complete graph")
+
+        monkeypatch.setattr(cli, "edge_connectivity", no_search)
+        edges = [[i, j, 1.0] for i in range(n) for j in range(i + 1, n)]
+        g = write_json(tmp_path / f"k{n}.json", {"n": n, "undirected": True, "edges": edges})
+        assert cli.main(["verify", g, "--spectral"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert f"kappa1 = {n - 1}\n" in out
+        assert out.endswith("lambda2 <= kappa1: skipped (complete graph)\n")
+
+    def test_spectral_complete_graph_prints_the_searched_kappa(self, tmp_path, capsys):
+        edges = [[i, j, 1.0] for i in range(5) for j in range(i + 1, 5)]
+        path = write_json(tmp_path / "k5.json", {"n": 5, "undirected": True, "edges": edges})
+        assert cli.main(["verify", path, "--spectral"]) == cli.EXIT_OK
+        kappa = edge_connectivity(WeightedDigraph.undirected(5, [(i, j) for i, j, _ in edges]))
+        assert f"kappa1 = {kappa:.17g}\n" in capsys.readouterr().out
 
     def test_spectral_rejects_directed(self, tmp_path):
         g = write_json(tmp_path / "dir.json",

@@ -40,7 +40,6 @@ from consensus_lab.simulate import (
     _Run,
     replay_check,
     simulate,
-    simulate_batch,
 )
 from consensus_lab.protocols import protocol_from_json
 from consensus_lab.switching import (
@@ -475,7 +474,9 @@ class TestResumableRun:
         ends = data.draw(st.permutations(sorted(e for e in ends if 0 <= e <= steps)))
 
         run = _Run(
-            [(net, protocol, x0)],
+            net,
+            protocol,
+            x0,
             dt,
             stop_epsilon=cfg.stop_epsilon,
             record_stride=cfg.record_stride,
@@ -492,7 +493,7 @@ class TestResumableRun:
             assert _same_bytes(getattr(pieced, name), getattr(whole, name))
         assert pieced.events == whole.events
         if stop < steps:
-            assert run.components[0].stopped
+            assert run.stopped
 
     def test_reserved_records_are_allocated_once(self):
         net = DynamicNetwork(
@@ -502,20 +503,19 @@ class TestResumableRun:
         x0 = [3.0, -1.0, 0.5, 2.0, -2.5, 1.0]
         cfg = SimConfig(t_end=2.0, dt=1e-3, track_per_node=True)
         steps = 2000
-        run = _Run([(net, protocol, x0)], cfg.dt, effort="per_node")
+        run = _Run(net, protocol, x0, cfg.dt, effort="per_node")
         run.reserve(steps)
-        c = run.components[0]
-        records = [c.V, c.E_tot]
+        records = [run.V, run.E_tot]
         # reserve sizes V and E_tot for the whole run and leaves E_i to advance
-        assert (len(c.V), len(c.E_tot), len(c.E_i)) == (steps + 1, steps + 1, 0)
+        assert (len(run.V), len(run.E_tot), len(run.E_i)) == (steps + 1, steps + 1, 0)
         for piece in range(20):
             last = (piece + 1) * steps // 20
             run.advance(last)
             # advancing wrote into the reserved arrays, never into copies
-            assert all(now is reserved for now, reserved in zip([c.V, c.E_tot], records))
+            assert all(now is reserved for now, reserved in zip([run.V, run.E_tot], records))
             # and sized E_i, never taken, to every step up to the one given
-            assert len(c.E_i) == last + 1
-        assert c.next == steps + 1
+            assert len(run.E_i) == last + 1
+        assert run.next == steps + 1
         whole = simulate(net, protocol, x0, cfg).metrics
         for name in ("times", "V", "E_tot", "E_i"):
             assert _same_bytes(getattr(run.metrics(), name), getattr(whole, name))
@@ -528,24 +528,23 @@ class TestResumableRun:
         x0 = [3.0, -1.0, 0.5, 2.0, -2.5, 1.0]
         cfg = SimConfig(t_end=2.0, dt=1e-3, track_per_node=True)
         steps, piece = 2000, 150
-        run = _Run([(net, protocol, x0)], cfg.dt, effort="per_node")
-        c = run.components[0]
+        run = _Run(net, protocol, x0, cfg.dt, effort="per_node")
         pieces = [run.take()]
         run.reserve(steps)
         # the whole run's V and E_tot, but no E_i rows for steps not yet taken
-        assert (len(c.V), len(c.E_tot), len(c.E_i)) == (steps + 1, steps + 1, 0)
-        records = [c.V, c.E_tot]
+        assert (len(run.V), len(run.E_tot), len(run.E_i)) == (steps + 1, steps + 1, 0)
+        records = [run.V, run.E_tot]
         buffers = []
         for end in range(piece - 1, steps + piece, piece):
             run.advance(min(end, steps))
             taken = run.take()
             # the rows are views, valid until the next advance
             pieces.append(dataclasses.replace(taken, E_i=taken.E_i.copy()))
-            assert len(c.E_i) <= piece
-            buffers.append(c.E_i)
+            assert len(run.E_i) <= piece
+            buffers.append(run.E_i)
         # one E_i buffer served every piece, and V and E_tot were never copied
         assert all(b is buffers[0] for b in buffers)
-        assert all(now is reserved for now, reserved in zip([c.V, c.E_tot], records))
+        assert all(now is reserved for now, reserved in zip([run.V, run.E_tot], records))
         assert run.metrics().E_i is None and run.trajectory().metrics.E_i is None
         whole = simulate(net, protocol, x0, cfg).metrics
         for name in ("times", "V", "E_tot", "E_i"):
@@ -686,14 +685,16 @@ class TestBlockedRun:
             warnings.simplefilter("always")
             with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS):
                 run = _Run(
-                    [(net, protocol, x0)],
+                    net,
+                    protocol,
+                    x0,
                     cfg.dt,
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
                     effort=effort,
                 )
             assert _advance_all(run, ends) is None
-            exc = run.components[0].error
+            exc = run.error
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
         if ref_exc is not None:
@@ -712,7 +713,7 @@ class TestBlockedRun:
         for name in ("times", "states", "controls"):
             assert _same_bytes(getattr(got, name), getattr(want, name))
         assert got.events == want.events
-        assert run.components[0].stopped == ref.stopped
+        assert run.stopped == ref.stopped
 
     @settings(max_examples=120, deadline=None)
     @given(case=BLOCKED_RUNS, data=st.data())
@@ -730,7 +731,7 @@ class TestBlockedRun:
     def test_unknown_effort(self):
         net = static_net(circulant_graph(4, {1}))
         with pytest.raises(ValueError):
-            _Run([(net, Protocol(AGG, Power(1.0, 0.5)), np.zeros(4))], 1e-3, effort="sum")
+            _Run(net, Protocol(AGG, Power(1.0, 0.5)), np.zeros(4), 1e-3, effort="sum")
 
     def test_step_out_of_the_stop_leaves_no_trace(self):
         # a switch and a recorded sample fall on the Euler step out of the
@@ -750,18 +751,6 @@ class TestBlockedRun:
         assert _same_bytes(traj.states[1], ref._x)
 
 
-# gains per law; the last Linear gain and the FixedTime k2 = 1000 are
-# Euler-unstable at dt = 1e-3
-UNION_LAWS = {
-    "linear": lambda draw: Linear(draw(st.sampled_from([1.0, 5.0, 700.0]))),
-    "sign": lambda draw: Sign(draw(st.sampled_from([0.5, 1.0, 2.0]))),
-    "power": lambda draw: Power(draw(st.sampled_from([0.5, 2.0, 8.0])), 0.5),
-    "fixed_time": lambda draw: FixedTime(
-        draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([1.0, 1000.0])), 0.5, 3.0
-    ),
-}
-
-
 def _member_pool(n):
     return [
         circulant_graph(n, {1}),
@@ -773,25 +762,18 @@ def _member_pool(n):
 
 
 @st.composite
-def union_runs(draw, laws=UNION_LAWS):
-    """Two to four systems that share a signal with t0 != 0, a direction and
-    a law with its exponents, each with its own size, members and x0, and
-    with its own gains or those of the first; a config and a horizon of
-    whole steps."""
+def pooled_runs(draw, laws):
+    """A system with a signal from t0 != 0 whose three members, weighted
+    and edgeless graphs among them, are drawn from _member_pool, under one
+    of laws; a config and a horizon of whole steps."""
     dt = 1e-3
     t0 = dt * draw(st.integers(min_value=1, max_value=300))
     steps = draw(st.integers(min_value=50, max_value=600))
     signal = _draw_signal(draw, t0, steps, dt)
-    law = laws[draw(st.sampled_from(sorted(laws)))]
-    direction = draw(st.sampled_from([AGG, PE]))
-    shared = law(draw) if draw(st.booleans()) else None
-    systems = []
-    for _ in range(draw(st.integers(2, 4))):
-        n = draw(st.sampled_from([4, 5, 6, 40]))
-        members = [draw(st.sampled_from(_member_pool(n))) for _ in range(3)]
-        x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-        f = shared or law(draw)
-        systems.append((DynamicNetwork(members, signal), Protocol(direction, f), x0))
+    n = draw(st.sampled_from([4, 5, 6, 40]))
+    members = [draw(st.sampled_from(_member_pool(n))) for _ in range(3)]
+    protocol = Protocol(draw(st.sampled_from([AGG, PE])), draw(st.sampled_from(laws)))
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     cfg = SimConfig(
         t_end=t0 + dt * steps,
         dt=dt,
@@ -799,109 +781,7 @@ def union_runs(draw, laws=UNION_LAWS):
         record_stride=draw(st.integers(1, 40)),
         track_per_node=draw(st.booleans()),
     )
-    return systems, cfg, steps
-
-
-def _last_step(outcome, t0, dt):
-    """Step at which a solo run diverged or stopped early; its final step otherwise."""
-    t = outcome.time if isinstance(outcome, DivergenceError) else outcome.metrics.times[-1]
-    return int(round((t - t0) / dt))
-
-
-class TestUnionRun:
-    @settings(max_examples=80, deadline=None)
-    @given(case=union_runs(), data=st.data())
-    def test_components_match_solo_runs(self, case, data):
-        systems, cfg, steps = case
-        t0, dt = systems[0][0].signal.t0, cfg.dt
-
-        def solo(system, last):
-            with np.errstate(all="ignore"):
-                try:
-                    return simulate(*system, dataclasses.replace(cfg, t_end=t0 + dt * last))
-                except DivergenceError as exc:
-                    return exc
-
-        refs = [solo(system, steps) for system in systems]
-        lasts = [steps] * len(systems)
-        # small blocks put block edges everywhere; "stop" and "after stop"
-        # make the first system's sticky stop the first or the last step of
-        # a block of a one-shot run
-        block = data.draw(st.sampled_from([1, 2, 7, 64, None, "stop", "after stop"]))
-        ends, drop = [steps], None
-        stop = _last_step(refs[0], t0, dt)
-        if not isinstance(block, str):
-            ends = sorted(data.draw(st.lists(st.integers(1, steps), max_size=4))) + ends
-            # a caller may drop one system after one of its advance calls
-            drop = data.draw(
-                st.none()
-                | st.tuples(st.integers(0, len(systems) - 1), st.integers(0, len(ends) - 1))
-            )
-        elif isinstance(refs[0], DivergenceError) or stop == steps:
-            block = None
-        else:
-            block = stop + (0 if block == "stop" else 1)
-        if drop is not None:
-            i, at = drop
-            if _last_step(refs[i], t0, dt) > ends[at]:
-                # the system is still running when it is dropped
-                refs[i], lasts[i] = solo(systems[i], ends[at]), ends[at]
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # the union rebuilds its buffers when it compacts, so the patch
-            # covers every advance
-            with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS):
-                run = _Run(
-                    systems,
-                    dt,
-                    stop_epsilon=cfg.stop_epsilon,
-                    record_stride=cfg.record_stride,
-                    effort="per_node" if cfg.track_per_node else "total",
-                )
-                for k, end in enumerate(ends):
-                    run.advance(end)
-                    if drop is not None and drop[1] == k:
-                        run.drop(drop[0])
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-        for i, (c, ref, last) in enumerate(zip(run.components, refs, lasts)):
-            if isinstance(ref, DivergenceError):
-                assert c.error is not None
-                assert (c.error.time, c.error.max_abs) == (ref.time, ref.max_abs)
-                continue
-            assert c.error is None
-            got = run.trajectory(i)
-            for name in ("times", "V", "E_tot") + ("E_i",) * cfg.track_per_node:
-                assert _same_bytes(getattr(got.metrics, name), getattr(ref.metrics, name))
-            for name in ("times", "states", "controls"):
-                assert _same_bytes(getattr(got, name), getattr(ref, name))
-            assert got.events == ref.events
-            # a sticky stop on the last step leaves the solo run at full
-            # length; its spread then ends with exactly STICKY_STEPS steps
-            # at or below epsilon
-            V, eps = ref.metrics.V, cfg.stop_epsilon
-            on_last = eps is not None and len(V) >= STICKY_STEPS and (V[-STICKY_STEPS:] <= eps).all()
-            assert c.stopped == (len(V) - 1 < last or on_last)
-
-    def test_rejects_systems_that_cannot_share_a_run(self):
-        g = circulant_graph(4, {1})
-        base = (static_net(g), Protocol(AGG, Power(1.0, 0.5)), np.zeros(4))
-        others = [
-            (DynamicNetwork([g], FloorModulo(rate=2.0, modulus=1)),) + base[1:],
-            (DynamicNetwork([g, g], FloorModulo(rate=1.0, modulus=1)),) + base[1:],
-            (base[0], Protocol(PE, Power(1.0, 0.5)), base[2]),
-            (base[0], Protocol(AGG, Power(1.0, 0.7)), base[2]),
-            (base[0], Protocol(AGG, Linear(1.0)), base[2]),
-        ]
-        cfg = SimConfig(t_end=0.01, dt=1e-3)
-        for other in others:
-            with pytest.raises(ValueError):
-                simulate_batch([base, other], cfg)
-        with pytest.raises(ValueError):
-            simulate_batch([], cfg)
-        # gains alone may differ
-        assert len(simulate_batch([base, (base[0], Protocol(AGG, Power(3.0, 0.5)), base[2])], cfg)) == 2
+    return (DynamicNetwork(members, signal), protocol, x0), cfg, steps
 
 
 EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1"
@@ -909,15 +789,14 @@ requires_compiled = pytest.mark.skipif(
     _stretch.load() is None, reason="the compiled stretch loop cannot be built here"
 )
 # the laws of the compiled stretch loop; Linear(1e200) overflows to inf and
-# then nan within a step, and FixedTime's k2 = 1000 is Euler-unstable
-COMPILED_LAWS = {
-    "linear": lambda draw: Linear(draw(st.sampled_from([1.0, 5.0, 700.0, 1e200]))),
-    "sign": UNION_LAWS["sign"],
-    "power": UNION_LAWS["power"],
-    "fixed_time": lambda draw: FixedTime(
-        draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([1.0, 3.0, 1000.0])), 0.5, 1.5
-    ),
-}
+# then nan within a step, and Linear(700) and FixedTime's k2 = 1000 are
+# Euler-unstable at dt = 1e-3
+COMPILED_LAWS = (
+    [Linear(k) for k in (1.0, 5.0, 700.0, 1e200)]
+    + [Sign(k) for k in (0.5, 1.0, 2.0)]
+    + [Power(k, 0.5) for k in (0.5, 2.0, 8.0)]
+    + [FixedTime(k1, k2, 0.5, 1.5) for k1 in (0.5, 1.0) for k2 in (1.0, 3.0, 1000.0)]
+)
 
 
 def _example1():
@@ -932,18 +811,14 @@ def _bytes(a):
 
 
 def _outcome_bytes(run):
-    """Every record, event, stop and error message of every system of run,
-    as bytes, so that -0.0 and +0.0 differ."""
-    out = []
-    for i, c in enumerate(run.components):
-        if c.error is not None:
-            out.append((str(c.error), _bytes(c.error.time), _bytes(c.error.max_abs)))
-            continue
-        traj = run.trajectory(i)
-        m = traj.metrics
-        arrays = (traj.times, traj.states, traj.controls, m.times, m.V, m.E_tot, m.E_i)
-        out.append(tuple(_bytes(a) for a in arrays) + (repr(traj.events), c.stopped))
-    return out
+    """Every record, event, stop and error message of the run, as bytes, so
+    that -0.0 and +0.0 differ."""
+    if run.error is not None:
+        return str(run.error), _bytes(run.error.time), _bytes(run.error.max_abs)
+    traj = run.trajectory()
+    m = traj.metrics
+    arrays = (traj.times, traj.states, traj.controls, m.times, m.V, m.E_tot, m.E_i)
+    return tuple(_bytes(a) for a in arrays) + (repr(traj.events), run.stopped)
 
 
 def _numpy_only():
@@ -954,33 +829,26 @@ def _numpy_only():
 class TestCompiledStretch:
     @requires_compiled
     @settings(max_examples=80, deadline=None)
-    @given(case=union_runs(laws=COMPILED_LAWS), data=st.data())
+    @given(case=pooled_runs(COMPILED_LAWS), data=st.data())
     def test_same_bytes_as_numpy_kernels(self, case, data):
-        systems, cfg, steps = case
+        system, cfg, steps = case
         effort = data.draw(st.sampled_from(EFFORTS))
         block = data.draw(st.sampled_from([1, 2, 7, 64, None]))
         ends = sorted(data.draw(st.lists(st.integers(1, steps), max_size=3))) + [steps]
-        drop = data.draw(
-            st.none() | st.tuples(st.integers(0, len(systems) - 1), st.integers(0, len(ends) - 1))
-        )
 
         def outcome(compiled):
-            # the union rebuilds its kernels when it compacts, so the
-            # patches cover every advance
             with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS), (
                 contextlib.nullcontext() if compiled else _numpy_only()
             ):
                 run = _Run(
-                    systems,
+                    *system,
                     cfg.dt,
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
                     effort=effort,
                 )
-                for k, end in enumerate(ends):
+                for end in ends:
                     run.advance(end)
-                    if drop is not None and drop[1] == k:
-                        run.drop(drop[0])
             return run.counters, _outcome_bytes(run)
 
         counted, got = outcome(compiled=True)
@@ -1001,7 +869,7 @@ class TestCompiledStretch:
         monkeypatch.setattr(_stretch, "_lib", None)
         monkeypatch.setattr(_stretch, "_load", no_compiler)
         assert _stretch.load() is None
-        run = _Run([(net, protocol, x0)], cfg.dt, record_stride=7, effort="per_node")
+        run = _Run(net, protocol, x0, cfg.dt, record_stride=7, effort="per_node")
         run.advance(3000)
         assert run.counters["stretches_compiled"] == 0 and run.counters["stretches_numpy"] > 0
         got = run.trajectory()
@@ -1044,7 +912,7 @@ class TestCompiledStretch:
 class TestCounters:
     @requires_compiled
     def test_example1_runs_compiled(self):
-        run = _Run([_example1()], 1e-3, record_stride=100, effort="per_node")
+        run = _Run(*_example1(), 1e-3, record_stride=100, effort="per_node")
         run.advance(15000)
         assert run.counters == {
             "steps": 15000,
@@ -1078,7 +946,7 @@ class TestCounters:
     def test_fixed_time_runs_on_numpy(self):
         # q = 3 is outside the compiled loop's laws
         net = static_net(circulant_graph(6, {1}))
-        run = _Run([(net, Protocol(PE, FixedTime(1.0, 1.0, 0.5, 3.0)), np.arange(6.0))], 1e-3)
+        run = _Run(net, Protocol(PE, FixedTime(1.0, 1.0, 0.5, 3.0)), np.arange(6.0), 1e-3)
         run.advance(500)
         assert run.counters["stretches_compiled"] == 0
         assert run.counters["stretches_numpy"] == run.counters["blocks"] == 1
@@ -1087,9 +955,8 @@ class TestCounters:
     def test_steps_past_the_end_are_discarded(self, law):
         # a sticky stop, or a divergence, inside a block of 1024 steps
         net = static_net(WeightedDigraph.undirected(2, [(0, 1)]))
-        run = _Run([(net, Protocol(AGG, law), [1.0, -1.0])], 1e-3, stop_epsilon=1e-3)
+        run = _Run(net, Protocol(AGG, law), [1.0, -1.0], 1e-3, stop_epsilon=1e-3)
         run.advance(5000)
-        c = run.components[0]
-        end = c.next - 1 if c.error is None else round(c.error.time / 1e-3)
-        assert c.ended and 0 < end < run.counters["steps"]
+        end = run.next - 1 if run.error is None else round(run.error.time / 1e-3)
+        assert run.ended and 0 < end < run.counters["steps"]
         assert run.counters["steps"] - run.counters["discarded"] == end
