@@ -26,8 +26,7 @@ script runs
 - consensus-lab simulate on configs/example2/network_sigma2.json, whose
   ten members switch every 100 steps, with --dt 1e-4 --t-end 2
   --record-stride 1 (199 switches), once without and once with
-  --per-node, whose per-node rows cross five piece edges of simulate's
-  metrics.csv and every switch;
+  --per-node, whose per-node rows cross every switch;
 - example 1's graphs and protocol under a breakpoint signal from t0 = 0.1
   with switches at 0.25, 0.5 and 1.3, with --dt 1e-3 --t-end 3.1; and the
   same with the switch at 0.5005, off the steps, which exits 1;
@@ -39,6 +38,11 @@ script runs
   = 1, p = 0.5 and q = 1.5, which runs in the compiled stretch loop, and
   the same with q = 2, which runs on numpy, each with --dt 1e-3 --t-end 10
   --per-node --record-stride 10;
+- consensus-lab simulate on the benchmark's 200-node network
+  (benchmark_topology(200)) under a per-edge power law of gain 1 and
+  exponent 0.5, with --x0-lcg --dt 1e-3 --t-end 0.7 --per-node
+  --record-stride 7; at n = 200 a block holds 81 steps, so the per-node
+  rows cross block edges off the 1024-step blocks of the 10-node runs;
 - consensus-lab verify on configs/example1 with --tau 1 and with --tau
   0.5 --horizon 20, which pass (each of its members is connected, so no
   tau fails), and with --tau 0, which exits 1;
@@ -67,6 +71,12 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the benchmark network of INPUTS is written by the package on the path,
+# or else by this checkout's
+sys.path.append(os.path.join(ROOT, "src"))
+from consensus_lab.benchmark import benchmark_topology  # noqa: E402
+from consensus_lab.switching import network_to_json  # noqa: E402
+
 EXAMPLE1 = os.path.join(ROOT, "configs", "example1")
 EXAMPLE2 = os.path.join(ROOT, "configs", "example2")
 SIZES = "25,50,100,200"
@@ -137,6 +147,10 @@ INPUTS = {
     "per-edge-fixed-time.json": _per_edge_fixed_time(1.5),
     "per-edge-fixed-time-q2.json": _per_edge_fixed_time(2.0),
     "directed.json": _directed_family(),
+    "benchmark-200.json": json.dumps(network_to_json(benchmark_topology(200))),
+    "per-edge-power.json": json.dumps(
+        {"direction": "per_edge", "f": {"type": "power", "k": 1.0, "alpha": 0.5}}
+    ),
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
@@ -195,6 +209,10 @@ CASES = {
     "example1-per-edge-fixed-time-q2": [
         _SIMULATE[0], _SIMULATE[1], "per-edge-fixed-time-q2.json", *_SIMULATE[3:],
         "--dt", "1e-3", "--t-end", "10", "--per-node", "--record-stride", "10",
+    ] + HERE,
+    "benchmark-200-per-edge-power": [
+        "simulate", "benchmark-200.json", "per-edge-power.json", "--x0-lcg",
+        "--dt", "1e-3", "--t-end", "0.7", "--per-node", "--record-stride", "7",
     ] + HERE,
     "verify-example1": _VERIFY1 + ["--tau", "1"],
     "verify-example1-horizon": _VERIFY1 + ["--tau", "0.5", "--horizon", "20"],

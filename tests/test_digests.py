@@ -1,0 +1,82 @@
+"""Pinned outputs of bundled simulate runs.
+
+tests/digests.json holds, for a fast subset of the cases of
+scripts/zero_drift.py, the exit code of each run and the sha256 of its
+stdout, its stderr and every file and directory it leaves beside its
+inputs, as the last accepted tree gave them. The runs go through cli.main
+in this process. Their laws are power 1/2, computed through sqrt, and
+linear, whose bits do not depend on numpy's SIMD dispatch.
+
+A change that is meant to move these outputs rewrites the file with
+
+    PYTHONPATH=src python tests/test_digests.py
+
+and states its drift; scripts/zero_drift.py shows where two trees differ.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from consensus_lab import cli
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
+import zero_drift  # noqa: E402
+
+DIGESTS = Path(__file__).with_name("digests.json")
+CASES = (
+    "example1-epsilon-per-node",
+    "example2-fast-signal-per-node",
+    "example1-diverges",
+    "benchmark-200-per-edge-power",
+)
+
+
+def _sha256(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def digests(case, where):
+    """Run a zero_drift case through cli.main in the directory where, after
+    writing zero_drift's INPUTS there: its exit code and the sha256 of its
+    stdout, its stderr and every file it wrote ("directory" for a
+    directory)."""
+    for name, text in zero_drift.INPUTS.items():
+        (Path(where) / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(zero_drift.CASES[case])
+    finally:
+        os.chdir(cwd)
+    found = {
+        "exit code": code,
+        "stdout": _sha256(out.getvalue().encode()),
+        "stderr": _sha256(err.getvalue().encode()),
+    }
+    for name, blob in zero_drift.files(where).items():
+        if name not in zero_drift.INPUTS:
+            found[name] = blob if blob == "directory" else _sha256(blob)
+    return found
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_keep_their_digests(case, tmp_path):
+    assert digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
+
+
+if __name__ == "__main__":
+    pinned = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as where:
+            pinned[case] = digests(case, where)
+    DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
