@@ -27,7 +27,7 @@ from .forked import ForkedCall
 from .metrics import _require_positive, settling_time
 from .protocols import Direction, FixedTime, Power, Protocol
 # bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
-from .simulate import DivergenceError, _Run, simulate  # noqa: F401
+from .simulate import DivergenceError, _Run, _step_times, simulate  # noqa: F401
 from .switching import DynamicNetwork, FloorModulo
 
 __all__ = [
@@ -142,7 +142,7 @@ def _cut_step(t0, dt, target_t, band, last_step):
     the bisection use, so a run still above target_v at step c settles at
     t_{c+1} or later and can pass neither `T <= target_t` nor the band.
     """
-    t = t0 + dt * np.arange(1, last_step + 1)
+    t = _step_times(1, last_step + 1, dt, t0)
     past = (t > target_t) & ~(np.abs(t - target_t) <= band)
     return int(np.argmax(past)) if past.any() else None
 
@@ -179,7 +179,7 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
         # the settling time; math.inf stands for a retired probe: past the
         # band, exact time unknown
         protocol = benchmark_protocol(family, direction, k)
-        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9, effort=None)
+        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9, effort=False)
         if cut is not None:
             run.advance(cut)
             if run.error is None and run.V[run.next - 1] > target_v:

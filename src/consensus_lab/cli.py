@@ -4,11 +4,11 @@ Exit codes: 0 ok, 1 input or I/O error, 2 divergence, 3 no settle, 4
 verification failed. Outputs are deterministic; identical invocations write
 byte-identical files.
 
-simulate advances simulate's run in pieces of PIECE_STEPS steps and
-formats the rows of metrics.csv each piece takes, into an unlinked
-temporary file. The run keeps the per-node effort E_i only for the steps
-not yet taken, one piece at a time; V and E_tot, which trajectory.csv and
-the settling time read, are reserved whole. The output files are created
+simulate advances simulate's run once and formats the rows of
+metrics.csv of each block of steps the run hands it, into an unlinked
+temporary file. So the per-node effort E_i is held for one block at a
+time, in the run's block buffer; V and E_tot, which trajectory.csv and the
+settling time read, are kept whole. The output files are created
 in the order trajectory.csv, metrics.csv, events.csv, meta.json, and only
 after the run: a run that diverges writes nothing, and an unwritable path
 fails where it always did.
@@ -44,6 +44,7 @@ from .io import (  # noqa: F401
     write_events_csv,
     write_meta_json,
     write_metrics_csv,
+    write_metrics_header,
     write_metrics_rows,
     write_results_csv,
     write_trajectory_csv,
@@ -64,11 +65,6 @@ EXIT_INPUT = 1
 EXIT_DIVERGED = 2
 EXIT_NO_SETTLE = 3
 EXIT_VERIFY_FAIL = 4
-
-# steps a simulate run advances between two pieces of metrics.csv; with
-# --per-node the run holds E_i for one piece, PIECE_STEPS x n floats
-# (66 MB at n = 2000)
-PIECE_STEPS = 4096
 
 
 class CliError(Exception):
@@ -131,17 +127,9 @@ def cmd_simulate(args) -> int:
         track_per_node=args.per_node,
     )
     run, last = _open_run(net, protocol, x0, cfg)
-    run.reserve(last)
-
-    def pieces():
-        for first in range(0, last + 1, PIECE_STEPS):
-            run.advance(min(first + PIECE_STEPS, last + 1) - 1)
-            yield run.take()
-            if run.ended:
-                return
-
     with tempfile.TemporaryFile("w+", newline="") as tmp:
-        write_metrics_rows(tmp, pieces(), args.per_node)
+        write_metrics_header(tmp, net.n if args.per_node else 0)
+        run.advance(last, lambda block: write_metrics_rows(tmp, block, args.per_node))
         if run.error is not None:
             raise run.error
         traj = run.trajectory()

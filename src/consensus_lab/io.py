@@ -4,7 +4,8 @@ Floats are printed with 17 significant digits so every value round-trips
 bit-exactly and identical runs produce byte-identical files. Every CSV row
 goes through one block formatter, _write_rows, which formats each row
 alone; so write_metrics_rows can write a metric series piece by piece, as
-its run produces it, and give the bytes of write_metrics_csv.
+its run produces it, after write_metrics_header, and give the bytes of
+write_metrics_csv.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "load_x0",
     "write_trajectory_csv",
     "write_metrics_csv",
+    "write_metrics_header",
     "write_metrics_rows",
     "write_events_csv",
     "write_results_csv",
@@ -137,28 +139,25 @@ def write_metrics_csv(path, metrics, per_node=False) -> None:
     if per_node and metrics.E_i is None:
         raise ValueError("per-node effort was not tracked in this run")
     with open(path, "w", newline="") as fh:
-        write_metrics_rows(fh, [metrics], per_node)
+        write_metrics_header(fh, metrics.E_i.shape[1] if per_node else 0)
+        write_metrics_rows(fh, metrics, per_node)
 
 
-def write_metrics_rows(fh, pieces, per_node=False) -> None:
-    """write_metrics_csv of a series given as consecutive pieces, to an
-    open text file: the header, then each piece's rows as it arrives.
+def write_metrics_header(fh, nodes=0) -> None:
+    """The header of write_metrics_csv, with E_i columns for the given
+    number of nodes, to an open text file."""
+    names = ["t", "V", "E_tot"] + [f"E_i_{j}" for j in range(nodes)]
+    fh.write(",".join(names) + "\n")
 
-    pieces is an iterable of MetricSeries, each holding the steps after
-    the last one's; the bytes are those of the whole series, whatever its
-    division. The header is written with the first piece, which may be
-    empty; with no piece, nothing is written.
-    """
-    for i, piece in enumerate(pieces):
-        columns = [piece.times, piece.V, piece.E_tot]
-        if per_node:
-            columns.append(piece.E_i)
-        if i == 0:
-            names = ["t", "V", "E_tot"]
-            if per_node:
-                names += [f"E_i_{j}" for j in range(piece.E_i.shape[1])]
-            fh.write(",".join(names) + "\n")
-        _write_rows(fh, columns)
+
+def write_metrics_rows(fh, piece, per_node=False) -> None:
+    """The rows of write_metrics_csv for the steps of a MetricSeries, to
+    an open text file. The consecutive pieces of a series, written in
+    turn after its header, give the bytes of the whole series."""
+    columns = [piece.times, piece.V, piece.E_tot]
+    if per_node:
+        columns.append(piece.E_i)
+    _write_rows(fh, columns)
 
 
 def write_events_csv(path, events) -> None:

@@ -67,7 +67,7 @@ def lyapunov_v(x):
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("state vector is empty")
-    v = np.max(x, axis=-1) - np.min(x, axis=-1)
+    v = spread_and_peak(x)[0]
     return float(v) if x.ndim == 1 else v
 
 

@@ -45,8 +45,6 @@ STICKY_STEPS = 100
 # a block of Euler steps holds at most this many steps and state entries
 BLOCK_STEPS = 1024
 BLOCK_ELEMENTS = 2**14
-# what a run integrates of the control effort: nothing, E_tot, or E_tot and E_i
-EFFORTS = (None, "total", "per_node")
 # the work a run counts (see _Run)
 COUNTERS = ("steps", "blocks", "switches", "stretches_compiled", "stretches_numpy", "discarded")
 
@@ -158,24 +156,21 @@ class _Run:
     """Closed-loop integration of one system from its initial state, which
     can be advanced in pieces.
 
-    advance(last_step) integrates up to step last_step and may be called
-    again with a later step; the pieces give exactly the numbers of one
-    uninterrupted run. reserve(last_step) sizes V and E_tot for every step
-    up to last_step at once, so a run advanced in many pieces copies
-    neither; advance sizes E_i, from the first step not yet taken. A caller
-    that streams the record, such as the command line's simulate as it
-    formats metrics.csv, takes the steps observed since its last take
-    after each piece (take); the run then keeps E_i only for the steps not
-    yet taken, in one buffer that each piece reuses.
+    advance(last_step, rows) integrates up to step last_step and may be
+    called again with a later step; the pieces give exactly the numbers of
+    one uninterrupted run. The run keeps V and E_tot for every step it
+    observed, and the per-node effort E_i only for the block it observed
+    last: a caller that wants E_i, such as simulate, or the command line's
+    simulate as it formats metrics.csv, reads it from each block that
+    advance hands to rows.
 
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
     advance by the left-endpoint rule. A stretch of steps under one member
-    runs in one call of its _stretch.stretch. effort, one of EFFORTS, says
-    which effort the run keeps: None keeps none, so the loop stores the
-    controls only for the recorded steps and integrates none, and
-    metrics() reports E_tot as None; "total" keeps E_tot, and "per_node"
-    also E_i. V, the stop and the divergence do not depend on it.
+    runs in one call of its _stretch.stretch. Without effort the run
+    integrates none, the loop stores the controls only for the recorded
+    steps, and E_tot and E_i are None. V, the stop and the divergence do
+    not depend on it.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
     state entries. Once per block the spread V, the divergence guard, the
@@ -191,9 +186,7 @@ class _Run:
     blocks computed past the sticky stop or the divergence.
     """
 
-    def __init__(self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, effort="total"):
-        if effort not in EFFORTS:
-            raise ValueError(f"effort must be one of {EFFORTS}, got {effort!r}")
+    def __init__(self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, effort=True):
         x = np.array(x0, dtype=float)
         if x.shape != (net.n,):
             raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
@@ -213,10 +206,6 @@ class _Run:
         self.error: Optional[DivergenceError] = None
         self.V = np.empty(0)
         self.E_tot = np.empty(0) if effort else None
-        self.E_i = np.empty((0, net.n)) if effort == "per_node" else None
-        # first step not yet taken by a streaming caller (see take), and the
-        # step of E_i's first row
-        self.taken = 0
         self.events: List[Tuple[float, int, int]] = []
         self.rec_steps: List[int] = []
         self.rec_states: List[np.ndarray] = []
@@ -234,40 +223,44 @@ class _Run:
     def ended(self):
         return self.stopped or self.error is not None
 
-    def reserve(self, last_step):
-        """Make room in V and E_tot for the steps up to last_step, so that
-        advancing to it in pieces copies neither. E_i is left to advance,
-        which sizes it from the first step not yet taken (see take)."""
-        self._grow(last_step, ("V", "E_tot"))
+    def _record(self, last_step, *width):
+        """An empty record of every step up to last_step, each a row of the
+        given width."""
+        try:
+            return np.empty((last_step + 1,) + width)
+        except MemoryError:
+            raise ValueError(
+                f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
+                f"{last_step} steps, too many to record"
+            ) from None
 
-    def _grow(self, last_step, names):
-        """Make room in the named records for the steps up to last_step,
-        E_i's from its first row on."""
-        size = last_step + 1
-        for name in names:
+    def _grow(self, last_step):
+        """Make room in V and E_tot for the steps up to last_step."""
+        for name in ("V", "E_tot"):
             old = getattr(self, name)
-            start = self.taken if name == "E_i" else 0
-            if old is None or len(old) >= size - start:
-                continue
-            try:
-                new = np.empty((size - start,) + old.shape[1:])
-            except MemoryError:
-                raise ValueError(
-                    f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
-                    f"{last_step} steps, too many to record"
-                ) from None
-            new[: self.next - start] = old[: self.next - start]
-            setattr(self, name, new)
+            if old is not None and len(old) <= last_step:
+                new = self._record(last_step)
+                new[: self.next] = old[: self.next]
+                setattr(self, name, new)
 
-    def advance(self, last_step):
+    def advance(self, last_step, rows=None):
         """Integrate to step last_step, or to the run's end if that comes
-        first."""
+        first.
+
+        rows, if given, is called after each block with the MetricSeries
+        of the steps the block observed. Its E_i is a view of the block
+        buffer, which the next block overwrites.
+        """
         if self.ended or last_step < self.next:
             return
-        self._grow(last_step, ("V", "E_tot", "E_i"))
+        self._grow(last_step)
         with np.errstate(all="ignore"):
             while not self.ended and self.next <= last_step:
-                self._block(self.next, min(self.next + len(self._X), last_step + 1))
+                first = self.next
+                self._block(first, min(first + len(self._X), last_step + 1))
+                if rows is not None and self.next > first:
+                    E_i = self._U[: self.next - first] if self._effort else None
+                    rows(self._series(first, self.next, E_i))
 
     def _block(self, first, end):
         """Observe steps first..end-1: run their Euler steps, then check and
@@ -285,7 +278,7 @@ class _Run:
         counters["steps"] += end - 1 - j
         # the recorded steps among the Euler steps j..end-2
         recorded = np.arange(-(-j // stride) * stride, end - 1, stride)
-        keep_u = effort is not None or len(recorded) > 0
+        keep_u = effort or len(recorded) > 0
         switches = []
         while j < end - 1:
             now, change = schedule(j)
@@ -328,13 +321,8 @@ class _Run:
             S = isce_accumulate(self._s_accum, U[:k], dt, out=U[:k])
             if k == rows:
                 self._s_accum = S[-1].copy()
-            if effort == "per_node":
-                row = first - self.taken
-                E = np.sqrt(S, out=self.E_i[row : row + k])
-            else:
-                # without per-node tracking the square roots overwrite S
-                E = np.sqrt(S, out=S)
-            np.sum(E, axis=1, out=self.E_tot[first : last + 1])
+            # the square roots, E_i, overwrite S
+            np.sum(np.sqrt(S, out=S), axis=1, out=self.E_tot[first : last + 1])
         self.V[first : last + 1] = V[:k]
         # Euler steps from the last observed step on belong to later blocks
         self.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
@@ -348,33 +336,17 @@ class _Run:
             self.stopped = True
             counters["discarded"] += rows - k
 
+    def _series(self, first, end, E_i=None) -> MetricSeries:
+        return MetricSeries(
+            times=_step_times(first, end, self.dt, self.t0),
+            V=self.V[first:end],
+            E_tot=self.E_tot[first:end] if self.E_tot is not None else None,
+            E_i=E_i,
+        )
+
     def metrics(self) -> MetricSeries:
-        """Per-step record of the steps observed so far. Once rows were
-        taken (see take), E_i is None: the run no longer holds them all."""
-        end = self.next
-        return MetricSeries(
-            times=_step_times(0, end, self.dt, self.t0),
-            V=self.V[:end],
-            E_tot=self.E_tot[:end] if self.E_tot is not None else None,
-            E_i=self.E_i[:end] if self.E_i is not None and self.taken == 0 else None,
-        )
-
-    def take(self) -> MetricSeries:
-        """Per-step record of the steps observed since the last take, or
-        since the start, for a caller that streams it.
-
-        From the first take on, the run keeps E_i only for the steps not
-        yet taken, in one buffer that advance reuses. The arrays returned
-        are views, valid until the next advance.
-        """
-        a, e = self.taken, self.next
-        self.taken = e
-        return MetricSeries(
-            times=_step_times(a, e, self.dt, self.t0),
-            V=self.V[a:e],
-            E_tot=self.E_tot[a:e] if self.E_tot is not None else None,
-            E_i=self.E_i[: e - a] if self.E_i is not None else None,
-        )
+        """Per-step record of the steps observed so far, without E_i."""
+        return self._series(0, self.next)
 
     def trajectory(self) -> Trajectory:
         """Package the run so far; its current state is always the last sample."""
@@ -399,7 +371,6 @@ def _open_run(net, protocol, x0, cfg: SimConfig):
         cfg.dt,
         stop_epsilon=cfg.stop_epsilon,
         record_stride=cfg.record_stride,
-        effort="per_node" if cfg.track_per_node else "total",
     )
     return run, _step_count(cfg.t_end, run.t0, cfg.dt)
 
@@ -412,10 +383,20 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Tra
     when the state fails the guard.
     """
     run, last = _open_run(net, protocol, x0, cfg)
-    run.advance(last)
+    rows = E_i = None
+    if cfg.track_per_node:
+        E_i = run._record(last, net.n)
+
+        def rows(block):
+            E_i[run.next - len(block.V) : run.next] = block.E_i
+
+    run.advance(last, rows)
     if run.error is not None:
         raise run.error
-    return run.trajectory()
+    traj = run.trajectory()
+    if E_i is not None:
+        traj.metrics.E_i = E_i[: run.next]
+    return traj
 
 
 def simulate_batch(systems, cfg: SimConfig) -> list:

@@ -10,12 +10,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import consensus_lab.simulate as simulate_module
 from consensus_lab import __version__, cli
 from consensus_lab.graphs import WeightedDigraph, circulant_graph, edge_connectivity
 from consensus_lab.io import (
@@ -24,7 +26,7 @@ from consensus_lab.io import (
 from consensus_lab.protocols import (
     Direction, Linear, Power, Protocol, Sign, protocol_from_json, protocol_to_json,
 )
-from consensus_lab.simulate import SimConfig, _Run, simulate
+from consensus_lab.simulate import SimConfig, simulate
 from consensus_lab.switching import (
     Breakpoints, DynamicNetwork, network_from_json, network_to_json,
 )
@@ -194,23 +196,23 @@ def _divisors(m):
 @st.composite
 def streamed_runs(draw):
     """A switched run (net, protocol, x0, cfg), per-node effort on or off,
-    and the number of steps in a piece. The run may be shorter than one
-    piece, and may stop early."""
+    and the number of steps in a block. The run may be shorter than one
+    block, and may stop early."""
     dt = 1e-3
-    piece = draw(st.integers(1, 64))
+    block = draw(st.integers(1, 64))
     if draw(st.booleans()):
-        steps = draw(st.integers(1, max(1, piece - 1)))
+        steps = draw(st.integers(1, max(1, block - 1)))
     else:
-        steps = draw(st.integers(piece, 600))
+        steps = draw(st.integers(block, 600))
     n = draw(st.integers(4, 6))
     members = [
         circulant_graph(n, {1}),
         WeightedDigraph.undirected(n, [(0, 1)]),
         circulant_graph(n, {1, 2}),
     ]
-    # a piece observes steps [k piece, (k + 1) piece): switch at the steps
+    # a block observes steps [k block, (k + 1) block): switch at the steps
     # next to and on its edges
-    edges = sorted({k * piece + d for k in range(1, steps // piece + 2) for d in (-1, 0, 1)})
+    edges = sorted({k * block + d for k in range(1, steps // block + 2) for d in (-1, 0, 1)})
     cuts = draw(st.lists(st.sampled_from([c for c in edges if c >= 1]), min_size=1,
                          max_size=4, unique=True))
     indices = [draw(st.integers(0, 2))]
@@ -230,11 +232,11 @@ def streamed_runs(draw):
         record_stride=draw(st.integers(1, 40)),
         track_per_node=draw(st.booleans()),
     )
-    return DynamicNetwork(members, signal), protocol, x0, cfg, piece
+    return DynamicNetwork(members, signal), protocol, x0, cfg, block
 
 
 class TestStreamedMetrics:
-    """simulate formats metrics.csv piece by piece as the run integrates;
+    """simulate formats metrics.csv block by block as the run integrates;
     every output keeps the bytes of one simulate call."""
 
     OUTPUTS = ("trajectory.csv", "metrics.csv", "events.csv", "meta.json")
@@ -248,13 +250,13 @@ class TestStreamedMetrics:
     @settings(max_examples=60, deadline=None)
     @given(case=streamed_runs(), data=st.data())
     def test_files_equal_the_writers_of_one_simulate(self, case, data):
-        net, protocol, x0, cfg, piece = case
+        net, protocol, x0, cfg, block = case
         traj = simulate(net, protocol, x0, cfg)
         last = len(traj.metrics.times) - 1
         if cfg.stop_epsilon is not None and last < round((cfg.t_end - net.signal.t0) / cfg.dt):
-            # the sticky stop at step `last` ends a piece or starts one
-            if data.draw(st.booleans(), label="stop on a piece edge"):
-                piece = data.draw(st.sampled_from(_divisors(last) + _divisors(last + 1)))
+            # the sticky stop at step `last` ends a block or starts one
+            if data.draw(st.booleans(), label="stop on a block edge"):
+                block = data.draw(st.sampled_from(_divisors(last) + _divisors(last + 1)))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / "x0.txt").write_text("".join(f"{v!r}\n" for v in x0))
@@ -270,7 +272,7 @@ class TestStreamedMetrics:
                 argv += ["--epsilon", repr(cfg.stop_epsilon)]
             if cfg.track_per_node:
                 argv.append("--per-node")
-            with mock.patch.object(cli, "PIECE_STEPS", piece):
+            with mock.patch.object(simulate_module, "BLOCK_STEPS", block):
                 code, err = _main_quietly(argv)
             assert code in (cli.EXIT_OK, cli.EXIT_NO_SETTLE), err
             write_trajectory_csv(tmp / "trajectory.csv", traj)
@@ -297,7 +299,7 @@ class TestStreamedMetrics:
             argv = self.example1("--out", str(out))
             argv[2] = unstable
             code, err = _main_quietly(argv)
-            # the run diverges in its second piece, with its first formatted
+            # the run diverges with its first blocks formatted
             assert code == cli.EXIT_DIVERGED
             assert err == "error: state diverged at t=7.224: max |x_i| = 1e+12 exceeds 1e+12\n"
             assert_no_child()
@@ -332,33 +334,30 @@ class TestStreamedMetrics:
         for name in self.OUTPUTS:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
-    def test_run_holds_one_piece_of_per_node_rows(self, tmp_path, monkeypatch):
-        held, runs = [], []
-        take = _Run.take
-
-        def watched_take(run):
-            piece = take(run)
-            runs.append(run)
-            held.append(len(run.E_i))
-            return piece
-
-        monkeypatch.setattr(cli, "PIECE_STEPS", 100)
-        monkeypatch.setattr(_Run, "take", watched_take)
-        out = tmp_path / "out"
-        # 1001 steps: ten full pieces and one of a single step
-        code, err = _main_quietly(self.example1("--t-end", "1", "--out", str(out)))
+    def test_per_node_rows_are_held_for_one_block(self, tmp_path):
+        # 4100 steps of 100 nodes: 4096 rows of E_i alone would take 3.3 MB.
+        # The run holds its block buffers (2 x 2^14 floats), one block of
+        # rows as it formats them, and V, E_tot and the step times (24
+        # bytes a step, 0.1 MB here)
+        net = write_json(tmp_path / "net.json", static_network_json(cycle_graph_json(100)))
+        proto = write_json(
+            tmp_path / "proto.json",
+            {"direction": "aggregated", "f": {"type": "power", "k": 1.0, "alpha": 0.5}},
+        )
+        argv = ["simulate", net, proto, "--x0-lcg", "--dt", "1e-3", "--per-node",
+                "--record-stride", "1000", "--t-end"]
+        # the compiled stretch loop is loaded before the trace starts
+        assert _main_quietly(argv + ["0.01", "--out", str(tmp_path / "warm")])[0] == cli.EXIT_OK
+        tracemalloc.start()
+        try:
+            code, err = _main_quietly(argv + ["4.1", "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == cli.EXIT_OK, err
-        assert len(held) == 11
-        # after every take the run holds at most one piece of E_i rows
-        assert max(held) <= 100
-        # and never reports a partial E_i
-        run = runs[-1]
-        assert run.metrics().E_i is None
-        assert run.trajectory().metrics.E_i is None
-        assert len(run.metrics().V) == 1001
-        traj = simulate(*_example1_system(), SimConfig(t_end=1.0, dt=1e-3, track_per_node=True))
-        write_metrics_csv(tmp_path / "metrics.csv", traj.metrics, per_node=True)
-        assert (out / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
+        assert peak < 2 * 2**20
+        rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 4102 and len(rows[0].split(",")) == 103
 
     def test_metrics_csv_that_is_a_directory(self, tmp_path):
         done, out = tmp_path / "done", tmp_path / "out"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from consensus_lab.io import (
-    FLOAT_FMT, WRITE_ROWS, write_metrics_csv, write_metrics_rows, write_trajectory_csv,
+    FLOAT_FMT, WRITE_ROWS, write_metrics_csv, write_metrics_header, write_metrics_rows,
+    write_trajectory_csv,
 )
 from consensus_lab.metrics import MetricSeries
 from consensus_lab.simulate import Trajectory
@@ -55,22 +56,18 @@ def test_metrics_csv_matches_row_writer(tmp_path, rows, per_node):
 
 @pytest.mark.parametrize("per_node", [False, True])
 def test_metrics_rows_in_pieces_match_one_piece(tmp_path, per_node):
-    """The header comes with the first piece, even an empty one, as
-    simulate sends it; the cuts leave no trace in the bytes."""
+    """The header, then each piece's rows, as simulate writes them block by
+    block; the cuts, empty pieces among them, leave no trace in the bytes."""
     rows = 2 * WRITE_ROWS + 3
     m = _metrics(np.random.default_rng(7), rows, 3)
     cuts = [0, 0, 1, WRITE_ROWS - 1, WRITE_ROWS - 1, WRITE_ROWS + 5, rows]
-    pieces = [
-        MetricSeries(m.times[a:e], m.V[a:e], m.E_tot[a:e], m.E_i[a:e])
-        for a, e in zip(cuts, cuts[1:])
-    ]
     fh = io.StringIO(newline="")
-    write_metrics_rows(fh, pieces, per_node)
+    write_metrics_header(fh, 3 if per_node else 0)
+    for a, e in zip(cuts, cuts[1:]):
+        write_metrics_rows(fh, MetricSeries(m.times[a:e], m.V[a:e], m.E_tot[a:e], m.E_i[a:e]),
+                           per_node)
     write_metrics_csv(tmp_path / "whole.csv", m, per_node=per_node)
     assert fh.getvalue().encode() == (tmp_path / "whole.csv").read_bytes()
-    fh = io.StringIO(newline="")
-    write_metrics_rows(fh, [], per_node)
-    assert fh.getvalue() == ""
 
 
 def test_metrics_csv_needs_tracked_effort(tmp_path):

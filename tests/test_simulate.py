@@ -32,7 +32,6 @@ from consensus_lab.protocols import (
 from consensus_lab.simulate import (
     BLOCK_STEPS,
     DIVERGENCE_LIMIT,
-    EFFORTS,
     STICKY_STEPS,
     DivergenceError,
     SimConfig,
@@ -474,84 +473,52 @@ class TestResumableRun:
         ends = data.draw(st.permutations(sorted(e for e in ends if 0 <= e <= steps)))
 
         run = _Run(
-            net,
-            protocol,
-            x0,
-            dt,
-            stop_epsilon=cfg.stop_epsilon,
-            record_stride=cfg.record_stride,
-            effort="per_node",
+            net, protocol, x0, dt, stop_epsilon=cfg.stop_epsilon, record_stride=cfg.record_stride
         )
-        for end in ends:
-            run.advance(end)
-        run.advance(steps)
+        blocks = _joined(_blocks(run, ends + [steps]))
         pieced = run.trajectory()
 
-        for name in ("times", "V", "E_tot", "E_i"):
+        for name in ("times", "V", "E_tot"):
             assert _same_bytes(getattr(pieced.metrics, name), getattr(whole.metrics, name))
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(blocks, name), getattr(whole.metrics, name))
         for name in ("times", "states", "controls"):
             assert _same_bytes(getattr(pieced, name), getattr(whole, name))
         assert pieced.events == whole.events
         if stop < steps:
             assert run.stopped
 
-    def test_reserved_records_are_allocated_once(self):
-        net = DynamicNetwork(
-            [circulant_graph(6, {1}), circulant_graph(6, {1, 2})], FloorModulo(rate=10.0, modulus=2)
-        )
-        protocol = Protocol(PE, Power(1.0, 0.5))
-        x0 = [3.0, -1.0, 0.5, 2.0, -2.5, 1.0]
-        cfg = SimConfig(t_end=2.0, dt=1e-3, track_per_node=True)
-        steps = 2000
-        run = _Run(net, protocol, x0, cfg.dt, effort="per_node")
-        run.reserve(steps)
-        records = [run.V, run.E_tot]
-        # reserve sizes V and E_tot for the whole run and leaves E_i to advance
-        assert (len(run.V), len(run.E_tot), len(run.E_i)) == (steps + 1, steps + 1, 0)
-        for piece in range(20):
-            last = (piece + 1) * steps // 20
-            run.advance(last)
-            # advancing wrote into the reserved arrays, never into copies
-            assert all(now is reserved for now, reserved in zip([run.V, run.E_tot], records))
-            # and sized E_i, never taken, to every step up to the one given
-            assert len(run.E_i) == last + 1
-        assert run.next == steps + 1
-        whole = simulate(net, protocol, x0, cfg).metrics
-        for name in ("times", "V", "E_tot", "E_i"):
-            assert _same_bytes(getattr(run.metrics(), name), getattr(whole, name))
-
-    def test_taken_pieces_join_into_the_whole_record(self):
-        net = DynamicNetwork(
-            [circulant_graph(6, {1}), circulant_graph(6, {1, 2})], FloorModulo(rate=10.0, modulus=2)
-        )
-        protocol = Protocol(PE, Power(1.0, 0.5))
-        x0 = [3.0, -1.0, 0.5, 2.0, -2.5, 1.0]
-        cfg = SimConfig(t_end=2.0, dt=1e-3, track_per_node=True)
-        steps, piece = 2000, 150
-        run = _Run(net, protocol, x0, cfg.dt, effort="per_node")
-        pieces = [run.take()]
-        run.reserve(steps)
-        # the whole run's V and E_tot, but no E_i rows for steps not yet taken
-        assert (len(run.V), len(run.E_tot), len(run.E_i)) == (steps + 1, steps + 1, 0)
-        records = [run.V, run.E_tot]
-        buffers = []
-        for end in range(piece - 1, steps + piece, piece):
-            run.advance(min(end, steps))
-            taken = run.take()
-            # the rows are views, valid until the next advance
-            pieces.append(dataclasses.replace(taken, E_i=taken.E_i.copy()))
-            assert len(run.E_i) <= piece
-            buffers.append(run.E_i)
-        # one E_i buffer served every piece, and V and E_tot were never copied
-        assert all(b is buffers[0] for b in buffers)
-        assert all(now is reserved for now, reserved in zip([run.V, run.E_tot], records))
-        assert run.metrics().E_i is None and run.trajectory().metrics.E_i is None
-        whole = simulate(net, protocol, x0, cfg).metrics
-        for name in ("times", "V", "E_tot", "E_i"):
-            joined = np.concatenate([getattr(p, name) for p in pieces])
-            assert _same_bytes(joined, getattr(whole, name)), name
-        for name in ("times", "V", "E_tot"):
-            assert _same_bytes(getattr(run.metrics(), name), getattr(whole, name)), name
+    @settings(max_examples=60, deadline=None)
+    @given(case=switched_runs(), data=st.data())
+    def test_blocks_join_into_the_whole_record(self, case, data):
+        net, protocol, x0, cfg, steps = case
+        whole = simulate(net, protocol, x0, cfg)
+        ref = _StepwiseRun(net, protocol, x0, cfg.dt, cfg.stop_epsilon, cfg.record_stride, steps)
+        ref.advance(steps)
+        # blocks of B steps observe steps [k B, (k + 1) B): a B that divides
+        # a switch's step j or j + 1, or the stop step's, puts a block edge
+        # on it
+        t0, dt = net.signal.t0, cfg.dt
+        edges = [int(round((t - t0) / dt)) for t, _, _ in whole.events]
+        stop = len(whole.metrics.times) - 1
+        stopped = stop < steps
+        if stopped:
+            edges.append(stop)
+        sizes = sorted({d for e in edges for d in _divisors(e) + _divisors(e + 1)} | {1, 7, 64})
+        block = data.draw(st.sampled_from(sizes), label="block steps")
+        with mock.patch.object(simulate_module, "BLOCK_STEPS", block):
+            run = _Run(
+                net, protocol, x0, dt, stop_epsilon=cfg.stop_epsilon, record_stride=cfg.record_stride
+            )
+        blocks = _blocks(run, [steps])
+        # every block but the last is whole, and the record ends where the
+        # one-shot run's does
+        assert {len(b.V) for b in blocks[:-1]} <= {block}
+        assert run.stopped == ref.stopped == stopped
+        joined = _joined(blocks)
+        for want in (whole.metrics, ref.trajectory().metrics):
+            for name in ("times", "V", "E_tot", "E_i"):
+                assert _same_bytes(getattr(joined, name), getattr(want, name)), name
 
 
 class _StepwiseRun:
@@ -640,6 +607,33 @@ class _StepwiseRun:
         )
 
 
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _blocks(run, ends):
+    """Advance a _Run to each end in turn; the blocks it hands to rows,
+    each E_i copied out of the block buffer."""
+    blocks = []
+
+    def rows(block):
+        E_i = None if block.E_i is None else block.E_i.copy()
+        blocks.append(dataclasses.replace(block, E_i=E_i))
+
+    for end in ends:
+        run.advance(end, rows)
+    return blocks
+
+
+def _joined(blocks):
+    """Consecutive blocks of a metric record as one MetricSeries."""
+    return MetricSeries(*(
+        None if getattr(blocks[0], name) is None
+        else np.concatenate([getattr(b, name) for b in blocks])
+        for name in ("times", "V", "E_tot", "E_i")
+    ))
+
+
 def _advance_all(run, ends):
     """Advance run to each end in turn; the DivergenceError, if one is raised."""
     try:
@@ -693,7 +687,7 @@ class TestBlockedRun:
                     record_stride=cfg.record_stride,
                     effort=effort,
                 )
-            assert _advance_all(run, ends) is None
+            blocks = _blocks(run, ends)
             exc = run.error
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -703,13 +697,16 @@ class TestBlockedRun:
             return
         assert exc is None
         got, want = run.trajectory(), ref.trajectory()
+        joined = _joined(blocks)
         names = ("times", "V")
-        if effort is None:
-            assert got.metrics.E_tot is None and got.metrics.E_i is None
+        if effort:
+            names += ("E_tot",)
+            assert _same_bytes(joined.E_i, want.metrics.E_i)
         else:
-            names += ("E_tot",) + ("E_i",) * (effort == "per_node")
+            assert got.metrics.E_tot is None and joined.E_tot is None and joined.E_i is None
         for name in names:
             assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
+            assert _same_bytes(getattr(joined, name), getattr(want.metrics, name))
         for name in ("times", "states", "controls"):
             assert _same_bytes(getattr(got, name), getattr(want, name))
         assert got.events == want.events
@@ -718,20 +715,13 @@ class TestBlockedRun:
     @settings(max_examples=120, deadline=None)
     @given(case=BLOCKED_RUNS, data=st.data())
     def test_matches_stepwise_loop(self, case, data):
-        # without per-node tracking the effort takes another path
-        per_node = data.draw(st.booleans())
-        self._check_against_stepwise(case, data, "per_node" if per_node else "total")
+        self._check_against_stepwise(case, data, True)
 
     @settings(max_examples=60, deadline=None)
     @given(case=BLOCKED_RUNS, data=st.data())
     def test_effort_free_run_matches_stepwise_loop(self, case, data):
         # no controls are stored or integrated; everything else is the same
-        self._check_against_stepwise(case, data, None)
-
-    def test_unknown_effort(self):
-        net = static_net(circulant_graph(4, {1}))
-        with pytest.raises(ValueError):
-            _Run(net, Protocol(AGG, Power(1.0, 0.5)), np.zeros(4), 1e-3, effort="sum")
+        self._check_against_stepwise(case, data, False)
 
     def test_step_out_of_the_stop_leaves_no_trace(self):
         # a switch and a recorded sample fall on the Euler step out of the
@@ -810,14 +800,15 @@ def _bytes(a):
     return None if a is None else (np.asarray(a).shape, np.asarray(a).tobytes())
 
 
-def _outcome_bytes(run):
-    """Every record, event, stop and error message of the run, as bytes, so
-    that -0.0 and +0.0 differ."""
+def _outcome_bytes(run, blocks):
+    """Every record, event, stop and error message of the run, and the E_i
+    of the blocks it handed to rows, as bytes, so that -0.0 and +0.0
+    differ."""
     if run.error is not None:
         return str(run.error), _bytes(run.error.time), _bytes(run.error.max_abs)
     traj = run.trajectory()
     m = traj.metrics
-    arrays = (traj.times, traj.states, traj.controls, m.times, m.V, m.E_tot, m.E_i)
+    arrays = (traj.times, traj.states, traj.controls, m.times, m.V, m.E_tot, _joined(blocks).E_i)
     return tuple(_bytes(a) for a in arrays) + (repr(traj.events), run.stopped)
 
 
@@ -832,7 +823,7 @@ class TestCompiledStretch:
     @given(case=pooled_runs(COMPILED_LAWS), data=st.data())
     def test_same_bytes_as_numpy_kernels(self, case, data):
         system, cfg, steps = case
-        effort = data.draw(st.sampled_from(EFFORTS))
+        effort = data.draw(st.booleans())
         block = data.draw(st.sampled_from([1, 2, 7, 64, None]))
         ends = sorted(data.draw(st.lists(st.integers(1, steps), max_size=3))) + [steps]
 
@@ -847,9 +838,8 @@ class TestCompiledStretch:
                     record_stride=cfg.record_stride,
                     effort=effort,
                 )
-                for end in ends:
-                    run.advance(end)
-            return run.counters, _outcome_bytes(run)
+                blocks = _blocks(run, ends)
+            return run.counters, _outcome_bytes(run, blocks)
 
         counted, got = outcome(compiled=True)
         counted_numpy, want = outcome(compiled=False)
@@ -869,12 +859,14 @@ class TestCompiledStretch:
         monkeypatch.setattr(_stretch, "_lib", None)
         monkeypatch.setattr(_stretch, "_load", no_compiler)
         assert _stretch.load() is None
-        run = _Run(net, protocol, x0, cfg.dt, record_stride=7, effort="per_node")
-        run.advance(3000)
+        run = _Run(net, protocol, x0, cfg.dt, record_stride=7)
+        blocks = _joined(_blocks(run, [3000]))
         assert run.counters["stretches_compiled"] == 0 and run.counters["stretches_numpy"] > 0
         got = run.trajectory()
-        for name in ("times", "V", "E_tot", "E_i"):
+        for name in ("times", "V", "E_tot"):
             assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(blocks, name), getattr(want.metrics, name))
         for name in ("times", "states", "controls"):
             assert _same_bytes(getattr(got, name), getattr(want, name))
         assert repr(got.events) == repr(want.events)
@@ -912,7 +904,7 @@ class TestCompiledStretch:
 class TestCounters:
     @requires_compiled
     def test_example1_runs_compiled(self):
-        run = _Run(*_example1(), 1e-3, record_stride=100, effort="per_node")
+        run = _Run(*_example1(), 1e-3, record_stride=100)
         run.advance(15000)
         assert run.counters == {
             "steps": 15000,
