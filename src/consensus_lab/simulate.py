@@ -379,8 +379,9 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Tra
     """Integrate the closed loop from x0 until t_end or the sticky stop.
 
     The step rules are those of _Run; the final state is always a sample,
-    also when an early stop falls between strides. Raises DivergenceError
-    when the state fails the guard.
+    also when an early stop falls between strides. With track_per_node,
+    metrics.E_i is gathered from the blocks the run hands over. Raises
+    DivergenceError when the state fails the guard.
     """
     run, last = _open_run(net, protocol, x0, cfg)
     rows = E_i = None

@@ -131,3 +131,9 @@ def assert_no_child():
     """Every child process this process forked has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def divisors(m):
+    """The positive divisors of m, in increasing order: the block sizes
+    that put a block edge on step m."""
+    return [d for d in range(1, m + 1) if m % d == 0]

@@ -31,7 +31,7 @@ from consensus_lab.switching import (
     Breakpoints, DynamicNetwork, network_from_json, network_to_json,
 )
 
-from gen import assert_no_child
+from gen import assert_no_child, divisors
 
 EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1"
 EXAMPLE2 = EXAMPLE1.parent / "example2"
@@ -189,10 +189,6 @@ class TestSimulate:
 
 
 
-def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 @st.composite
 def streamed_runs(draw):
     """A switched run (net, protocol, x0, cfg), per-node effort on or off,
@@ -256,7 +252,7 @@ class TestStreamedMetrics:
         if cfg.stop_epsilon is not None and last < round((cfg.t_end - net.signal.t0) / cfg.dt):
             # the sticky stop at step `last` ends a block or starts one
             if data.draw(st.booleans(), label="stop on a block edge"):
-                block = data.draw(st.sampled_from(_divisors(last) + _divisors(last + 1)))
+                block = data.draw(st.sampled_from(divisors(last) + divisors(last + 1)))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / "x0.txt").write_text("".join(f"{v!r}\n" for v in x0))

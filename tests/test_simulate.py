@@ -49,6 +49,8 @@ from consensus_lab.switching import (
     network_from_json,
 )
 
+from gen import divisors
+
 AGG = Direction.AGGREGATED
 PE = Direction.PER_EDGE
 
@@ -504,7 +506,7 @@ class TestResumableRun:
         stopped = stop < steps
         if stopped:
             edges.append(stop)
-        sizes = sorted({d for e in edges for d in _divisors(e) + _divisors(e + 1)} | {1, 7, 64})
+        sizes = sorted({d for e in edges for d in divisors(e) + divisors(e + 1)} | {1, 7, 64})
         block = data.draw(st.sampled_from(sizes), label="block steps")
         with mock.patch.object(simulate_module, "BLOCK_STEPS", block):
             run = _Run(
@@ -605,10 +607,6 @@ class _StepwiseRun:
             ),
             events=list(self._events),
         )
-
-
-def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def _blocks(run, ends):
