@@ -43,6 +43,11 @@ script runs
   exponent 0.5, with --x0-lcg --dt 1e-3 --t-end 0.7 --per-node
   --record-stride 7; at n = 200 a block holds 81 steps, so the per-node
   rows cross block edges off the 1024-step blocks of the 10-node runs;
+- example 1's network under an aggregated linear law of gain 0.01 from an
+  x0 that holds -0.0, the subnormal 5e-324, 1e-300, 3e-6, 2.5e-5, -4e-5,
+  0.1, 7.5, 123456.789 and -1e11, with --dt 1e-5 --t-end 0.01 --per-node
+  --record-stride 1, so that the CSV files print -0, a subnormal, values
+  below 1e-5 and values from 1e-5 on in fixed and in exponent notation;
 - consensus-lab verify on configs/example1 with --tau 1 and with --tau
   0.5 --horizon 20, which pass (each of its members is connected, so no
   tau fails), and with --tau 0, which exits 1;
@@ -151,6 +156,8 @@ INPUTS = {
     "per-edge-power.json": json.dumps(
         {"direction": "per_edge", "f": {"type": "power", "k": 1.0, "alpha": 0.5}}
     ),
+    "small-gain-linear.json": '{"direction": "aggregated", "f": {"type": "linear", "k": 0.01}}\n',
+    "float-extremes-x0.txt": "-0.0\n5e-324\n1e-300\n3e-6\n7.5\n-1e11\n2.5e-5\n0.1\n123456.789\n-4e-5\n",
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
@@ -213,6 +220,10 @@ CASES = {
     "benchmark-200-per-edge-power": [
         "simulate", "benchmark-200.json", "per-edge-power.json", "--x0-lcg",
         "--dt", "1e-3", "--t-end", "0.7", "--per-node", "--record-stride", "7",
+    ] + HERE,
+    "example1-float-extremes": [
+        "simulate", _SIMULATE[1], "small-gain-linear.json", "--x0-file", "float-extremes-x0.txt",
+        "--dt", "1e-5", "--t-end", "0.01", "--per-node", "--record-stride", "1",
     ] + HERE,
     "verify-example1": _VERIFY1 + ["--tau", "1"],
     "verify-example1-horizon": _VERIFY1 + ["--tau", "0.5", "--horizon", "20"],

@@ -36,6 +36,7 @@ CASES = (
     "example2-fast-signal-per-node",
     "example1-diverges",
     "benchmark-200-per-edge-power",
+    "example1-float-extremes",
 )
 
 
