@@ -1,13 +1,15 @@
 /* Euler steps of one member's kernel, for the laws whose arithmetic here is
-   numpy's arithmetic in protocols._kernel; see _stretch.py. Every
-   operation is the one numpy does, in the same order: the gathered
-   differences, the weight and gain products, the per-destination sums of
-   np.bincount (in arc order, from +0.0) and x + dt*u. Built with
-   -ffp-contract=off, so no multiply and add fuse into one rounding, and
-   with -funswitch-loops, which hoists the tests of w and U out of the
-   loops. */
+   numpy's arithmetic in protocols._kernel, and the "%.17g" rows of the CSV
+   writers; see _stretch.py. Every operation of a step is the one numpy
+   does, in the same order: the gathered differences, the weight and gain
+   products, the per-destination sums of np.bincount (in arc order, from
+   +0.0) and x + dt*u. Built with -ffp-contract=off, so no multiply and add
+   fuse into one rounding, and with -funswitch-loops, which hoists the
+   tests of w and U out of the loops. */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 enum { LINEAR, SIGN, POWER_HALF, FIXED_TIME }; /* law; FIXED_TIME has p = 1/2, q = 3/2 */
 enum { PER_EDGE, PER_EDGE_SIGN, AGGREGATED }; /* where f and the gain apply */
@@ -97,4 +99,143 @@ void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
         case POWER_HALF: STEPS(POWER_HALF, AGGREGATED); break;
         default: STEPS(FIXED_TIME, AGGREGATED);
         }
+}
+
+/* "%.17g" of v into p, as Python's % operator prints it: at most 24 bytes,
+   with no terminating NUL; the end of the text. glibc's snprintf gives
+   Python's bytes for every value but a NaN with its sign bit set, which it
+   prints as -nan. The exact path below gives the same bytes for the normal
+   values with 1e-5 <= |v| < 2^53, without snprintf's big-number
+   arithmetic: v = m / 2^k with an integer m < 2^53, so its 17 significant
+   digits are m * 10^s / 2^k rounded half to even, for s = 16 - e10 and
+   e10 = floor(log10 |v|), and m * 10^s fits in 128 bits for s <= 22 (the
+   narrow-range case of Adams, "Ryu revisited: printf floating point
+   conversion", OOPSLA 2019). Where the compiler has no 128-bit integers,
+   every value goes through snprintf. */
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define E18 1000000000000000000u
+static const u128 POW10[23] = { /* 10^s for s <= 22; 2^53 * 10^22 < 2^127 */
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
+    1000000000u, 10000000000u, 100000000000u, 1000000000000u,
+    10000000000000u, 100000000000000u, 1000000000000000u,
+    10000000000000000u, 100000000000000000u, E18, (u128)E18 * 10,
+    (u128)E18 * 100, (u128)E18 * 1000, (u128)E18 * 10000,
+};
+
+static const char PAIRS[] = /* "00" to "99" */
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the 17 decimal digits of 10^16 <= q < 10^17 into d, two at a time */
+static void digits17(char *d, uint64_t q)
+{
+    uint32_t hi = (uint32_t)(q / 100000000), lo = (uint32_t)(q % 100000000);
+    for (int i = 15; i > 7; i -= 2, lo /= 100)
+        memcpy(d + i, PAIRS + 2 * (lo % 100), 2);
+    for (int i = 7; i > 0; i -= 2, hi /= 100)
+        memcpy(d + i, PAIRS + 2 * (hi % 100), 2);
+    d[0] = (char)('0' + hi);
+}
+
+/* the exact path for a normal v with 1e-5 <= |v| < 2^53; NULL if its
+   scale leaves the 128-bit range */
+static char *g17_exact(char *p, double v)
+{
+    uint64_t bits, m;
+    int e2, k, e10, s, last;
+    u128 N, I, r, half;
+    char d[17];
+
+    memcpy(&bits, &v, sizeof bits);
+    e2 = (int)(bits >> 52 & 0x7ff) - 1023; /* 2^e2 <= |v| < 2^(e2 + 1) */
+    m = (bits & ((1ull << 52) - 1)) | 1ull << 52;
+    k = 52 - e2; /* |v| = m / 2^k, with 0 <= k <= 69 */
+    e10 = e2 * 78913 >> 18; /* floor(e2 log10 2): floor(log10 |v|) or one less */
+    s = 16 - e10;
+    if (s > 22)
+        return NULL;
+    N = (u128)m * POW10[s];
+    I = N >> k;
+    if (I >= POW10[17]) { /* e10 was one short */
+        e10++;
+        s--;
+        N = (u128)m * POW10[s];
+        I = N >> k;
+    }
+    if (k > 0) { /* round the remainder half to even */
+        r = N - (I << k);
+        half = (u128)1 << (k - 1);
+        if (r > half || (r == half && (I & 1)))
+            I++;
+    }
+    if (I == POW10[17]) { /* the rounding carried into a digit more */
+        I = POW10[16];
+        e10++;
+    }
+    digits17(d, (uint64_t)I);
+    for (last = 16; d[last] == '0'; last--) /* trailing zeros go */
+        ;
+    if (v < 0)
+        *p++ = '-';
+    if (e10 < -4) { /* d.ddde-XX; only e10 = -5 comes this way */
+        *p++ = d[0];
+        if (last > 0) {
+            *p++ = '.';
+            memcpy(p, d + 1, last);
+            p += last;
+        }
+        memcpy(p, "e-00", 4);
+        p[3] += (char)-e10;
+        return p + 4;
+    }
+    if (e10 < 0) { /* 0.000ddd */
+        memcpy(p, "0.0000", 1 - e10);
+        p += 1 - e10;
+        memcpy(p, d, last + 1);
+        return p + last + 1;
+    }
+    memcpy(p, d, e10 + 1); /* ddd.ddd; e10 <= 15 here */
+    p += e10 + 1;
+    if (last > e10) {
+        *p++ = '.';
+        memcpy(p, d + e10 + 1, last - e10);
+        p += last - e10;
+    }
+    return p;
+}
+#endif
+
+static char *g17(char *p, double v)
+{
+    double a = fabs(v);
+#ifdef __SIZEOF_INT128__
+    if (a >= 1e-5 && a < 0x1p53) {
+        char *end = g17_exact(p, v);
+        if (end)
+            return end;
+    }
+#endif
+    if (a != a) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    return p + snprintf(p, 25, "%.17g", v);
+}
+
+/* Writes the rows x cols values, row after row, as "%.17g" text into out,
+   the values of a row joined by ',' and each row ended by '\n'; out holds
+   25 bytes per value. The number of bytes written. */
+int64_t format_rows(const double *values, int64_t rows, int64_t cols, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c++) {
+            p = g17(p, *values++);
+            *p++ = c + 1 < cols ? ',' : '\n';
+        }
+    return p - out;
 }

@@ -1,12 +1,21 @@
-"""The simulator's Euler stretch: the compiled loop of _stretch.c, loaded
-with ctypes, for Linear, Sign, Power with alpha = 0.5 and FixedTime with
-p = 0.5 and q = 1.5, whose C arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
+"""The compiled library of _stretch.c, loaded with ctypes, and the two
+paths of each of its uses.
+
+The simulator's Euler stretch: the compiled loop for Linear, Sign, Power
+with alpha = 0.5 and FixedTime with p = 0.5 and q = 1.5, whose C
+arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
 same bytes, for every other law or where gcc is missing or the build or
-the load fails. Only this module and _stretch.c know the C calling
-convention. The library is built at first use with the installed gcc,
-never at import, and cached under $XDG_CACHE_HOME/consensus-lab (by
-default ~/.cache/consensus-lab), keyed by a hash of the source, the flags
-and the compiler version.
+the load fails.
+
+The CSV writers' rows: format_rows prints a block of floats as io's
+"%.17g" rows, or gives None where the library cannot be loaded, and
+io._write_rows then formats them with the % operator, to the same bytes.
+
+Only this module and _stretch.c know the C calling convention. The
+library is built at first use with the installed gcc, never at import,
+and cached under $XDG_CACHE_HOME/consensus-lab (by default
+~/.cache/consensus-lab), keyed by a hash of the source, the flags and the
+compiler version.
 """
 
 from __future__ import annotations
@@ -30,16 +39,20 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-funswitch-loops", "-sha
 # the enums of _stretch.c
 LINEAR, SIGN, POWER_HALF, FIXED_TIME = range(4)
 PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
-# law, mode, n, m, src, dst, w, k, k2, dt, acc, then steps, x, X, U
+# the bytes format_rows takes for a "%.17g" value and its separator at most
+VALUE_BYTES = 25
+# stretch: law, mode, n, m, src, dst, w, k, k2, dt, acc, then steps, x, X, U
 _INT, _I64, _P, _D = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _P, _I64, _P, _P, _P]
+_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _P, _I64, _P, _P, _P]
+# format_rows: values, rows, cols, out
+_FORMAT_ARGS = [_P, _I64, _I64, _P]
 
-_lib = None  # the bound C function once loaded; False once that failed
+_lib = None  # the library once loaded, its functions bound; False once that failed
 
 
 def load():
-    """The compiled stretch function, built on first use; None where it
-    cannot be built or loaded."""
+    """The compiled library, built on first use; None where it cannot be
+    built or loaded."""
     global _lib
     if _lib is None:
         try:
@@ -94,9 +107,10 @@ def _build(source, folder, key):
 
 
 def _bind(path):
-    fn = ctypes.CDLL(path).stretch
-    fn.argtypes, fn.restype = _ARGS, None
-    return fn
+    lib = ctypes.CDLL(path)
+    lib.stretch.argtypes, lib.stretch.restype = _STRETCH_ARGS, None
+    lib.format_rows.argtypes, lib.format_rows.restype = _FORMAT_ARGS, _I64
+    return lib
 
 
 def _law(f):
@@ -139,10 +153,23 @@ def stretch(protocol, g, dt):
     acc = np.empty(g.n)
     keep = (src, dst, w, acc)
     src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in keep]
-    call = functools.partial(_lib, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, acc_p)
+    call = functools.partial(_lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, acc_p)
 
     def run(x, X, U):
         call(len(X), x.ctypes.data, X.ctypes.data, None if U is None else U.ctypes.data)
 
     run.arrays = keep  # the arrays behind the addresses
     return run, True
+
+
+def format_rows(block):
+    """The "%.17g" text of the rows of a 2-D float array, the values of a
+    row joined by "," and each row ended by a newline, as io.FLOAT_FMT
+    prints each value; None where the library cannot be loaded."""
+    if load() is None:
+        return None
+    block = np.ascontiguousarray(block, dtype=float)
+    rows, cols = block.shape
+    out = np.empty(block.size * VALUE_BYTES, dtype=np.uint8)
+    size = _lib.format_rows(block.ctypes.data, rows, cols, out.ctypes.data)
+    return out[:size].tobytes().decode("ascii")

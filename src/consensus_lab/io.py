@@ -1,11 +1,13 @@
 """Deterministic CSV and JSON writers for trajectories and benchmark tables.
 
-Floats are printed with 17 significant digits so every value round-trips
-bit-exactly and identical runs produce byte-identical files. Every CSV row
-goes through one block formatter, _write_rows, which formats each row
-alone; so write_metrics_rows can write a metric series piece by piece, as
-its run produces it, after write_metrics_header, and give the bytes of
-write_metrics_csv.
+Floats are printed with 17 significant digits ("%.17g") so every value
+round-trips bit-exactly and identical runs produce byte-identical files.
+Every CSV row goes through one block formatter, _write_rows, which formats
+each row alone; so write_metrics_rows can write a metric series piece by
+piece, as its run produces it, after write_metrics_header, and give the
+bytes of write_metrics_csv. _write_rows prints with the compiled library
+of _stretch.c where it loads, and with Python's % operator otherwise, to
+the same bytes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"
-# rows formatted per write: a block of 4096 per-node metric rows cost
-# example 1 about 5 MiB of peak memory for no further speed
-WRITE_ROWS = 512
+# values formatted per write, as many as a run block holds
+# (simulate.BLOCK_ELEMENTS), whatever the width of the rows
+WRITE_VALUES = 2**14
 
 
 _REQUIRED = object()
@@ -102,18 +104,28 @@ def load_x0(path) -> np.ndarray:
 def _write_rows(fh, columns) -> None:
     """One CSV row per entry of the float columns, to an open text file.
 
-    A column is 1-D, or 2-D for several adjacent columns. Rows are
-    formatted WRITE_ROWS at a time with one %-format per block, which
-    prints what csv.writer prints for the FLOAT_FMT strings of the values.
-    Every row is formatted alone, so the rows of a table written in several
-    calls are the bytes of one call.
+    A column is 1-D, or 2-D for several adjacent columns. The rows are
+    formatted in chunks of at most WRITE_VALUES values (or one row, where a
+    row holds more), which bounds the memory a write takes whatever the
+    width. A chunk goes to the compiled formatter, _stretch.format_rows,
+    or, where the library cannot be loaded, to one %-format; both print
+    what csv.writer prints for the FLOAT_FMT strings of the values. Every
+    row is formatted alone, so the rows of a table written in several calls
+    are the bytes of one call.
     """
+    from . import _stretch  # imported here: _stretch imports protocols, which imports io
+
     columns = [np.asarray(c, dtype=float) for c in columns]
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
-    row_fmt = ",".join([FLOAT_FMT] * sum(c.shape[1] for c in columns)) + "\n"
-    for start in range(0, len(columns[0]), WRITE_ROWS):
-        block = np.hstack([c[start : start + WRITE_ROWS] for c in columns])
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    width = sum(c.shape[1] for c in columns)
+    row_fmt = ",".join([FLOAT_FMT] * width) + "\n"
+    rows = max(1, WRITE_VALUES // width)
+    for start in range(0, len(columns[0]), rows):
+        block = np.hstack([c[start : start + rows] for c in columns])
+        text = _stretch.format_rows(block)
+        if text is None:
+            text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
+        fh.write(text)
 
 
 def _write_columns(path, header, columns) -> None:

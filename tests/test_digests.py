@@ -4,7 +4,7 @@ tests/digests.json holds, for a fast subset of the cases of
 scripts/zero_drift.py, the exit code of each run and the sha256 of its
 stdout, its stderr and every file and directory it leaves beside its
 inputs, as the last accepted tree gave them. The runs go through cli.main
-in this process. Their laws are power 1/2, computed through sqrt, and
+in this process, with the compiled library and again without it. Their laws are power 1/2, computed through sqrt, and
 linear, whose bits do not depend on numpy's SIMD dispatch.
 
 A change that is meant to move these outputs rewrites the file with
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from consensus_lab import cli
+from consensus_lab import _stretch, cli
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
 import zero_drift  # noqa: E402
@@ -72,6 +72,14 @@ def digests(case, where):
 
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_keep_their_digests(case, tmp_path):
+    assert digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_keep_their_digests_without_the_library(case, tmp_path, monkeypatch):
+    """The same digests from the numpy stretch loop and the %-format rows,
+    as where the compiled library cannot be loaded."""
+    monkeypatch.setattr(_stretch, "_lib", False)
     assert digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
 
 
