@@ -157,7 +157,9 @@ INPUTS = {
         {"direction": "per_edge", "f": {"type": "power", "k": 1.0, "alpha": 0.5}}
     ),
     "small-gain-linear.json": '{"direction": "aggregated", "f": {"type": "linear", "k": 0.01}}\n',
-    "float-extremes-x0.txt": "-0.0\n5e-324\n1e-300\n3e-6\n7.5\n-1e11\n2.5e-5\n0.1\n123456.789\n-4e-5\n",
+    "float-extremes-x0.txt": "\n".join(
+        ["-0.0", "5e-324", "1e-300", "3e-6", "7.5", "-1e11", "2.5e-5", "0.1", "123456.789", "-4e-5"]
+    ) + "\n",
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,

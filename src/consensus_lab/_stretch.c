@@ -101,13 +101,12 @@ void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
         }
 }
 
-/* "%.17g" of v into p, as Python's % operator prints it: at most 24 bytes,
-   with no terminating NUL; the end of the text. glibc's snprintf gives
-   Python's bytes for every value but a NaN with its sign bit set, which it
-   prints as -nan. The exact path below gives the same bytes for the normal
-   values with 1e-5 <= |v| < 2^53, without snprintf's big-number
-   arithmetic: v = m / 2^k with an integer m < 2^53, so its 17 significant
-   digits are m * 10^s / 2^k rounded half to even, for s = 16 - e10 and
+/* The rows of the CSV writers. glibc's snprintf("%.17g") gives Python's
+   bytes for every value but a NaN with its sign bit set, which it prints
+   as -nan. The exact path gives the same bytes for the normal values with
+   1e-5 <= |v| < 2^53, without snprintf's big-number arithmetic: v = m / 2^k
+   with an integer m < 2^53, so its 17 significant digits are
+   m * 10^s / 2^k rounded half to even, for s = 16 - e10 and
    e10 = floor(log10 |v|), and m * 10^s fits in 128 bits for s <= 22 (the
    narrow-range case of Adams, "Ryu revisited: printf floating point
    conversion", OOPSLA 2019). Where the compiler has no 128-bit integers,
@@ -209,6 +208,8 @@ static char *g17_exact(char *p, double v)
 }
 #endif
 
+/* "%.17g" of v into p, as Python's % operator prints it: at most 24 bytes,
+   with no terminating NUL; the end of the text */
 static char *g17(char *p, double v)
 {
     double a = fabs(v);

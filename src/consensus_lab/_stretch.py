@@ -153,7 +153,9 @@ def stretch(protocol, g, dt):
     acc = np.empty(g.n)
     keep = (src, dst, w, acc)
     src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in keep]
-    call = functools.partial(_lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, acc_p)
+    call = functools.partial(
+        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, acc_p
+    )
 
     def run(x, X, U):
         call(len(X), x.ctypes.data, X.ctypes.data, None if U is None else U.ctypes.data)

@@ -4,8 +4,9 @@ tests/digests.json holds, for a fast subset of the cases of
 scripts/zero_drift.py, the exit code of each run and the sha256 of its
 stdout, its stderr and every file and directory it leaves beside its
 inputs, as the last accepted tree gave them. The runs go through cli.main
-in this process, with the compiled library and again without it. Their laws are power 1/2, computed through sqrt, and
-linear, whose bits do not depend on numpy's SIMD dispatch.
+in this process, with the compiled library and again without it. Their
+laws are power 1/2, computed through sqrt, and linear, whose bits do not
+depend on numpy's SIMD dispatch.
 
 A change that is meant to move these outputs rewrites the file with
 

@@ -43,10 +43,12 @@ def _around(v):
 
 
 # the values whose formatting differs most: signed zeros, infinities, a NaN
-# of either sign (glibc prints the negative one as -nan), subnormals, the
-# largest float, the bounds of the compiled formatter's exact path (1e-5
-# and 2^53, which also takes 1e-6 past its 128-bit range) with their
-# neighbours, and decimal ties at 17 digits, which round half to even
+# of either sign (glibc prints the negative one as -nan), the smallest and
+# the largest subnormal, the largest float, 0.1; the bounds of the compiled
+# formatter's exact path, 1e-5 and 2^53, and 1e-6, whose digits would
+# overflow its 128 bits, each with its neighbours; 4503599627370496.5,
+# which parses to 2^52; and two decimal ties at 17 digits, which round
+# half to even
 SPECIALS = np.array(
     [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1), 0.1, 1.7976931348623157e308,
      5e-324, np.nextafter(2.2250738585072014e-308, 0), 4503599627370496.5,
@@ -206,7 +208,8 @@ def test_chunks_hold_at_most_write_values(width):
 
     out = _on_both_paths(write)
     want = io.StringIO(newline="")
-    csv.writer(want, lineterminator="\n").writerows([FLOAT_FMT % (v,) for v in row] for row in table)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerows([FLOAT_FMT % (v,) for v in row] for row in table)
     assert _differences([fh.getvalue() for fh in out], want.getvalue()) == [None, None]
     assert [len(fh.sizes) for fh in out] == [3, 3]
     assert out[0].sizes == out[1].sizes
@@ -245,7 +248,7 @@ def test_trajectory_write_holds_one_chunk(tmp_path):
     takes memory for a chunk of WRITE_VALUES values, not for its rows: it
     peaked at 67.5 MiB with chunks of 512 rows, and at 1.6 MiB with these.
     The compiled path is traced where it loads: the %-format takes 6 s
-    under tracemalloc here, for a peak of 1.2 MiB."""
+    under tracemalloc on a 2 vCPU Xeon, for a peak of 1.2 MiB."""
     protocol = Protocol(Direction.PER_EDGE, Power(1.0, 0.5))
     x0 = np.random.default_rng(2000).uniform(-10.0, 10.0, 2000)
     traj = simulate(benchmark_topology(2000), protocol, x0, SimConfig(t_end=0.7, dt=1e-3))
