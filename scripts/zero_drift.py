@@ -7,7 +7,8 @@ the src directory of a checkout. With each of them alone on PYTHONPATH the
 script runs
 
 - consensus-lab benchmark --experiment 1 and --experiment 2, both with
-  --sizes 25,50,100,200;
+  --sizes 25,50,100,200, and both again with --sizes 25,50 --dt 1e-3,
+  which calibrate and run their sweep rows in a fraction of a second;
 - consensus-lab benchmark --experiment 1 --sizes 25 --dt 1e-3
   --target-t 0.0001, which fails its calibration and exits 1, so the
   error path is compared too;
@@ -164,6 +165,12 @@ INPUTS = {
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
     "benchmark-experiment-2": ["benchmark", "--experiment", "2", "--sizes", SIZES] + HERE,
+    "benchmark-experiment-1-coarse": [
+        "benchmark", "--experiment", "1", "--sizes", "25,50", "--dt", "1e-3",
+    ] + HERE,
+    "benchmark-experiment-2-coarse": [
+        "benchmark", "--experiment", "2", "--sizes", "25,50", "--dt", "1e-3",
+    ] + HERE,
     "benchmark-calibration-error": [
         "benchmark", "--experiment", "1", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.0001",
     ] + HERE,

@@ -1,12 +1,14 @@
-"""Pinned outputs of bundled simulate runs.
+"""Pinned outputs of bundled simulate and benchmark runs.
 
 tests/digests.json holds, for a fast subset of the cases of
-scripts/zero_drift.py, the exit code of each run and the sha256 of its
-stdout, its stderr and every file and directory it leaves beside its
-inputs, as the last accepted tree gave them. The runs go through cli.main
-in this process, with the compiled library and again without it. Their
-laws are power 1/2, computed through sqrt, and linear, whose bits do not
-depend on numpy's SIMD dispatch.
+scripts/zero_drift.py (five simulate runs, and both benchmark experiments
+at sizes 25 and 50 with --dt 1e-3), the exit code of each run and the
+sha256 of its stdout, its stderr and every file and directory it leaves
+beside its inputs, as the last accepted tree gave them. The runs go
+through cli.main in this process, with the compiled library and again
+without it. Their laws are linear, power 1/2 and the fixed-time law with
+p = 1/2 and q = 3/2, all computed through sqrt, whose bits do not depend
+on numpy's SIMD dispatch.
 
 A change that is meant to move these outputs rewrites the file with
 
@@ -38,6 +40,8 @@ CASES = (
     "example1-diverges",
     "benchmark-200-per-edge-power",
     "example1-float-extremes",
+    "benchmark-experiment-1-coarse",
+    "benchmark-experiment-2-coarse",
 )
 
 
