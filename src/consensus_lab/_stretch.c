@@ -1,11 +1,13 @@
 /* Euler steps of one member's kernel, for the laws whose arithmetic here is
-   numpy's arithmetic in protocols._kernel, and the "%.17g" rows of the CSV
-   writers; see _stretch.py. Every operation of a step is the one numpy
-   does, in the same order: the gathered differences, the weight and gain
-   products, the per-destination sums of np.bincount (in arc order, from
-   +0.0) and x + dt*u. Built with -ffp-contract=off, so no multiply and add
-   fuse into one rounding, and with -funswitch-loops, which hoists the
-   tests of w and U out of the loops. */
+   numpy's arithmetic in protocols._kernel, with the numbers the simulator
+   checks after each step, and the "%.17g" rows of the CSV writers; see
+   _stretch.py. Every operation of a step is the one numpy does, in the
+   same order: the gathered differences, the weight and gain products, the
+   per-destination sums of np.bincount (in arc order, from +0.0), x + dt*u
+   and metrics.isce_accumulate's S + (u*u)*dt. Built with -ffp-contract=off,
+   so no multiply and add fuse into one rounding, and with -funswitch-loops,
+   which hoists the tests of w, of a kept control and of S out of the
+   loops. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -35,14 +37,20 @@ static double f(int law, double k, double k2, double v)
 
 /* One stretch's loops for a law and mode known at compile time: stretch
    inlines a copy per pair, so no test of either runs per arc. */
-static inline __attribute__((always_inline)) void
+static inline __attribute__((always_inline)) int64_t
 steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
          const int64_t *dst, const double *w, double k, double k2,
-         double dt, double *acc, int64_t steps,
-         const double *x, double *X, double *U)
+         double dt, int64_t every, double *acc, int64_t steps,
+         const double *x, double *X, double *U, int64_t keep, double *V,
+         double *P, double *S, double *E)
 {
+    int64_t nans = 0;
     for (int64_t s = 0; s < steps; s++) {
-        double *next = X + s * n;
+        double *next = X + s * n, *u_row = NULL, hi = -INFINITY, lo = INFINITY;
+        if (s == keep) {
+            u_row = U + s * n;
+            keep += every;
+        }
         for (int64_t i = 0; i < n; i++)
             acc[i] = 0.0;
         for (int64_t a = 0; a < m; a++) {
@@ -59,46 +67,64 @@ steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
             acc[dst[a]] += v;
         }
         for (int64_t i = 0; i < n; i++) {
-            double u = acc[i];
+            double u = acc[i], y;
             if (mode == AGGREGATED)
                 u = f(law, k, k2, u);
             else if (mode == PER_EDGE_SIGN)
                 u = k * u;
-            if (U)
-                U[s * n + i] = u;
-            next[i] = x[i] + dt * u;
+            if (u_row)
+                u_row[i] = u;
+            if (S)
+                E[s * n + i] = S[i] = S[i] + u * u * dt;
+            y = next[i] = x[i] + dt * u;
+            /* a NaN, once met, stays in hi and lo, as in numpy's reductions */
+            hi = hi >= y || hi != hi ? hi : y;
+            lo = lo <= y || lo != lo ? lo : y;
         }
+        V[s] = hi - lo;
+        P[s] = hi >= -lo || hi != hi ? hi : -lo;
+        /* which NaN numpy's reductions give depends on their SIMD lanes, so
+           a state that holds one is left to numpy. Of the zeros they pick,
+           P's never shows, and V of a state of zeros is +0.0 in both. */
+        nans += hi != hi;
         x = next;
     }
+    return nans;
 }
 
 /* Runs steps Euler steps x -> x + dt*u(x) from the state x, writing the
-   state after each step into the rows of X and, unless U is NULL, the
-   control of each step into the rows of U. The m arcs run from src to dst
-   with weights w, NULL for unit weights. k is the law's gain, k2 the
-   second gain of FIXED_TIME. acc holds n doubles. */
-void stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
-             const int64_t *dst, const double *w, double k, double k2,
-             double dt, double *acc, int64_t steps,
-             const double *x, double *X, double *U)
+   state after each step into the rows of X, its spread max - min into V
+   and its largest magnitude into P, and the control of the steps keep,
+   keep + every, ... into those rows of U. Unless S is NULL, each step also
+   advances the n squared-effort integrals S in place by u*u*dt and writes
+   them into the rows of E. The m arcs run from src to dst with weights w,
+   NULL for unit weights. k is the law's gain, k2 the second gain of
+   FIXED_TIME. acc holds n doubles. The number of steps whose state holds a
+   NaN, whose V and P the caller takes from numpy instead. */
+int64_t stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
+                const int64_t *dst, const double *w, double k, double k2,
+                double dt, int64_t every, double *acc, int64_t steps,
+                const double *x, double *X, double *U, int64_t keep, double *V,
+                double *P, double *S, double *E)
 {
-#define STEPS(LAW, MODE) steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, acc, steps, x, X, U)
+#define STEPS(LAW, MODE)                                                                \
+    return steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, every, acc, steps, x, X, U, \
+                    keep, V, P, S, E)
     if (mode == PER_EDGE_SIGN)
         STEPS(SIGN, PER_EDGE_SIGN);
-    else if (mode == PER_EDGE)
+    if (mode == PER_EDGE)
         switch (law) {
-        case LINEAR: STEPS(LINEAR, PER_EDGE); break;
-        case SIGN: STEPS(SIGN, PER_EDGE); break;
-        case POWER_HALF: STEPS(POWER_HALF, PER_EDGE); break;
+        case LINEAR: STEPS(LINEAR, PER_EDGE);
+        case SIGN: STEPS(SIGN, PER_EDGE);
+        case POWER_HALF: STEPS(POWER_HALF, PER_EDGE);
         default: STEPS(FIXED_TIME, PER_EDGE);
         }
-    else
-        switch (law) {
-        case LINEAR: STEPS(LINEAR, AGGREGATED); break;
-        case SIGN: STEPS(SIGN, AGGREGATED); break;
-        case POWER_HALF: STEPS(POWER_HALF, AGGREGATED); break;
-        default: STEPS(FIXED_TIME, AGGREGATED);
-        }
+    switch (law) {
+    case LINEAR: STEPS(LINEAR, AGGREGATED);
+    case SIGN: STEPS(SIGN, AGGREGATED);
+    case POWER_HALF: STEPS(POWER_HALF, AGGREGATED);
+    default: STEPS(FIXED_TIME, AGGREGATED);
+    }
 }
 
 /* The rows of the CSV writers. glibc's snprintf("%.17g") gives Python's

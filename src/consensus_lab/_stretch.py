@@ -5,11 +5,14 @@ The simulator's Euler stretch: the compiled loop for Linear, Sign, Power
 with alpha = 0.5 and FixedTime with p = 0.5 and q = 1.5, whose C
 arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
 same bytes, for every other law or where gcc is missing or the build or
-the load fails.
+the load fails. Both give, besides the states, each state's spread and
+peak and the squared-effort integrals: the compiled loop computes them in
+its steps, the numpy loop with the metrics module's forms after them.
 
 The CSV writers' rows: format_rows prints a block of floats as io's
-"%.17g" rows, or gives None where the library cannot be loaded, and
-io._write_rows then formats them with the % operator, to the same bytes.
+"%.17g" rows, in ASCII bytes, or gives None where the library cannot be
+loaded, and io._write_rows then formats them with the % operator, to the
+same bytes.
 
 Only this module and _stretch.c know the C calling convention. The
 library is built at first use with the installed gcc, never at import,
@@ -31,19 +34,22 @@ from importlib import resources
 
 import numpy as np
 
+from .metrics import isce_accumulate, spread_and_peak
 from .protocols import Direction, FixedTime, Linear, Power, Sign, _arcs, _kernel
 
 # -ffp-contract=off: where the target has FMA, x + dt*u must not fuse;
-# -funswitch-loops: a test of w or U per arc costs up to a fifth of a step
+# -funswitch-loops: a test of w, U or S per arc costs up to a fifth of a step
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-funswitch-loops", "-shared", "-fPIC")
 # the enums of _stretch.c
 LINEAR, SIGN, POWER_HALF, FIXED_TIME = range(4)
 PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
 # the bytes format_rows takes for a "%.17g" value and its separator at most
 VALUE_BYTES = 25
-# stretch: law, mode, n, m, src, dst, w, k, k2, dt, acc, then steps, x, X, U
+# stretch: law, mode, n, m, src, dst, w, k, k2, dt, every, acc, then steps,
+# x, X, U, keep, V, P, S, E
 _INT, _I64, _P, _D = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _P, _I64, _P, _P, _P]
+_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _I64, _P, _I64]
+_STRETCH_ARGS += [_P, _P, _P, _I64, _P, _P, _P, _P]
 # format_rows: values, rows, cols, out
 _FORMAT_ARGS = [_P, _I64, _I64, _P]
 
@@ -108,7 +114,7 @@ def _build(source, folder, key):
 
 def _bind(path):
     lib = ctypes.CDLL(path)
-    lib.stretch.argtypes, lib.stretch.restype = _STRETCH_ARGS, None
+    lib.stretch.argtypes, lib.stretch.restype = _STRETCH_ARGS, _I64
     lib.format_rows.argtypes, lib.format_rows.restype = _FORMAT_ARGS, _I64
     return lib
 
@@ -123,23 +129,36 @@ def _law(f):
     return {Linear: LINEAR, Sign: SIGN}.get(type(f))
 
 
-def stretch(protocol, g, dt):
+def stretch(protocol, g, dt, every):
     """(run, compiled): the Euler stretch of the protocol on the member
-    graph g and whether it runs compiled. run(x, X, U) runs len(X) Euler
-    steps from the state x, writing the state after each step into the rows
-    of X and, unless U is None, its control into the rows of U; X and U are
-    C-contiguous float arrays of g.n columns."""
+    graph g and whether it runs compiled.
+
+    run(x, X, U, keep, V, P, S, E) runs len(X) Euler steps from the state
+    x. It writes the state after each step into the rows of X, and that
+    state's spread and largest magnitude, as metrics.spread_and_peak gives
+    them, into V and P. It writes the control of the steps keep, keep +
+    every, ... into those rows of U, and leaves the other rows untouched.
+    Unless S is None, each step advances the squared-effort integrals S in
+    place, as metrics.isce_accumulate does, and writes them into the rows
+    of E. X, U and E are C-contiguous float arrays of g.n columns, V and P
+    of one."""
     f = protocol.f
     law = _law(f)
     if law is None or load() is None:
         kernel = _kernel(protocol, g)
 
-        def run(x, X, U):
+        def run(x, X, U, keep, V, P, S, E):
             for r in range(len(X)):
                 u = kernel(x)
-                if U is not None:
+                if r == keep:
                     U[r] = u
+                    keep += every
+                if S is not None:
+                    E[r] = u
                 x = np.add(x, dt * u, out=X[r])
+            V[:], P[:] = spread_and_peak(X)
+            if S is not None:
+                S[:] = isce_accumulate(S, E, dt, out=E)[-1]
 
         return run, False
     if protocol.direction is Direction.AGGREGATED:
@@ -151,27 +170,39 @@ def stretch(protocol, g, dt):
     src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (src, dst))
     w = None if w is None else np.ascontiguousarray(w, dtype=float)
     acc = np.empty(g.n)
-    keep = (src, dst, w, acc)
-    src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in keep]
+    arrays = (src, dst, w, acc)
+    src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in arrays]
     call = functools.partial(
-        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, acc_p
+        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, every, acc_p
     )
 
-    def run(x, X, U):
-        call(len(X), x.ctypes.data, X.ctypes.data, None if U is None else U.ctypes.data)
+    def run(x, X, U, keep, V, P, S, E):
+        x_p, X_p, U_p, V_p, P_p = [_address(a) for a in (x, X, U, V, P)]
+        S_p, E_p = [None if a is None else _address(a) for a in (S, E)]
+        if call(len(X), x_p, X_p, U_p, keep, V_p, P_p, S_p, E_p):
+            # a state that holds a NaN: numpy picks which NaN
+            V[:], P[:] = spread_and_peak(X)
 
-    run.arrays = keep  # the arrays behind the addresses
+    run.arrays = arrays  # the arrays behind the addresses
     return run, True
 
 
+def _address(a):
+    """The address of the data of a C-contiguous, writable array, which
+    ctypes checks; a.ctypes.data takes about four times as long (1.1
+    against 0.3 us on a 2 vCPU Xeon)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 def format_rows(block):
-    """The "%.17g" text of the rows of a 2-D float array, the values of a
-    row joined by "," and each row ended by a newline, as io.FLOAT_FMT
-    prints each value; None where the library cannot be loaded."""
+    """The "%.17g" text of the rows of a 2-D float array, as ASCII bytes,
+    the values of a row joined by "," and each row ended by a newline, as
+    io.FLOAT_FMT prints each value; None where the library cannot be
+    loaded."""
     if load() is None:
         return None
     block = np.ascontiguousarray(block, dtype=float)
     rows, cols = block.shape
     out = np.empty(block.size * VALUE_BYTES, dtype=np.uint8)
     size = _lib.format_rows(block.ctypes.data, rows, cols, out.ctypes.data)
-    return out[:size].tobytes().decode("ascii")
+    return out[:size].tobytes()

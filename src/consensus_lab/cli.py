@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
         track_per_node=args.per_node,
     )
     run, last = _open_run(net, protocol, x0, cfg)
-    with tempfile.TemporaryFile("w+", newline="") as tmp:
+    with tempfile.TemporaryFile("w+b") as tmp:
         write_metrics_header(tmp, net.n if args.per_node else 0)
         run.advance(last, lambda block: write_metrics_rows(tmp, block, args.per_node))
         if run.error is not None:
@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
         with open(os.path.join(args.out, "metrics.csv"), "wb") as fh:
             tmp.seek(0)
-            shutil.copyfileobj(tmp.buffer, fh)
+            shutil.copyfileobj(tmp, fh)
     write_events_csv(os.path.join(args.out, "events.csv"), traj.events)
     write_meta_json(
         os.path.join(args.out, "meta.json"),

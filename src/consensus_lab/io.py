@@ -7,7 +7,8 @@ each row alone; so write_metrics_rows can write a metric series piece by
 piece, as its run produces it, after write_metrics_header, and give the
 bytes of write_metrics_csv. _write_rows prints with the compiled library
 of _stretch.c where it loads, and with Python's % operator otherwise, to
-the same bytes.
+the same bytes; the rows, and the headers before them, go to binary files
+as ASCII bytes.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def load_x0(path) -> np.ndarray:
 
 
 def _write_rows(fh, columns) -> None:
-    """One CSV row per entry of the float columns, to an open text file.
+    """One CSV row per entry of the float columns, as ASCII bytes to an
+    open binary file.
 
     A column is 1-D, or 2-D for several adjacent columns. The rows are
     formatted in chunks of at most WRITE_VALUES values (or one row, where a
@@ -122,16 +124,16 @@ def _write_rows(fh, columns) -> None:
     rows = max(1, WRITE_VALUES // width)
     for start in range(0, len(columns[0]), rows):
         block = np.hstack([c[start : start + rows] for c in columns])
-        text = _stretch.format_rows(block)
-        if text is None:
-            text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
-        fh.write(text)
+        data = _stretch.format_rows(block)
+        if data is None:
+            data = ((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+        fh.write(data)
 
 
 def _write_columns(path, header, columns) -> None:
     """CSV of a header and one row per entry of the float columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
         _write_rows(fh, columns)
 
 
@@ -150,21 +152,21 @@ def write_metrics_csv(path, metrics, per_node=False) -> None:
     """Per-step metric series as t,V,E_tot (plus E_i columns on request)."""
     if per_node and metrics.E_i is None:
         raise ValueError("per-node effort was not tracked in this run")
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         write_metrics_header(fh, metrics.E_i.shape[1] if per_node else 0)
         write_metrics_rows(fh, metrics, per_node)
 
 
 def write_metrics_header(fh, nodes=0) -> None:
     """The header of write_metrics_csv, with E_i columns for the given
-    number of nodes, to an open text file."""
+    number of nodes, to an open binary file."""
     names = ["t", "V", "E_tot"] + [f"E_i_{j}" for j in range(nodes)]
-    fh.write(",".join(names) + "\n")
+    fh.write((",".join(names) + "\n").encode("ascii"))
 
 
 def write_metrics_rows(fh, piece, per_node=False) -> None:
     """The rows of write_metrics_csv for the steps of a MetricSeries, to
-    an open text file. The consecutive pieces of a series, written in
+    an open binary file. The consecutive pieces of a series, written in
     turn after its header, give the bytes of the whole series."""
     columns = [piece.times, piece.V, piece.E_tot]
     if per_node:

@@ -4,18 +4,20 @@ Every switching instant must land on a step boundary, so a topology change
 never smears across a step. switching.step_schedule owns the schedule in
 integer steps, exact over long horizons; this module knows no signal type.
 
-The step loop does only the Euler update, in stretches of steps under one
-member, each one call of _stretch.stretch's run: compiled where the law's
-arithmetic in C is numpy's and the library builds, and protocols._kernel
-step by step otherwise, with the same bytes. The strided records are read
-off the block's states and controls afterwards.
-The spread, the divergence guard, the sticky stop and the effort integrals
-are evaluated once per block of steps, with the metrics module's block
-forms; the step at which a run stops or diverges, and every number it
-records, are those of a check after every step. A run whose caller reads
-no effort, such as a calibration probe, skips the effort integrals
-altogether. Each run integrates one system; simulate_batch runs
-independent systems one after another.
+The step loop runs in stretches of steps under one member, each one call
+of _stretch.stretch's run: compiled where the law's arithmetic in C is
+numpy's and the library builds, and protocols._kernel step by step
+otherwise, with the same bytes. Besides each state, a stretch gives its
+spread and largest magnitude and advances the squared-effort integrals,
+the compiled loop inside its steps and the numpy loop with the metrics
+module's forms, which stay the formula of both. The strided records are
+read off the block's states and controls afterwards. The divergence guard
+and the sticky stop are decided once per block of steps, on those
+spreads and magnitudes; the step at which a run stops or diverges, and
+every number it records, are those of a check after every step. A run
+whose caller reads no effort, such as a calibration probe, skips the
+effort integrals altogether. Each run integrates one system;
+simulate_batch runs independent systems one after another.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _stretch
-from .metrics import MetricSeries, _require_int, _require_positive, isce_accumulate, spread_and_peak
+from .metrics import MetricSeries, _require_int, _require_positive, spread_and_peak
 from .protocols import Protocol, control
 from .switching import DynamicNetwork, _whole_steps, step_schedule
 
@@ -167,19 +169,23 @@ class _Run:
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
     advance by the left-endpoint rule. A stretch of steps under one member
-    runs in one call of its _stretch.stretch. Without effort the run
-    integrates none, the loop stores the controls only for the recorded
-    steps, and E_tot and E_i are None. V, the stop and the divergence do
-    not depend on it.
+    runs in one call of its _stretch.stretch, which also gives the spread V
+    and the largest magnitude of each state and advances the run's
+    squared-effort integrals in place. It writes the controls of the
+    recorded steps alone, so a block with none leaves its control buffer
+    untouched. Without effort the run integrates none, and E_tot and E_i
+    are None. V, the stop and the divergence do not depend on it.
 
     The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
-    state entries. Once per block the spread V, the divergence guard, the
-    sticky stop and the effort are evaluated for every step of the block at
-    once. A state that fails the guard ends the run with its
-    DivergenceError as error, and a spread that has stayed at or below
-    stop_epsilon for STICKY_STEPS consecutive steps stops it for good: both
-    steps, and every number recorded up to them, are those of a check after
-    every step. Steps a block computed past the end are discarded.
+    state entries. Once per block the divergence guard and the sticky stop
+    are decided for every step of the block at once, and E_i and E_tot are
+    taken from the integrals of the steps kept. A state that fails the
+    guard ends the run with its DivergenceError as error, and a spread that
+    has stayed at or below stop_epsilon for STICKY_STEPS consecutive steps
+    stops it for good: both steps, and every number recorded up to them,
+    are those of a check after every step. Steps a block computed past the
+    end are discarded; their effort went into the integrals too, but the
+    run ends there.
 
     counters counts the run's work: Euler steps, blocks, switches,
     stretches run compiled and on numpy, and discarded, the steps that
@@ -213,10 +219,13 @@ class _Run:
         self._s_accum = np.zeros(net.n)
         self._run_below = 0  # steps at or below epsilon up to step next - 1
         self._member = self._schedule(0)[0]  # member of the latest Euler step
-        self._stretches = [_stretch.stretch(protocol, g, dt) for g in net.graphs]
+        self._stretches = [_stretch.stretch(protocol, g, dt, record_stride) for g in net.graphs]
         block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n))
         self._X = np.empty((block, net.n))  # state observed at each step of a block
-        self._U = np.empty((block, net.n))  # control of the step into it, then effort
+        self._P = np.empty(block)  # its largest magnitude
+        self._U = np.empty((block, net.n))  # control of the step into it
+        # its squared effort integrals, then E_i
+        self._E = np.empty((block, net.n)) if effort else None
         self.counters = dict.fromkeys(COUNTERS, 0)
 
     @property
@@ -259,26 +268,31 @@ class _Run:
                 first = self.next
                 self._block(first, min(first + len(self._X), last_step + 1))
                 if rows is not None and self.next > first:
-                    E_i = self._U[: self.next - first] if self._effort else None
+                    E_i = self._E[: self.next - first] if self._effort else None
                     rows(self._series(first, self.next, E_i))
 
     def _block(self, first, end):
-        """Observe steps first..end-1: run their Euler steps, then check and
-        record them in one pass."""
-        X, U = self._X[: end - first], self._U[: end - first]
+        """Observe steps first..end-1: run their Euler steps, which give
+        the spread, peak and effort of each, then check and record them in
+        one pass."""
+        rows = end - first
+        X, U, P, V = self._X[:rows], self._U[:rows], self._P[:rows], self.V[first:end]
         schedule, stretches, counters = self._schedule, self._stretches, self.counters
-        dt, t0, stride, effort = self.dt, self.t0, self._stride, self._effort
+        dt, t0, stride = self.dt, self.t0, self._stride
         x, member = self.x, self._member
+        S, E = (self._s_accum, self._E[:rows]) if self._effort else (None, None)
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
             X[0] = x
-            U[0] = 0.0
+            V[:1], P[:1] = spread_and_peak(X[:1])
+            if E is not None:
+                E[0] = 0.0
         shift = first - 1  # the Euler step from t_j to t_{j+1} fills row j - shift
         j = max(shift, 0)
         counters["steps"] += end - 1 - j
-        # the recorded steps among the Euler steps j..end-2
+        # the recorded steps among the Euler steps j..end-2, whose controls
+        # alone are kept
         recorded = np.arange(-(-j // stride) * stride, end - 1, stride)
-        keep_u = effort or len(recorded) > 0
         switches = []
         while j < end - 1:
             now, change = schedule(j)
@@ -286,8 +300,9 @@ class _Run:
                 switches.append((j, member, now))
                 member = now
             a, b = j - shift, min(change, end - 1) - shift  # the stretch's rows
+            keep = -(-j // stride) * stride - j  # its first row of a recorded step
             run, compiled = stretches[member]
-            run(x, X[a:b], U[a:b] if keep_u else None)
+            run(x, X[a:b], U[a:b], keep, V[a:b], P[a:b], S, None if E is None else E[a:b])
             x = X[b - 1]
             counters["stretches_compiled" if compiled else "stretches_numpy"] += 1
             j = b + shift
@@ -302,28 +317,24 @@ class _Run:
         if len(at) and at[0] == 0:
             states[0] = self.x
 
-        rows = len(X)
-        V, peak = spread_and_peak(X)
         # the first step that fails the guard ends the run unless the sticky
-        # stop came before it; steps past either are discarded
-        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
+        # stop came before it; steps past either are discarded, and so is
+        # their effort, already added to S
+        bad = np.flatnonzero(~(P <= DIVERGENCE_LIMIT))
         bad = int(bad[0]) if bad.size else rows
         stop = rows
         if self._eps is not None:
             stop, self._run_below = _sticky_stop(V, self._eps, self._run_below)
         if bad < rows and bad <= stop:
-            self.error = DivergenceError(t0 + dt * (first + bad), peak[bad])
+            self.error = DivergenceError(t0 + dt * (first + bad), P[bad])
             counters["discarded"] += rows - 1 - bad
             return
         k = min(stop + 1, rows)  # the rows kept
         last = first + k - 1
-        if effort:
-            S = isce_accumulate(self._s_accum, U[:k], dt, out=U[:k])
-            if k == rows:
-                self._s_accum = S[-1].copy()
-            # the square roots, E_i, overwrite S
-            np.sum(np.sqrt(S, out=S), axis=1, out=self.E_tot[first : last + 1])
-        self.V[first : last + 1] = V[:k]
+        if E is not None:
+            # the square roots, E_i, overwrite the integrals
+            E_i = np.sqrt(E[:k], out=E[:k])
+            np.sum(E_i, axis=1, out=self.E_tot[first : last + 1])
         # Euler steps from the last observed step on belong to later blocks
         self.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
         for q in range(np.searchsorted(recorded, last)):

@@ -133,13 +133,13 @@ def test_metrics_rows_in_pieces_match_one_piece(tmp_path, per_node):
     cuts = [0, 0, 1, CHUNK - 1, CHUNK - 1, CHUNK + 5, rows]
 
     def write():
-        fh = io.StringIO(newline="")
+        fh = io.BytesIO()
         write_metrics_header(fh, 3 if per_node else 0)
         for a, e in zip(cuts, cuts[1:]):
             piece = MetricSeries(m.times[a:e], m.V[a:e], m.E_tot[a:e], m.E_i[a:e])
             write_metrics_rows(fh, piece, per_node)
         write_metrics_csv(tmp_path / "whole.csv", m, per_node=per_node)
-        return fh.getvalue().encode(), (tmp_path / "whole.csv").read_bytes()
+        return fh.getvalue(), (tmp_path / "whole.csv").read_bytes()
 
     with _chunks_of(CHUNK, 6 if per_node else 3):
         (pieces, whole), fallback = _on_both_paths(write)
@@ -181,16 +181,16 @@ def test_trajectory_csv_matches_row_writer(tmp_path, samples):
     assert _differences(got, (tmp_path / "want.csv").read_bytes()) == [None, None]
 
 
-class _Writes(io.StringIO):
-    """A text file that keeps the length of each write."""
+class _Writes(io.BytesIO):
+    """A binary file that keeps the length of each write."""
 
     def __init__(self):
-        super().__init__(newline="")
+        super().__init__()
         self.sizes = []
 
-    def write(self, text):
-        self.sizes.append(len(text))
-        return super().write(text)
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
 
 
 @pytest.mark.parametrize("width", [1, 13, WRITE_VALUES + 1])
@@ -210,7 +210,7 @@ def test_chunks_hold_at_most_write_values(width):
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
     writer.writerows([FLOAT_FMT % (v,) for v in row] for row in table)
-    assert _differences([fh.getvalue() for fh in out], want.getvalue()) == [None, None]
+    assert _differences([fh.getvalue() for fh in out], want.getvalue().encode()) == [None, None]
     assert [len(fh.sizes) for fh in out] == [3, 3]
     assert out[0].sizes == out[1].sizes
 
@@ -220,11 +220,11 @@ def test_specials_on_both_paths():
     want = "".join(FLOAT_FMT % (v,) + "\n" for v in column)
 
     def write():
-        fh = io.StringIO(newline="")
+        fh = io.BytesIO()
         io_module._write_rows(fh, [column])
         return fh.getvalue()
 
-    assert _differences(_on_both_paths(write), want) == [None, None]
+    assert _differences(_on_both_paths(write), want.encode()) == [None, None]
     assert "-nan" not in want and "-0\n" in want
 
 
@@ -240,7 +240,7 @@ def test_compiled_formatter_matches_percent_format_on_random_bits():
     for values in bits.view(float):
         block = values.reshape(-1, 10)
         want = ((",".join([FLOAT_FMT] * 10) + "\n") * len(block)) % tuple(values.tolist())
-        assert _differences([_stretch.format_rows(block)], want) == [None]
+        assert _differences([_stretch.format_rows(block)], want.encode()) == [None]
 
 
 def test_trajectory_write_holds_one_chunk(tmp_path):

@@ -761,7 +761,11 @@ def pooled_runs(draw, laws):
     n = draw(st.sampled_from([4, 5, 6, 40]))
     members = [draw(st.sampled_from(_member_pool(n))) for _ in range(3)]
     protocol = Protocol(draw(st.sampled_from([AGG, PE])), draw(st.sampled_from(laws)))
-    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    x0 = draw(st.one_of(
+        st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+        # a start at consensus, from zeros of either sign
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+    ))
     cfg = SimConfig(
         t_end=t0 + dt * steps,
         dt=dt,
@@ -815,6 +819,36 @@ def _numpy_only():
     return mock.patch.object(_stretch, "load", lambda: None)
 
 
+def _fused_case(name, n):
+    """A system whose states the stretch's own spread and peak cannot
+    judge alone, a config and a horizon of whole steps. The trips switch at
+    step 10 from a mild first member to the unweighted ring under a linear
+    law of gain 1e308, whose controls overflow: per-edge, the opposite
+    infinities of a node's two arcs sum to NaN, so the guard trips on a
+    state of NaNs and infinities; aggregated, only the ring's two end
+    nodes overflow, so it trips on infinities, and NaNs follow. The
+    signed-zero runs start at consensus from zeros of either sign."""
+    dt, steps = 1e-3, 300
+    ring = circulant_graph(n, {1})
+    if name.endswith("trip"):
+        if name == "nan trip":
+            mild, protocol = WeightedDigraph(n, []), Protocol(PE, Linear(1e308))
+        else:
+            weak = [(i, (i + 1) % n, 1e-308) for i in range(n)]
+            mild, protocol = WeightedDigraph.undirected(n, weak), Protocol(AGG, Linear(1e308))
+        net = DynamicNetwork([mild, ring], Breakpoints(times=(dt * 10,), indices=(0, 1)))
+        x0, eps = 2.0 * np.arange(n), None
+    else:
+        net, protocol = static_net(ring), Protocol(PE, Power(2.0, 0.5))
+        x0 = [(0.0, -0.0)[i % 2] for i in range(n)]
+        eps = 0.05 if name == "signed zeros, stop" else None
+    cfg = SimConfig(t_end=dt * steps, dt=dt, stop_epsilon=eps, record_stride=7)
+    return (net, protocol, x0), cfg, steps
+
+
+FUSED_CASES = ["nan trip", "inf trip", "signed zeros", "signed zeros, stop"]
+
+
 class TestCompiledStretch:
     @requires_compiled
     @settings(max_examples=80, deadline=None)
@@ -845,6 +879,58 @@ class TestCompiledStretch:
         assert counted["stretches_numpy"] == 0
         swapped = dict(counted, stretches_compiled=0, stretches_numpy=counted["stretches_compiled"])
         assert swapped == counted_numpy
+
+    @requires_compiled
+    @pytest.mark.parametrize("effort", [True, False])
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @pytest.mark.parametrize("n", [4, 40])
+    @pytest.mark.parametrize("name", FUSED_CASES)
+    def test_fused_outputs_at_trips_and_signed_zeros(self, name, n, block, effort):
+        """Both paths, and the stepwise loop, give the same error, V, E_tot
+        and E_i handed to rows across block edges, where the guard trips
+        inside a block with NaNs or infinities after it, and where a run
+        starts at consensus from zeros of either sign. At n = 40 numpy's
+        reductions turn a NaN into the positive one, at n = 4 they keep
+        the state's own."""
+        system, cfg, steps = _fused_case(name, n)
+
+        def outcome(compiled):
+            with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS), (
+                contextlib.nullcontext() if compiled else _numpy_only()
+            ):
+                run = _Run(
+                    *system, cfg.dt, stop_epsilon=cfg.stop_epsilon, record_stride=7, effort=effort
+                )
+                blocks = _blocks(run, [steps])
+            return run, blocks
+
+        (run, blocks), (run_numpy, blocks_numpy) = outcome(True), outcome(False)
+        assert run.counters["stretches_numpy"] == run_numpy.counters["stretches_compiled"] == 0
+        names = ("times", "V", "E_tot", "E_i")
+        handed = [[_bytes(getattr(b, name)) for name in names] for b in blocks]
+        assert handed == [[_bytes(getattr(b, name)) for name in names] for b in blocks_numpy]
+        assert _outcome_bytes(run, blocks) == _outcome_bytes(run_numpy, blocks_numpy)
+
+        ref = _StepwiseRun(*system, cfg.dt, cfg.stop_epsilon, 7, steps)
+        with np.errstate(all="ignore"):
+            ref_exc = _advance_all(ref, [steps])
+        seen = sum(len(b.V) for b in blocks)
+        if name.endswith("trip"):
+            assert ref_exc is not None and run.error is not None
+            assert run.error.time == ref_exc.time
+            assert repr(run.error.max_abs) == repr(ref_exc.max_abs)  # nan or inf
+            assert math.isnan(run.error.max_abs) == (name == "nan trip")
+            # the blocks before the trip's hold every step before it
+            assert seen <= round(run.error.time / cfg.dt) < seen + (block or BLOCK_STEPS)
+        else:
+            assert ref_exc is None and run.error is None
+            assert run.stopped == ref.stopped == (cfg.stop_epsilon is not None)
+            assert seen == run.next == ref._next and not run.V[: run.next].any()
+        # the stepwise loop's records hold every step before the trip
+        for name in ("V", "E_tot", "E_i") if effort else ("V",):
+            got = [getattr(b, name) for b in blocks]
+            want = getattr(ref, "_" + name)[:seen]
+            assert _same_bytes(np.concatenate(got) if got else want[:0], want), name
 
     def test_fallback_gives_the_same_bytes(self, monkeypatch):
         net, protocol, x0 = _example1()
