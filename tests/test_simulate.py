@@ -820,8 +820,8 @@ def _numpy_only():
 
 
 def _fused_case(name, n):
-    """A system whose states the stretch's own spread and peak cannot
-    judge alone, a config and a horizon of whole steps. The trips switch at
+    """A system at the edges of the stretch's spread and peak, a config
+    and a horizon of whole steps. The trips switch at
     step 10 from a mild first member to the unweighted ring under a linear
     law of gain 1e308, whose controls overflow: per-edge, the opposite
     infinities of a node's two arcs sum to NaN, so the guard trips on a
@@ -890,8 +890,8 @@ class TestCompiledStretch:
         and E_i handed to rows across block edges, where the guard trips
         inside a block with NaNs or infinities after it, and where a run
         starts at consensus from zeros of either sign. At n = 40 numpy's
-        reductions turn a NaN into the positive one, at n = 4 they keep
-        the state's own."""
+        reductions can return a NaN of another sign than the state's, at
+        n = 4 they return the state's own."""
         system, cfg, steps = _fused_case(name, n)
 
         def outcome(compiled):
@@ -927,10 +927,10 @@ class TestCompiledStretch:
             assert run.stopped == ref.stopped == (cfg.stop_epsilon is not None)
             assert seen == run.next == ref._next and not run.V[: run.next].any()
         # the stepwise loop's records hold every step before the trip
-        for name in ("V", "E_tot", "E_i") if effort else ("V",):
-            got = [getattr(b, name) for b in blocks]
-            want = getattr(ref, "_" + name)[:seen]
-            assert _same_bytes(np.concatenate(got) if got else want[:0], want), name
+        for field in ("V", "E_tot", "E_i") if effort else ("V",):
+            got = [getattr(b, field) for b in blocks]
+            want = getattr(ref, "_" + field)[:seen]
+            assert _same_bytes(np.concatenate(got) if got else want[:0], want), field
 
     def test_fallback_gives_the_same_bytes(self, monkeypatch):
         net, protocol, x0 = _example1()
