@@ -49,6 +49,11 @@ script runs
   0.1, 7.5, 123456.789 and -1e11, with --dt 1e-5 --t-end 0.01 --per-node
   --record-stride 1, so that the CSV files print -0, a subnormal, values
   below 1e-5 and values from 1e-5 on in fixed and in exponent notation;
+- example 1's network under an aggregated linear law of gain 10 from an
+  x0 that sums to zero (example 1's with -5 in place of its last 4), with
+  --dt 1e-3 --t-end 8 --per-node --record-stride 1: the states decay to
+  about -1.3e-16 and V to 6e-26, so the CSV files print tens of thousands
+  of values in every decade from 1e-5 down to 1e-16, and below it;
 - consensus-lab verify on configs/example1 with --tau 1 and with --tau
   0.5 --horizon 20, which pass (each of its members is connected, so no
   tau fails), and with --tau 0, which exits 1;
@@ -161,6 +166,8 @@ INPUTS = {
     "float-extremes-x0.txt": "\n".join(
         ["-0.0", "5e-324", "1e-300", "3e-6", "7.5", "-1e11", "2.5e-5", "0.1", "123456.789", "-4e-5"]
     ) + "\n",
+    "fast-linear.json": '{"direction": "aggregated", "f": {"type": "linear", "k": 10.0}}\n',
+    "zero-sum-x0.txt": "\n".join(["0", "-5", "10", "3", "-8", "-2", "5", "3", "-1", "-5"]) + "\n",
 }
 CASES = {
     "benchmark-experiment-1": ["benchmark", "--experiment", "1", "--sizes", SIZES] + HERE,
@@ -233,6 +240,10 @@ CASES = {
     "example1-float-extremes": [
         "simulate", _SIMULATE[1], "small-gain-linear.json", "--x0-file", "float-extremes-x0.txt",
         "--dt", "1e-5", "--t-end", "0.01", "--per-node", "--record-stride", "1",
+    ] + HERE,
+    "example1-decays-to-zero": [
+        "simulate", _SIMULATE[1], "fast-linear.json", "--x0-file", "zero-sum-x0.txt",
+        "--dt", "1e-3", "--t-end", "8", "--per-node", "--record-stride", "1",
     ] + HERE,
     "verify-example1": _VERIFY1 + ["--tau", "1"],
     "verify-example1-horizon": _VERIFY1 + ["--tau", "0.5", "--horizon", "20"],

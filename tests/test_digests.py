@@ -1,7 +1,7 @@
 """Pinned outputs of bundled simulate and benchmark runs.
 
 tests/digests.json holds, for a fast subset of the cases of
-scripts/zero_drift.py (five simulate runs, and both benchmark experiments
+scripts/zero_drift.py (six simulate runs, and both benchmark experiments
 at sizes 25 and 50 with --dt 1e-3), the exit code of each run and the
 sha256 of its stdout, its stderr and every file and directory it leaves
 beside its inputs, as the last accepted tree gave them. The runs go
@@ -40,6 +40,7 @@ CASES = (
     "example1-diverges",
     "benchmark-200-per-edge-power",
     "example1-float-extremes",
+    "example1-decays-to-zero",
     "benchmark-experiment-1-coarse",
     "benchmark-experiment-2-coarse",
 )
