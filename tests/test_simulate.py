@@ -503,7 +503,13 @@ class TestResumableRun:
         t0, dt = net.signal.t0, cfg.dt
         edges = [int(round((t - t0) / dt)) for t, _, _ in whole.events]
         stop = len(whole.metrics.times) - 1
-        stopped = stop < steps
+        # a sticky stop on the horizon's last step ends the record there too
+        tail = whole.metrics.V[-STICKY_STEPS:]
+        stopped = stop < steps or (
+            cfg.stop_epsilon is not None
+            and len(tail) == STICKY_STEPS
+            and bool((tail <= cfg.stop_epsilon).all())
+        )
         if stopped:
             edges.append(stop)
         sizes = sorted({d for e in edges for d in divisors(e) + divisors(e + 1)} | {1, 7, 64})
