@@ -130,25 +130,31 @@ int64_t stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
 /* The rows of the CSV writers. glibc's snprintf("%.17g") gives Python's
    bytes for every value but a NaN with its sign bit set, which it prints
    as -nan. The exact path gives the same bytes for the normal values with
-   1e-5 <= |v| < 2^53, without snprintf's big-number arithmetic: v = m / 2^k
+   1e-16 <= |v| < 2^53, without snprintf's big-number arithmetic: v = m / 2^k
    with an integer m < 2^53, so its 17 significant digits are
-   m * 10^s / 2^k rounded half to even, for s = 16 - e10 and
-   e10 = floor(log10 |v|), and m * 10^s fits in 128 bits for s <= 22 (the
-   narrow-range case of Adams, "Ryu revisited: printf floating point
-   conversion", OOPSLA 2019). Where the compiler has no 128-bit integers,
-   every value goes through snprintf. */
+   m * 10^s / 2^k = m * 5^s / 2^(k - s) rounded half to even, for
+   s = 16 - e10 and e10 = floor(log10 |v|), and m * 5^s fits in 128 bits
+   for s <= 32 (the narrow-range case of Adams, "Ryu revisited: printf
+   floating point conversion", OOPSLA 2019). It rounds without a branch
+   and copies its digits in fixed sizes, which may write past the end of
+   the value's text, but not past the 25 bytes of room each value has.
+   Where the compiler has no 128-bit integers, every value goes through
+   snprintf. */
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
-#define E18 1000000000000000000u
-static const u128 POW10[23] = { /* 10^s for s <= 22; 2^53 * 10^22 < 2^127 */
-    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
-    1000000000u, 10000000000u, 100000000000u, 1000000000000u,
-    10000000000000u, 100000000000000u, 1000000000000000u,
-    10000000000000000u, 100000000000000000u, E18, (u128)E18 * 10,
-    (u128)E18 * 100, (u128)E18 * 1000, (u128)E18 * 10000,
+#define P27 7450580596923828125u
+static const u128 POW5[33] = { /* 5^s for s <= 32; 2^53 * 5^32 < 2^128 */
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u,
+    48828125u, 244140625u, 1220703125u, 6103515625u, 30517578125u, 152587890625u,
+    762939453125u, 3814697265625u, 19073486328125u, 95367431640625u,
+    476837158203125u, 2384185791015625u, 11920928955078125u, 59604644775390625u,
+    298023223876953125u, 1490116119384765625u, P27, (u128)P27 * 5, (u128)P27 * 25,
+    (u128)P27 * 125, (u128)P27 * 625, (u128)P27 * 3125,
 };
+#define E16 10000000000000000u
+#define E17 100000000000000000u
 
 static const char PAIRS[] = /* "00" to "99" */
     "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
@@ -166,71 +172,74 @@ static void digits17(char *d, uint64_t q)
     d[0] = (char)('0' + hi);
 }
 
-/* the exact path for a normal v with 1e-5 <= |v| < 2^53; NULL if its
-   scale leaves the 128-bit range */
+/* floor(m * 5^s / 2^(k - s)), the 17 digits of m / 2^k at s = 16 - e10 */
+static uint64_t scaled(uint64_t m, int k, int s, u128 *N)
+{
+    *N = (u128)m * POW5[s];
+    return k > s ? (uint64_t)(*N >> (k - s)) : (uint64_t)(*N << (s - k));
+}
+
+/* the exact path for a normal v with 1e-16 <= |v| < 2^53; NULL if |v| is
+   below 1e-16 after all */
 static char *g17_exact(char *p, double v)
 {
-    uint64_t bits, m;
+    uint64_t bits, m, I;
     int e2, k, e10, s, last;
-    u128 N, I, r, half;
-    char d[17];
+    u128 N, r, half;
+    char d[34]; /* the 17 digits, and room to move them one place on */
 
     memcpy(&bits, &v, sizeof bits);
     e2 = (int)(bits >> 52 & 0x7ff) - 1023; /* 2^e2 <= |v| < 2^(e2 + 1) */
     m = (bits & ((1ull << 52) - 1)) | 1ull << 52;
-    k = 52 - e2; /* |v| = m / 2^k, with 0 <= k <= 69 */
+    k = 52 - e2; /* |v| = m / 2^k, with 0 <= k <= 106 */
     e10 = e2 * 78913 >> 18; /* floor(e2 log10 2): floor(log10 |v|) or one less */
+    if (e10 < -16) /* 2^-54 <= |v| < 2^-53: only 1e-16 <= |v| comes here */
+        e10 = -16;
     s = 16 - e10;
-    if (s > 22)
-        return NULL;
-    N = (u128)m * POW10[s];
-    I = N >> k;
-    if (I >= POW10[17]) { /* e10 was one short */
+    I = scaled(m, k, s, &N);
+    if (I >= E17) { /* e10 was one short */
         e10++;
         s--;
-        N = (u128)m * POW10[s];
-        I = N >> k;
+        I = scaled(m, k, s, &N);
     }
-    if (k > 0) { /* round the remainder half to even */
-        r = N - (I << k);
-        half = (u128)1 << (k - 1);
-        if (r > half || (r == half && (I & 1)))
-            I++;
+    if (I < E16) /* |v| < 1e-16 */
+        return NULL;
+    if (k > s) { /* round the remainder half to even */
+        r = N & (((u128)1 << (k - s)) - 1);
+        half = (u128)1 << (k - s - 1);
+        I += (r > half) | ((r == half) & (I & 1));
     }
-    if (I == POW10[17]) { /* the rounding carried into a digit more */
-        I = POW10[16];
+    if (I == E17) { /* the rounding carried into a digit more */
+        I = E16;
         e10++;
     }
-    digits17(d, (uint64_t)I);
+    digits17(d, I);
     for (last = 16; d[last] == '0'; last--) /* trailing zeros go */
         ;
-    if (v < 0)
-        *p++ = '-';
-    if (e10 < -4) { /* d.ddde-XX; only e10 = -5 comes this way */
-        *p++ = d[0];
-        if (last > 0) {
-            *p++ = '.';
-            memcpy(p, d + 1, last);
-            p += last;
-        }
-        memcpy(p, "e-00", 4);
-        p[3] += (char)-e10;
+    *p = '-';
+    p += bits >> 63;
+    if (e10 < -4) { /* d.ddde-XX, 23 bytes at most */
+        p[0] = d[0];
+        p[1] = '.';
+        memcpy(p + 2, d + 1, 16);
+        p += last > 0 ? last + 2 : 1;
+        memcpy(p, "e-", 2);
+        memcpy(p + 2, PAIRS + 2 * -e10, 2);
         return p + 4;
     }
-    if (e10 < 0) { /* 0.000ddd */
-        memcpy(p, "0.0000", 1 - e10);
+    if (e10 < 0) { /* 0.000ddd, 23 bytes at most */
+        memcpy(p, "0.0000", 6);
         p += 1 - e10;
-        memcpy(p, d, last + 1);
+        memcpy(p, d, 17);
         return p + last + 1;
     }
-    memcpy(p, d, e10 + 1); /* ddd.ddd; e10 <= 15 here */
-    p += e10 + 1;
-    if (last > e10) {
-        *p++ = '.';
-        memcpy(p, d + e10 + 1, last - e10);
-        p += last - e10;
-    }
-    return p;
+    /* ddd.ddd, 19 bytes at most; e10 <= 15 here. The digits after the
+       point move one place on in d, since a 16-byte copy of them straight
+       into p could end 34 bytes past the value's start */
+    memmove(d + e10 + 2, d + e10 + 1, 16);
+    d[e10 + 1] = '.';
+    memcpy(p, d, 18);
+    return p + (last > e10 ? last + 2 : e10 + 1);
 }
 #endif
 
@@ -240,7 +249,7 @@ static char *g17(char *p, double v)
 {
     double a = fabs(v);
 #ifdef __SIZEOF_INT128__
-    if (a >= 1e-5 && a < 0x1p53) {
+    if (a >= 1e-16 && a < 0x1p53) {
         char *end = g17_exact(p, v);
         if (end)
             return end;

@@ -198,7 +198,8 @@ def format_rows(block):
     """The "%.17g" text of the rows of a 2-D float array, as ASCII bytes,
     the values of a row joined by "," and each row ended by a newline, as
     io.FLOAT_FMT prints each value; None where the library cannot be
-    loaded."""
+    loaded. Normal values with 1e-16 <= |v| < 2^53 take the library's
+    exact 128-bit path, the others snprintf."""
     if load() is None:
         return None
     block = np.ascontiguousarray(block, dtype=float)

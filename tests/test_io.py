@@ -45,15 +45,17 @@ def _around(v):
 # the values whose formatting differs most: signed zeros, infinities, a NaN
 # of either sign (glibc prints the negative one as -nan), the smallest and
 # the largest subnormal, the largest float, 0.1; the bounds of the compiled
-# formatter's exact path, 1e-5 and 2^53, and 1e-6, whose digits would
-# overflow its 128 bits, each with its neighbours; 4503599627370496.5,
-# which parses to 2^52; and two decimal ties at 17 digits, which round
-# half to even
+# formatter's exact path, 1e-16 and 2^53, 1e-5, where its exponent layout
+# starts, and 1e-6 and 1e-10, each with its neighbours; 4503599627370496.5,
+# which parses to 2^52; two decimal ties at 17 digits, which round half to
+# even; and j 2^-q for odd j < 16 and 16 <= q <= 54, whose remainders are
+# multiples of a power of two, exactly half for 13 of them (q = 23 to 25)
 SPECIALS = np.array(
     [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1), 0.1, 1.7976931348623157e308,
      5e-324, np.nextafter(2.2250738585072014e-308, 0), 4503599627370496.5,
      1125899906842624.25, 1125899906842624.75]
-    + _around(1e-5) + _around(1e-6) + _around(2.0**53)
+    + _around(1e-16) + _around(1e-10) + _around(1e-5) + _around(1e-6) + _around(2.0**53)
+    + [np.ldexp(j, -q) for q in range(16, 55) for j in range(1, 16, 2)]
 )
 
 
@@ -231,12 +233,12 @@ def test_specials_on_both_paths():
 @requires_compiled
 def test_compiled_formatter_matches_percent_format_on_random_bits():
     """10^5 random 64-bit patterns, most of them far outside the exact
-    path's range, and 10^5 whose exponent puts them inside it or next to
-    it; each gives the bytes of FLOAT_FMT."""
+    path's range, and 2 10^5 whose exponent, from 2^-57 to 2^54, puts them
+    inside it or next to it; each gives the bytes of FLOAT_FMT."""
     rng = np.random.default_rng(2023)
-    bits = rng.integers(0, 2**64, size=(2, 10**5), dtype=np.uint64, endpoint=False)
-    exponent = rng.integers(1023 - 19, 1023 + 55, size=10**5, dtype=np.uint64)
-    bits[1] = bits[1] & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+    bits = rng.integers(0, 2**64, size=(3, 10**5), dtype=np.uint64, endpoint=False)
+    exponent = rng.integers(1023 - 57, 1023 + 55, size=(2, 10**5), dtype=np.uint64)
+    bits[1:] = bits[1:] & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
     for values in bits.view(float):
         block = values.reshape(-1, 10)
         want = ((",".join([FLOAT_FMT] * 10) + "\n") * len(block)) % tuple(values.tolist())
