@@ -213,9 +213,10 @@ class _Run:
         self.V = np.empty(0)
         self.E_tot = np.empty(0) if effort else None
         self.events: List[Tuple[float, int, int]] = []
-        self.rec_steps: List[int] = []
-        self.rec_states: List[np.ndarray] = []
-        self.rec_controls: List[np.ndarray] = []
+        # the state and control of each recorded step, rows of the steps 0,
+        # record_stride, ... before the last observed step
+        self._states = np.empty((0, net.n))
+        self._controls = np.empty((0, net.n))
         self._s_accum = np.zeros(net.n)
         self._run_below = 0  # steps at or below epsilon up to step next - 1
         self._member = self._schedule(0)[0]  # member of the latest Euler step
@@ -232,24 +233,36 @@ class _Run:
     def ended(self):
         return self.stopped or self.error is not None
 
-    def _record(self, last_step, *width):
-        """An empty record of every step up to last_step, each a row of the
-        given width."""
+    def _record(self, last_step, *width, every=1):
+        """An empty record of the steps 0, every, 2 every, ... up to
+        last_step, each a row of the given width."""
         try:
-            return np.empty((last_step + 1,) + width)
+            return np.empty((last_step // every + 1,) + width)
         except MemoryError:
             raise ValueError(
                 f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
                 f"{last_step} steps, too many to record"
             ) from None
 
+    def _kept(self):
+        """The number of recorded steps so far: those before the last
+        observed step."""
+        return -(-max(self.next - 1, 0) // self._stride)
+
     def _grow(self, last_step):
-        """Make room in V and E_tot for the steps up to last_step."""
-        for name in ("V", "E_tot"):
+        """Make room in V and E_tot for the steps up to last_step, and in
+        the state and control records for the recorded steps before it."""
+        n, stride, kept = self.net.n, self._stride, self._kept()
+        for name, width, every, used in (
+            ("V", (), 1, self.next),
+            ("E_tot", (), 1, self.next),
+            ("_states", (n,), stride, kept),
+            ("_controls", (n,), stride, kept),
+        ):
             old = getattr(self, name)
-            if old is not None and len(old) <= last_step:
-                new = self._record(last_step)
-                new[: self.next] = old[: self.next]
+            if old is not None and len(old) <= last_step // every:
+                new = self._record(last_step, *width, every=every)
+                new[:used] = old[:used]
                 setattr(self, name, new)
 
     def advance(self, last_step, rows=None):
@@ -310,13 +323,6 @@ class _Run:
         counters["blocks"] += 1
         counters["switches"] += len(switches)
 
-        # the state and control of each recorded step; the Euler step out of
-        # the block's first step (row 0) starts from the state before it
-        at = recorded - shift
-        states, controls = X[at - 1], U[at]
-        if len(at) and at[0] == 0:
-            states[0] = self.x
-
         # the first step that fails the guard ends the run unless the sticky
         # stop came before it; steps past either are discarded, and so is
         # their effort, already added to S
@@ -337,10 +343,17 @@ class _Run:
             np.sum(E_i, axis=1, out=self.E_tot[first : last + 1])
         # Euler steps from the last observed step on belong to later blocks
         self.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
-        for q in range(np.searchsorted(recorded, last)):
-            self.rec_steps.append(int(recorded[q]))
-            self.rec_states.append(states[q])
-            self.rec_controls.append(controls[q])
+        kept = int(np.searchsorted(recorded, last))
+        if kept:
+            # the state and control of each recorded step kept, in its rows
+            # of the records; the Euler step out of the block's first step
+            # (row 0) starts from the state before it
+            at = recorded[:kept] - shift
+            rec = slice(recorded[0] // stride, recorded[0] // stride + kept)
+            self._states[rec] = X[at - 1]
+            self._controls[rec] = U[at]
+            if at[0] == 0:
+                self._states[rec.start] = self.x
         self.next = last + 1
         self.x = X[k - 1].copy()
         if stop < rows:
@@ -361,12 +374,12 @@ class _Run:
 
     def trajectory(self) -> Trajectory:
         """Package the run so far; its current state is always the last sample."""
-        last = self.next - 1
+        last, kept = self.next - 1, self._kept()
         u_final = control(self.protocol, self.net.graphs[self._schedule(last)[0]], self.x)
         return Trajectory(
-            times=self.t0 + self.dt * np.array(self.rec_steps + [last]),
-            states=np.vstack(self.rec_states + [self.x.copy()]),
-            controls=np.vstack(self.rec_controls + [u_final]),
+            times=self.t0 + self.dt * np.append(np.arange(0, last, self._stride), last),
+            states=np.vstack((self._states[:kept], self.x)),
+            controls=np.vstack((self._controls[:kept], u_final)),
             metrics=self.metrics(),
             events=list(self.events),
         )
