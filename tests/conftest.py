@@ -1,6 +1,11 @@
-"""Shared pytest hooks: the acceptance run prints one line per criterion."""
+"""Shared pytest hooks and fixtures: the acceptance run prints one line
+per criterion, and the full-size benchmark sweeps run once per session."""
 
 import re
+
+import pytest
+
+from gen import full_size_sweeps
 
 CRITERIA = {
     1: "ring spectral identity",
@@ -15,6 +20,14 @@ CRITERIA = {
     10: "metric and connectivity oracles",
     11: "benchmark determinism",
 }
+
+
+@pytest.fixture(scope="session")
+def benchmark_sweeps():
+    """Calibrated sweeps for both protocol families over the full size grid,
+    shared by the acceptance criteria and the digests."""
+    return full_size_sweeps()
+
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 _outcomes = {}

@@ -137,3 +137,15 @@ def divisors(m):
     """The positive divisors of m, in increasing order: the block sizes
     that put a block edge on step m."""
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def full_size_sweeps():
+    """Calibrated sweeps of both benchmark experiments over the full size
+    grid at dt = 1e-4, each a dict of its rows by (n, direction)."""
+    from consensus_lab.benchmark import run_experiment
+
+    sweeps = {}
+    for experiment in (1, 2):
+        rows, _ = run_experiment(experiment, [25, 50, 100, 200], dt=1e-4)
+        sweeps[experiment] = {(r.n, r.direction): r for r in rows}
+    return sweeps

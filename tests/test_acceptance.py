@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consensus_lab.benchmark import run_experiment
 from consensus_lab.graphs import (
     WeightedDigraph,
     algebraic_connectivity,
@@ -216,16 +215,6 @@ def test_criterion_06_fixed_time_saturation():
     assert fixed[3] - fixed[2] < 0.1 * fixed[0], f"fixed-time T = {fixed}"
     power = t_stars(Power(1.0, 0.5), scales)
     assert power[0] < power[1] < power[2] < power[3], f"power T = {power}"
-
-
-@pytest.fixture(scope="module")
-def benchmark_sweeps():
-    """Calibrated sweeps for both protocol families over the full size grid."""
-    sweeps = {}
-    for experiment in (1, 2):
-        rows, _ = run_experiment(experiment, [25, 50, 100, 200], dt=1e-4)
-        sweeps[experiment] = {(r.n, r.direction): r for r in rows}
-    return sweeps
 
 
 ANCHOR_E_TOT = {

@@ -4,7 +4,10 @@ tests/digests.json holds, for a fast subset of the cases of
 scripts/zero_drift.py (six simulate runs, and both benchmark experiments
 at sizes 25 and 50 with --dt 1e-3), the exit code of each run and the
 sha256 of its stdout, its stderr and every file and directory it leaves
-beside its inputs, as the last accepted tree gave them. The runs go
+beside its inputs, as the last accepted tree gave them. It also holds the
+repr of the gain, settling time and E_tot of every row of both
+experiments over the full size grid at dt = 1e-4, which the session's
+benchmark_sweeps fixture runs for the acceptance criteria already. The runs go
 through cli.main in this process, with the compiled library and again
 without it. Their laws are linear, power 1/2 and the fixed-time law with
 p = 1/2 and q = 3/2, all computed through sqrt, whose bits do not depend
@@ -32,6 +35,7 @@ from consensus_lab import _stretch, cli
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
 import zero_drift  # noqa: E402
+from gen import full_size_sweeps  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("digests.json")
 CASES = (
@@ -44,6 +48,9 @@ CASES = (
     "benchmark-experiment-1-coarse",
     "benchmark-experiment-2-coarse",
 )
+
+# the key of the full-size rows in DIGESTS
+FULL_SIZE_ROWS = "benchmark-full-size-rows"
 
 
 def _sha256(blob):
@@ -76,6 +83,18 @@ def digests(case, where):
     return found
 
 
+def full_size_rows(sweeps):
+    """The repr of the gain, settling time and E_tot of each row of
+    full_size_sweeps, by experiment and then by "n direction"."""
+    return {
+        str(experiment): {
+            f"{n} {direction}": [repr(r.gain), repr(r.settling_time), repr(r.e_tot)]
+            for (n, direction), r in rows.items()
+        }
+        for experiment, rows in sweeps.items()
+    }
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_keep_their_digests(case, tmp_path):
     assert digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
@@ -89,9 +108,15 @@ def test_outputs_keep_their_digests_without_the_library(case, tmp_path, monkeypa
     assert digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
 
 
+def test_full_size_benchmark_rows_keep_their_digests(benchmark_sweeps):
+    pinned = json.loads(DIGESTS.read_text())[FULL_SIZE_ROWS]
+    assert full_size_rows(benchmark_sweeps) == pinned
+
+
 if __name__ == "__main__":
     pinned = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as where:
             pinned[case] = digests(case, where)
+    pinned[FULL_SIZE_ROWS] = full_size_rows(full_size_sweeps())
     DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
