@@ -1,13 +1,13 @@
 /* Euler steps of one member's kernel, for the laws whose arithmetic here is
-   numpy's arithmetic in protocols._kernel, with the numbers the simulator
-   checks after each step, and the "%.17g" rows of the CSV writers; see
+   numpy's arithmetic in protocols._kernel, with the checks the simulator
+   makes after each step, and the "%.17g" rows of the CSV writers; see
    _stretch.py. Every operation of a step is the one numpy does, in the
    same order: the gathered differences, the weight and gain products, the
-   per-destination sums of np.bincount (in arc order, from +0.0), x + dt*u
-   and metrics.isce_accumulate's S + (u*u)*dt. Built with -ffp-contract=off,
-   so no multiply and add fuse into one rounding, and with -funswitch-loops,
-   which hoists the tests of w, of a kept control and of S out of the
-   loops. */
+   per-destination sums of np.bincount (in arc order, from +0.0), x + dt*u,
+   metrics.isce_accumulate's S + (u*u)*dt, np.sqrt and the pairwise sum of
+   np.sum. Built with -ffp-contract=off, so no multiply and add fuse into
+   one rounding, and with -funswitch-loops, which hoists the tests of w, of
+   a kept control and of S out of the loops. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -35,26 +35,63 @@ static double f(int law, double k, double k2, double v)
     return k * copysign(r, v) + k2 * copysign(a * r, v);
 }
 
+/* The sum of the n values at a in the order of numpy's pairwise summation,
+   which np.sum takes along a contiguous row: in turn from 0.0 below eight
+   values; up to 128 values, in eight accumulators seeded with the first
+   eight and joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+   then the rest in turn; above 128, the sums of two halves split at a
+   multiple of eight. */
+static double pairwise(const double *a, int64_t n)
+{
+    double r[8], res;
+    int64_t i, j;
+    if (n < 8) {
+        for (res = 0.0, i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i = n / 2 - n / 2 % 8;
+    return pairwise(a, i) + pairwise(a + i, n - i);
+}
+
 /* One stretch's loops for a law and mode known at compile time: stretch
    inlines a copy per pair, so no test of either runs per arc. */
 static inline __attribute__((always_inline)) int64_t
 steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
-         const int64_t *dst, const double *w, double k, double k2,
-         double dt, int64_t every, double *acc, int64_t steps,
-         const double *x, double *X, double *U, int64_t keep, double *V,
-         double *P, double *S, double *E)
+         const int64_t *dst, const double *w, double k, double k2, double dt,
+         int64_t every, double *acc, double *y, double eps, double limit,
+         int64_t sticky, int64_t steps, double *x, int64_t keep, double *states,
+         double *U, double *V, double *S, double *E_i, double *E_tot,
+         int64_t *below, double *peak)
 {
-    int64_t nans = 0;
-    for (int64_t s = 0; s < steps; s++) {
-        double *next = X + s * n, *u_row = NULL, hi = -INFINITY, lo = INFINITY;
+    double *cur = x, p = 0.0;
+    int64_t s, run = *below;
+    for (s = 0; s < steps; s++) {
+        double *next = cur == x ? y : x, *u_row = NULL, hi = -INFINITY, lo = INFINITY;
+        /* the square roots of S, in E_i's row or, once read, in acc */
+        double *roots = E_i ? E_i + s * n : acc;
         if (s == keep) {
-            u_row = U + s * n;
+            memcpy(states, cur, n * sizeof *cur);
+            u_row = U;
+            states += n;
+            U += n;
             keep += every;
         }
         for (int64_t i = 0; i < n; i++)
             acc[i] = 0.0;
         for (int64_t a = 0; a < m; a++) {
-            double d = x[src[a]] - x[dst[a]], v;
+            double d = cur[src[a]] - cur[dst[a]], v;
             if (mode == AGGREGATED)
                 v = w ? w[a] * d : d;
             else if (mode == PER_EDGE_SIGN)
@@ -67,49 +104,77 @@ steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
             acc[dst[a]] += v;
         }
         for (int64_t i = 0; i < n; i++) {
-            double u = acc[i], y;
+            double u = acc[i], z;
             if (mode == AGGREGATED)
                 u = f(law, k, k2, u);
             else if (mode == PER_EDGE_SIGN)
                 u = k * u;
             if (u_row)
                 u_row[i] = u;
-            if (S)
-                E[s * n + i] = S[i] = S[i] + u * u * dt;
-            y = next[i] = x[i] + dt * u;
+            if (S) {
+                S[i] = S[i] + u * u * dt;
+                roots[i] = sqrt(S[i]);
+            }
+            z = next[i] = cur[i] + dt * u;
             /* a NaN, once met, stays in hi and lo, as in numpy's reductions */
-            hi = hi >= y || hi != hi ? hi : y;
-            lo = lo <= y || lo != lo ? lo : y;
+            hi = hi >= z || hi != hi ? hi : z;
+            lo = lo <= z || lo != lo ? lo : z;
         }
+        if (S)
+            E_tot[s] = pairwise(roots, n);
         V[s] = hi - lo;
-        P[s] = hi >= -lo || hi != hi ? hi : -lo;
-        /* which NaN numpy's reductions give depends on their SIMD lanes, so
-           a state that holds one is left to numpy. Of the zeros they pick,
-           P's never shows, and V of a state of zeros is +0.0 in both. */
-        nans += hi != hi;
-        x = next;
+        p = hi >= -lo || hi != hi ? hi : -lo;
+        if (!(p <= limit)) { /* the guard trips: the run ends before this state */
+            if (next == x) /* which goes to y, and the state before it to x */
+                for (int64_t i = 0; i < n; i++) {
+                    double t = x[i];
+                    x[i] = y[i];
+                    y[i] = t;
+                }
+            cur = x;
+            s++;
+            break;
+        }
+        cur = next;
+        run = V[s] <= eps ? run + 1 : 0;
+        if (run >= sticky) { /* the sticky stop: the run ends on this state */
+            s++;
+            break;
+        }
     }
-    return nans;
+    if (cur != x)
+        memcpy(x, cur, n * sizeof *x);
+    *below = run;
+    *peak = p;
+    return s;
 }
 
-/* Runs steps Euler steps x -> x + dt*u(x) from the state x, writing the
-   state after each step into the rows of X, its spread max - min into V
-   and its largest magnitude into P, and the control of the steps keep,
-   keep + every, ... into those rows of U. Unless S is NULL, each step also
-   advances the n squared-effort integrals S in place by u*u*dt and writes
-   them into the rows of E. The m arcs run from src to dst with weights w,
-   NULL for unit weights. k is the law's gain, k2 the second gain of
-   FIXED_TIME. acc holds n doubles. The number of steps whose state holds a
-   NaN, whose V and P the caller takes from numpy instead. */
+/* Runs Euler steps x -> x + dt*u(x) from the state x until the run ends or
+   steps steps are done; the number of steps done. The state swaps between
+   x and the n doubles of y; on return x holds the last state that passed
+   the guard, and y the state that failed it, if one did. Each step writes the spread max - min of its state into V.
+   Before the step keep, keep + every, ... it writes the state into the
+   next row of states and the step's control into the next row of U.
+   Unless S is NULL, each step also advances the n squared-effort
+   integrals S in place by u*u*dt and writes the sum of their square roots
+   into E_tot, and, unless E_i is NULL, the roots into the rows of E_i.
+
+   A run ends on the first state whose largest magnitude, written into
+   peak, is not at or below limit (the guard), or on the sticky-th
+   consecutive spread at or below eps, counted on from below, where the
+   count is written back (the sticky stop; a NaN eps never stops). The
+   m arcs run from src to dst with weights w, NULL for unit weights. k is
+   the law's gain, k2 the second gain of FIXED_TIME. acc holds n doubles. */
 int64_t stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
-                const int64_t *dst, const double *w, double k, double k2,
-                double dt, int64_t every, double *acc, int64_t steps,
-                const double *x, double *X, double *U, int64_t keep, double *V,
-                double *P, double *S, double *E)
+                const int64_t *dst, const double *w, double k, double k2, double dt,
+                int64_t every, double *acc, double *y, double eps, double limit,
+                int64_t sticky, int64_t steps, double *x, int64_t keep, double *states,
+                double *U, double *V, double *S, double *E_i, double *E_tot,
+                int64_t *below, double *peak)
 {
-#define STEPS(LAW, MODE)                                                                \
-    return steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, every, acc, steps, x, X, U, \
-                    keep, V, P, S, E)
+#define STEPS(LAW, MODE)                                                                 \
+    return steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, every, acc, y, eps, limit, \
+                    sticky, steps, x, keep, states, U, V, S, E_i, E_tot, below, peak)
     if (mode == PER_EDGE_SIGN)
         STEPS(SIGN, PER_EDGE_SIGN);
     if (mode == PER_EDGE)

@@ -5,9 +5,12 @@ The simulator's Euler stretch: the compiled loop for Linear, Sign, Power
 with alpha = 0.5 and FixedTime with p = 0.5 and q = 1.5, whose C
 arithmetic is numpy's, and the numpy loop over protocols._kernel, with the
 same bytes, for every other law or where gcc is missing or the build or
-the load fails. Both give, besides the states, each state's spread and
-peak and the squared-effort integrals: the compiled loop computes them in
-its steps, the numpy loop with the metrics module's forms after them.
+the load fails. Both decide where the run ends, on the divergence guard
+and the sticky stop, and give each state's spread and the effort E_tot,
+and E_i where the caller reads it: the compiled loop in its steps, with
+numpy's pairwise summation order for E_tot, and the numpy loop in chunks
+of steps, with the metrics module's forms and the simulator's sticky-stop
+rule after each chunk.
 
 The CSV writers' rows: format_rows prints a block of floats as io's
 "%.17g" rows, in ASCII bytes, or gives None where the library cannot be
@@ -26,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 import subprocess
 import tempfile
@@ -45,11 +49,13 @@ LINEAR, SIGN, POWER_HALF, FIXED_TIME = range(4)
 PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
 # the bytes format_rows takes for a "%.17g" value and its separator at most
 VALUE_BYTES = 25
-# stretch: law, mode, n, m, src, dst, w, k, k2, dt, every, acc, then steps,
-# x, X, U, keep, V, P, S, E
+# the states and effort integrals a chunk of the numpy loop holds at most
+CHUNK_ELEMENTS = 2**14
+# stretch: law, mode, n, m, src, dst, w, k, k2, dt, every, acc, y, eps,
+# limit, sticky, then steps, x, keep, states, U, V, S, E_i, E_tot, below, peak
 _INT, _I64, _P, _D = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _I64, _P, _I64]
-_STRETCH_ARGS += [_P, _P, _P, _I64, _P, _P, _P, _P]
+_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _I64, _P, _P, _D, _D, _I64]
+_STRETCH_ARGS += [_I64, _P, _I64, _P, _P, _P, _P, _P, _P, _P, _P]
 # format_rows: values, rows, cols, out
 _FORMAT_ARGS = [_P, _I64, _I64, _P]
 
@@ -129,38 +135,52 @@ def _law(f):
     return {Linear: LINEAR, Sign: SIGN}.get(type(f))
 
 
-def stretch(protocol, g, dt, every):
+def sticky_stop(V, eps, below, sticky):
+    """The sticky stop in a chunk of spreads V: the row at which the
+    sticky-th consecutive spread at or below eps falls (len(V) if none),
+    and the run of such spreads that ends V, given below of them before
+    it."""
+    rows = np.arange(len(V))
+    # index of the last row above eps at or before each row; the carried
+    # run counts as rows before V
+    last_above = np.where(V <= eps, -1 - below, rows)
+    np.maximum.accumulate(last_above, out=last_above)
+    run = rows - last_above
+    hit = np.flatnonzero(run >= sticky)
+    if hit.size:
+        return int(hit[0]), sticky
+    return len(V), int(run[-1])
+
+
+def stretch(protocol, g, dt, every, eps, limit, sticky):
     """(run, compiled): the Euler stretch of the protocol on the member
     graph g and whether it runs compiled.
 
-    run(x, X, U, keep, V, P, S, E) runs len(X) Euler steps from the state
-    x. It writes the state after each step into the rows of X, and that
-    state's spread and largest magnitude, as metrics.spread_and_peak gives
-    them, into V and P. It writes the control of the steps keep, keep +
-    every, ... into those rows of U, and leaves the other rows untouched.
-    Unless S is None, each step advances the squared-effort integrals S in
-    place, as metrics.isce_accumulate does, and writes them into the rows
-    of E. X, U and E are C-contiguous float arrays of g.n columns, V and P
-    of one."""
+    run(x, keep, states, U, V, S, E_i, E_tot, below) runs Euler steps from
+    the state x, len(V) of them unless the run ends first, and returns
+    (steps, below, peak, discarded). It writes the state after each step
+    into x and its spread, as metrics.spread_and_peak gives it, into V.
+    Before the steps keep, keep + every, ... it writes the state into the
+    next row of states and the step's control into the next row of U;
+    states and U may be None if no such step comes. Unless S is None, each
+    step advances the squared-effort integrals S in place, as
+    metrics.isce_accumulate does, and writes np.sum of their square roots
+    into E_tot, and, unless E_i is None, the roots into the rows of E_i.
+
+    The run ends on the first state whose largest magnitude is not at or
+    below limit, the divergence guard, or on the sticky-th consecutive
+    spread at or below eps, counted on from below, the sticky stop; eps
+    None never stops. steps counts the steps done, the last one the end's,
+    below the run of spreads at or below eps after them, and peak is the
+    largest magnitude of the last state. x then holds the last state that
+    passed the guard. discarded counts the steps computed past the end,
+    which the numpy loop, deciding the end once per chunk, does. V, E_i
+    and E_tot are C-contiguous float arrays, of g.n columns where 2-D, x
+    and S of g.n floats."""
     f = protocol.f
     law = _law(f)
     if law is None or load() is None:
-        kernel = _kernel(protocol, g)
-
-        def run(x, X, U, keep, V, P, S, E):
-            for r in range(len(X)):
-                u = kernel(x)
-                if r == keep:
-                    U[r] = u
-                    keep += every
-                if S is not None:
-                    E[r] = u
-                x = np.add(x, dt * u, out=X[r])
-            V[:], P[:] = spread_and_peak(X)
-            if S is not None:
-                S[:] = isce_accumulate(S, E, dt, out=E)[-1]
-
-        return run, False
+        return _numpy_stretch(_kernel(protocol, g), g.n, dt, every, eps, limit, sticky), False
     if protocol.direction is Direction.AGGREGATED:
         mode = AGGREGATED
     else:
@@ -169,22 +189,74 @@ def stretch(protocol, g, dt, every):
     src, dst, w = _arcs(g)
     src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (src, dst))
     w = None if w is None else np.ascontiguousarray(w, dtype=float)
-    acc = np.empty(g.n)
-    arrays = (src, dst, w, acc)
-    src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in arrays]
+    acc, y = np.empty(g.n), np.empty(g.n)
+    below, peak = ctypes.c_int64(), ctypes.c_double()
+    arrays = (src, dst, w, acc, y)
+    src_p, dst_p, w_p, acc_p, y_p = [None if a is None else a.ctypes.data for a in arrays]
+    eps = math.nan if eps is None else eps  # no spread is at or below NaN
     call = functools.partial(
-        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, every, acc_p
+        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, every, acc_p, y_p,
+        eps, limit, sticky,
     )
+    out = ctypes.addressof(below), ctypes.addressof(peak)
 
-    def run(x, X, U, keep, V, P, S, E):
-        x_p, X_p, U_p, V_p, P_p = [_address(a) for a in (x, X, U, V, P)]
-        S_p, E_p = [None if a is None else _address(a) for a in (S, E)]
-        if call(len(X), x_p, X_p, U_p, keep, V_p, P_p, S_p, E_p):
-            # a state that holds a NaN: numpy picks which NaN
-            V[:], P[:] = spread_and_peak(X)
+    def run(x, keep, states, U, V, S, E_i, E_tot, below_in):
+        below.value = below_in
+        pointers = [None if a is None else _address(a) for a in (states, U, V, S, E_i, E_tot)]
+        steps = call(len(V), _address(x), keep, *pointers, *out)
+        if peak.value != peak.value:
+            # a state that fails the guard with a NaN, now in y: numpy's
+            # reductions pick which NaN
+            return steps, below.value, float(spread_and_peak(y[None])[1][0]), 0
+        return steps, below.value, peak.value, 0
 
-    run.arrays = arrays  # the arrays behind the addresses
+    run.arrays = arrays + (below, peak)  # the objects behind the addresses
     return run, True
+
+
+def _numpy_stretch(kernel, n, dt, every, eps, limit, sticky):
+    """The run of stretch on numpy: the Euler steps of kernel in chunks of
+    at most CHUNK_ELEMENTS states, whose spreads and peaks, effort and end
+    follow each chunk."""
+    size = max(1, CHUNK_ELEMENTS // n)
+
+    def run(x, keep, states, U, V, S, E_i, E_tot, below):
+        done, kept = 0, 0
+        while True:
+            rows = min(size, len(V) - done)
+            X = np.empty((rows, n))
+            E = np.empty((rows, n)) if S is not None else None
+            state = x
+            for r in range(rows):
+                u = kernel(state)
+                if done + r == keep:
+                    states[kept], U[kept] = state, u
+                    kept += 1
+                    keep += every
+                if E is not None:
+                    E[r] = u
+                state = np.add(state, dt * u, out=X[r])
+            spread, peak = spread_and_peak(X)
+            bad = np.flatnonzero(~(peak <= limit))
+            end = int(bad[0]) if bad.size else rows
+            if eps is not None:
+                stop, below = sticky_stop(spread, eps, below, sticky)
+                end = min(end, stop)
+            k = min(end + 1, rows)  # the rows the run takes
+            V[done : done + k] = spread[:k]
+            if E is not None:
+                E = isce_accumulate(S, E[:k], dt, out=E[:k])
+                S[:] = E[-1]
+                roots = E if E_i is None else E_i[done : done + k]
+                np.sum(np.sqrt(E, out=roots), axis=1, out=E_tot[done : done + k])
+            done += k
+            tripped = bad.size > 0 and bad[0] == end
+            if k > tripped:  # the last state that passed the guard
+                x[:] = X[k - 1 - tripped]
+            if end < rows or done == len(V):
+                return done, below, float(peak[k - 1]), rows - k
+
+    return run
 
 
 def _address(a):

@@ -7,17 +7,18 @@ integer steps, exact over long horizons; this module knows no signal type.
 The step loop runs in stretches of steps under one member, each one call
 of _stretch.stretch's run: compiled where the law's arithmetic in C is
 numpy's and the library builds, and protocols._kernel step by step
-otherwise, with the same bytes. Besides each state, a stretch gives its
-spread and largest magnitude and advances the squared-effort integrals,
-the compiled loop inside its steps and the numpy loop with the metrics
-module's forms, which stay the formula of both. The strided records are
-read off the block's states and controls afterwards. The divergence guard
-and the sticky stop are decided once per block of steps, on those
-spreads and magnitudes; the step at which a run stops or diverges, and
-every number it records, are those of a check after every step. A run
-whose caller reads no effort, such as a calibration probe, skips the
-effort integrals altogether. Each run integrates one system;
-simulate_batch runs independent systems one after another.
+otherwise, with the same bytes. A stretch decides the divergence guard
+and the sticky stop itself and ends the run on its step, writes each
+state's spread, the effort E_tot and the strided records straight into
+the run's records, and carries the state in a buffer of n floats. The
+compiled loop does all of it inside its steps, and the numpy loop in
+chunks, with the metrics module's forms, which stay the formula of both.
+The step at which a run stops or diverges, and every number it records,
+are those of a check after every step. A run whose caller reads no
+effort, such as a calibration probe, skips the effort integrals
+altogether, and only a caller that reads the per-node effort E_i has its
+rows written, into one block of steps at a time. Each run integrates one
+system; simulate_batch runs independent systems one after another.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 STICKY_STEPS = 100
-# a block of Euler steps holds at most this many steps and state entries
+# a block of steps whose per-node effort E_i a caller reads holds at most
+# this many steps and E_i entries
 BLOCK_STEPS = 1024
 BLOCK_ELEMENTS = 2**14
 # the work a run counts (see _Run)
@@ -135,25 +137,6 @@ def _step_times(first, end, dt, t0):
     return times
 
 
-def _sticky_stop(V, eps, run_below):
-    """The sticky stop in a block of spreads V.
-
-    Returns the row at which the sticky stop falls (len(V) if none) and the
-    run of steps at or below eps after V, given run_below such steps before
-    it.
-    """
-    rows = np.arange(len(V))
-    # index of the last row above eps at or before each row; the carried
-    # run counts as rows before V
-    last_above = np.where(V <= eps, -1 - run_below, rows)
-    np.maximum.accumulate(last_above, out=last_above)
-    run = rows - last_above
-    hit = np.flatnonzero(run >= STICKY_STEPS)
-    if hit.size:
-        return int(hit[0]), STICKY_STEPS
-    return len(V), int(run[-1])
-
-
 class _Run:
     """Closed-loop integration of one system from its initial state, which
     can be advanced in pieces.
@@ -161,38 +144,38 @@ class _Run:
     advance(last_step, rows) integrates up to step last_step and may be
     called again with a later step; the pieces give exactly the numbers of
     one uninterrupted run. The run keeps V and E_tot for every step it
-    observed, and the per-node effort E_i only for the block it observed
-    last: a caller that wants E_i, such as simulate, or the command line's
-    simulate as it formats metrics.csv, reads it from each block that
-    advance hands to rows.
+    observed, and, with per_node, the per-node effort E_i only for the
+    block it observed last: a caller that wants E_i, such as simulate, or
+    the command line's simulate as it formats metrics.csv, reads it from
+    each block that advance hands to rows.
 
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
     advance by the left-endpoint rule. A stretch of steps under one member
-    runs in one call of its _stretch.stretch, which also gives the spread V
-    and the largest magnitude of each state and advances the run's
-    squared-effort integrals in place. It writes the controls of the
-    recorded steps alone, so a block with none leaves its control buffer
-    untouched. Without effort the run integrates none, and E_tot and E_i
-    are None. V, the stop and the divergence do not depend on it.
+    runs in one call of its _stretch.stretch, which writes the spread V,
+    E_tot and, with per_node, E_i of each state straight into the run's
+    records, and the state and control of each recorded step into the
+    strided records. The current state stays in one buffer, self.x.
+    Without effort the run integrates none, and E_tot and E_i are None. V,
+    the stop and the divergence do not depend on it.
 
-    The steps run in blocks of at most BLOCK_STEPS steps and BLOCK_ELEMENTS
-    state entries. Once per block the divergence guard and the sticky stop
-    are decided for every step of the block at once, and E_i and E_tot are
-    taken from the integrals of the steps kept. A state that fails the
-    guard ends the run with its DivergenceError as error, and a spread that
-    has stayed at or below stop_epsilon for STICKY_STEPS consecutive steps
-    stops it for good: both steps, and every number recorded up to them,
-    are those of a check after every step. Steps a block computed past the
-    end are discarded; their effort went into the integrals too, but the
-    run ends there.
+    The stretch also decides, after every step, the divergence guard and
+    the sticky stop, and ends there. A state that fails the guard ends the
+    run with its DivergenceError as error, and a spread that has stayed at
+    or below stop_epsilon for STICKY_STEPS consecutive steps stops it for
+    good; the steps before either are observed. Without per_node a block is
+    the whole advance, one stretch per dwell; with it, a block holds at
+    most BLOCK_STEPS steps and BLOCK_ELEMENTS entries of E_i.
 
     counters counts the run's work: Euler steps, blocks, switches,
-    stretches run compiled and on numpy, and discarded, the steps that
-    blocks computed past the sticky stop or the divergence.
+    stretches run compiled and on numpy, and discarded, the steps that the
+    numpy loop computed past the sticky stop or the divergence.
     """
 
-    def __init__(self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, effort=True):
+    def __init__(
+        self, net, protocol, x0, dt, stop_epsilon=None, record_stride=1, effort=True,
+        per_node=False,
+    ):
         x = np.array(x0, dtype=float)
         if x.shape != (net.n,):
             raise ValueError(f"x0 has shape {x.shape}, network has {net.n} nodes")
@@ -205,7 +188,6 @@ class _Run:
         self._schedule = step_schedule(net.signal, dt)
         self._eps = stop_epsilon
         self._stride = record_stride
-        self._effort = effort
         self.x = x  # the state at step next - 1
         self.next = 0  # first step not yet observed
         self.stopped = False
@@ -217,16 +199,17 @@ class _Run:
         # record_stride, ... before the last observed step
         self._states = np.empty((0, net.n))
         self._controls = np.empty((0, net.n))
-        self._s_accum = np.zeros(net.n)
+        self._s_accum = np.zeros(net.n) if effort else None
         self._run_below = 0  # steps at or below epsilon up to step next - 1
         self._member = self._schedule(0)[0]  # member of the latest Euler step
-        self._stretches = [_stretch.stretch(protocol, g, dt, record_stride) for g in net.graphs]
-        block = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n))
-        self._X = np.empty((block, net.n))  # state observed at each step of a block
-        self._P = np.empty(block)  # its largest magnitude
-        self._U = np.empty((block, net.n))  # control of the step into it
-        # its squared effort integrals, then E_i
-        self._E = np.empty((block, net.n)) if effort else None
+        self._stretches = [
+            _stretch.stretch(protocol, g, dt, record_stride, stop_epsilon, DIVERGENCE_LIMIT,
+                             STICKY_STEPS)
+            for g in net.graphs
+        ]
+        self._E_i = None  # E_i of the steps of a block
+        if per_node and effort:
+            self._E_i = np.empty((max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n)), net.n))
         self.counters = dict.fromkeys(COUNTERS, 0)
 
     @property
@@ -270,95 +253,77 @@ class _Run:
         first.
 
         rows, if given, is called after each block with the MetricSeries
-        of the steps the block observed. Its E_i is a view of the block
-        buffer, which the next block overwrites.
+        of the steps the block observed. Its E_i, with per_node, is a view
+        of the block buffer, which the next block overwrites, and None
+        otherwise.
         """
         if self.ended or last_step < self.next:
             return
         self._grow(last_step)
+        E_i = self._E_i
         with np.errstate(all="ignore"):
             while not self.ended and self.next <= last_step:
                 first = self.next
-                self._block(first, min(first + len(self._X), last_step + 1))
+                end = last_step + 1 if E_i is None else min(first + len(E_i), last_step + 1)
+                self._block(first, end)
                 if rows is not None and self.next > first:
-                    E_i = self._E[: self.next - first] if self._effort else None
-                    rows(self._series(first, self.next, E_i))
+                    block = None if E_i is None else E_i[: self.next - first]
+                    rows(self._series(first, self.next, block))
 
     def _block(self, first, end):
-        """Observe steps first..end-1: run their Euler steps, which give
-        the spread, peak and effort of each, then check and record them in
-        one pass."""
-        rows = end - first
-        X, U, P, V = self._X[:rows], self._U[:rows], self._P[:rows], self.V[first:end]
-        schedule, stretches, counters = self._schedule, self._stretches, self.counters
-        dt, t0, stride = self.dt, self.t0, self._stride
-        x, member = self.x, self._member
-        S, E = (self._s_accum, self._E[:rows]) if self._effort else (None, None)
+        """Observe steps first..end-1, or up to the run's end: run the
+        Euler steps into them, one stretch per member."""
+        counters, E_i, stride = self.counters, self._E_i, self._stride
+        counters["blocks"] += 1
+        j = first - 1  # the Euler step from t_j fills step j + 1
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
-            X[0] = x
-            V[:1], P[:1] = spread_and_peak(X[:1])
-            if E is not None:
-                E[0] = 0.0
-        shift = first - 1  # the Euler step from t_j to t_{j+1} fills row j - shift
-        j = max(shift, 0)
-        counters["steps"] += end - 1 - j
-        # the recorded steps among the Euler steps j..end-2, whose controls
-        # alone are kept
-        recorded = np.arange(-(-j // stride) * stride, end - 1, stride)
-        switches = []
+            j = 0
+            spread, peak = spread_and_peak(self.x[None])
+            self.V[0] = spread[0]
+            if self.E_tot is not None:
+                self.E_tot[0] = 0.0
+            if E_i is not None:
+                E_i[0] = 0.0
+            if not peak[0] <= DIVERGENCE_LIMIT:
+                self.error = DivergenceError(self.t0, peak[0])
+                return
+            if self._eps is not None and spread[0] <= self._eps:
+                self._run_below = 1
         while j < end - 1:
-            now, change = schedule(j)
-            if now != member:
-                switches.append((j, member, now))
-                member = now
-            a, b = j - shift, min(change, end - 1) - shift  # the stretch's rows
-            keep = -(-j // stride) * stride - j  # its first row of a recorded step
-            run, compiled = stretches[member]
-            run(x, X[a:b], U[a:b], keep, V[a:b], P[a:b], S, None if E is None else E[a:b])
-            x = X[b - 1]
+            now, change = self._schedule(j)
+            if now != self._member:
+                self.events.append((self.t0 + self.dt * j, self._member, now))
+                counters["switches"] += 1
+                self._member = now
+            b = min(change, end - 1)  # the stretch's Euler steps are j..b-1
+            keep = -(-j // stride) * stride  # its first recorded step, if below b
+            rec = slice(keep // stride, None) if keep < b else None
+            run, compiled = self._stretches[now]
+            steps, self._run_below, peak, discarded = run(
+                self.x,
+                keep - j,
+                None if rec is None else self._states[rec],
+                None if rec is None else self._controls[rec],
+                self.V[j + 1 : b + 1],
+                self._s_accum,
+                None if E_i is None else E_i[j + 1 - first : b + 1 - first],
+                None if self.E_tot is None else self.E_tot[j + 1 : b + 1],
+                self._run_below,
+            )
             counters["stretches_compiled" if compiled else "stretches_numpy"] += 1
-            j = b + shift
-        self._member = member
-        counters["blocks"] += 1
-        counters["switches"] += len(switches)
-
-        # the first step that fails the guard ends the run unless the sticky
-        # stop came before it; steps past either are discarded, and so is
-        # their effort, already added to S
-        bad = np.flatnonzero(~(P <= DIVERGENCE_LIMIT))
-        bad = int(bad[0]) if bad.size else rows
-        stop = rows
-        if self._eps is not None:
-            stop, self._run_below = _sticky_stop(V, self._eps, self._run_below)
-        if bad < rows and bad <= stop:
-            self.error = DivergenceError(t0 + dt * (first + bad), P[bad])
-            counters["discarded"] += rows - 1 - bad
-            return
-        k = min(stop + 1, rows)  # the rows kept
-        last = first + k - 1
-        if E is not None:
-            # the square roots, E_i, overwrite the integrals
-            E_i = np.sqrt(E[:k], out=E[:k])
-            np.sum(E_i, axis=1, out=self.E_tot[first : last + 1])
-        # Euler steps from the last observed step on belong to later blocks
-        self.events.extend((t0 + dt * j, a, b) for j, a, b in switches if j < last)
-        kept = int(np.searchsorted(recorded, last))
-        if kept:
-            # the state and control of each recorded step kept, in its rows
-            # of the records; the Euler step out of the block's first step
-            # (row 0) starts from the state before it
-            at = recorded[:kept] - shift
-            rec = slice(recorded[0] // stride, recorded[0] // stride + kept)
-            self._states[rec] = X[at - 1]
-            self._controls[rec] = U[at]
-            if at[0] == 0:
-                self._states[rec.start] = self.x
-        self.next = last + 1
-        self.x = X[k - 1].copy()
-        if stop < rows:
-            self.stopped = True
-            counters["discarded"] += rows - k
+            counters["steps"] += steps + discarded
+            counters["discarded"] += discarded
+            j += steps
+            if not peak <= DIVERGENCE_LIMIT:
+                # the steps before the one that fails the guard are observed
+                self.error = DivergenceError(self.t0 + self.dt * j, peak)
+                self.next = j
+                return
+            if self._run_below >= STICKY_STEPS:
+                self.stopped = True
+                break
+        self.next = j + 1
 
     def _series(self, first, end, E_i=None) -> MetricSeries:
         return MetricSeries(
@@ -395,6 +360,7 @@ def _open_run(net, protocol, x0, cfg: SimConfig):
         cfg.dt,
         stop_epsilon=cfg.stop_epsilon,
         record_stride=cfg.record_stride,
+        per_node=cfg.track_per_node,
     )
     return run, _step_count(cfg.t_end, run.t0, cfg.dt)
 

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -475,7 +476,13 @@ class TestResumableRun:
         ends = data.draw(st.permutations(sorted(e for e in ends if 0 <= e <= steps)))
 
         run = _Run(
-            net, protocol, x0, dt, stop_epsilon=cfg.stop_epsilon, record_stride=cfg.record_stride
+            net,
+            protocol,
+            x0,
+            dt,
+            stop_epsilon=cfg.stop_epsilon,
+            record_stride=cfg.record_stride,
+            per_node=True,
         )
         blocks = _joined(_blocks(run, ends + [steps]))
         pieced = run.trajectory()
@@ -516,7 +523,13 @@ class TestResumableRun:
         block = data.draw(st.sampled_from(sizes), label="block steps")
         with mock.patch.object(simulate_module, "BLOCK_STEPS", block):
             run = _Run(
-                net, protocol, x0, dt, stop_epsilon=cfg.stop_epsilon, record_stride=cfg.record_stride
+                net,
+                protocol,
+                x0,
+                dt,
+                stop_epsilon=cfg.stop_epsilon,
+                record_stride=cfg.record_stride,
+                per_node=True,
             )
         blocks = _blocks(run, [steps])
         # every block but the last is whole, and the record ends where the
@@ -656,8 +669,10 @@ BLOCKED_RUNS = switched_runs(
 
 class TestBlockedRun:
     def _check_against_stepwise(self, case, data, effort):
-        # small blocks put block edges everywhere; the module's own limits
-        # clamp the block to BLOCK_ELEMENTS // n = 409 steps at n = 40
+        # small blocks put block edges everywhere in the runs that hand E_i
+        # over; the module's own limits clamp their block to
+        # BLOCK_ELEMENTS // n = 409 steps at n = 40, and the effort-free
+        # runs take each advance as one block
         net, protocol, x0, cfg, steps = case
         ends = sorted(data.draw(st.lists(st.integers(0, steps), max_size=4))) + [steps]
         ref = _StepwiseRun(
@@ -690,6 +705,7 @@ class TestBlockedRun:
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
                     effort=effort,
+                    per_node=effort,
                 )
             blocks = _blocks(run, ends)
             exc = run.error
@@ -863,18 +879,21 @@ class TestCompiledStretch:
         system, cfg, steps = case
         effort = data.draw(st.booleans())
         block = data.draw(st.sampled_from([1, 2, 7, 64, None]))
+        # the numpy loop decides the end after chunks of this many steps
+        chunk = data.draw(st.sampled_from([1, 2, 7, 64, None])) or 2**14
         ends = sorted(data.draw(st.lists(st.integers(1, steps), max_size=3))) + [steps]
 
         def outcome(compiled):
             with mock.patch.object(simulate_module, "BLOCK_STEPS", block or BLOCK_STEPS), (
-                contextlib.nullcontext() if compiled else _numpy_only()
-            ):
+                mock.patch.object(_stretch, "CHUNK_ELEMENTS", chunk * system[0].n)
+            ), contextlib.nullcontext() if compiled else _numpy_only():
                 run = _Run(
                     *system,
                     cfg.dt,
                     stop_epsilon=cfg.stop_epsilon,
                     record_stride=cfg.record_stride,
                     effort=effort,
+                    per_node=effort,
                 )
                 blocks = _blocks(run, ends)
             return run.counters, _outcome_bytes(run, blocks)
@@ -882,9 +901,12 @@ class TestCompiledStretch:
         counted, got = outcome(compiled=True)
         counted_numpy, want = outcome(compiled=False)
         assert got == want
-        assert counted["stretches_numpy"] == 0
+        assert counted["stretches_numpy"] == counted["discarded"] == 0
+        # the numpy loop computes steps past the end of a chunk, and discards them
+        taken = dict(counted_numpy, discarded=0)
+        taken["steps"] -= counted_numpy["discarded"]
         swapped = dict(counted, stretches_compiled=0, stretches_numpy=counted["stretches_compiled"])
-        assert swapped == counted_numpy
+        assert swapped == taken
 
     @requires_compiled
     @pytest.mark.parametrize("effort", [True, False])
@@ -905,7 +927,12 @@ class TestCompiledStretch:
                 contextlib.nullcontext() if compiled else _numpy_only()
             ):
                 run = _Run(
-                    *system, cfg.dt, stop_epsilon=cfg.stop_epsilon, record_stride=7, effort=effort
+                    *system,
+                    cfg.dt,
+                    stop_epsilon=cfg.stop_epsilon,
+                    record_stride=7,
+                    effort=effort,
+                    per_node=effort,
                 )
                 blocks = _blocks(run, [steps])
             return run, blocks
@@ -938,6 +965,29 @@ class TestCompiledStretch:
             want = getattr(ref, "_" + field)[:seen]
             assert _same_bytes(np.concatenate(got) if got else want[:0], want), field
 
+    @requires_compiled
+    @pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129, 255, 256, 257, 1000, 2047, 2048])
+    def test_effort_sums_in_numpy_order(self, n):
+        """The compiled loop's E_tot is np.sum of its E_i, bit for bit: n
+        below 8 sums in turn, up to 128 in eight accumulators, and above
+        in halves split at a multiple of 8. The states span twelve orders
+        of magnitude, so no two orders of the sum agree."""
+        rng = np.random.default_rng(n)
+        x0 = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 6, n)
+        ring = WeightedDigraph(n, [(i, (i + 1) % n, 1.0) for i in range(n) if n > 1])
+
+        def outcome():
+            run = _Run(static_net(ring), Protocol(PE, Power(2.0, 0.5)), x0, 1e-3, per_node=True)
+            blocks = _joined(_blocks(run, [5]))
+            return run.counters["stretches_compiled"], blocks
+
+        compiled, got = outcome()
+        with _numpy_only():
+            _, want = outcome()
+        assert compiled == 1
+        assert _same_bytes(got.E_i, want.E_i) and _same_bytes(got.E_tot, want.E_tot)
+        assert _same_bytes(got.E_tot, np.sum(got.E_i, axis=1))
+
     def test_fallback_gives_the_same_bytes(self, monkeypatch):
         net, protocol, x0 = _example1()
         cfg = SimConfig(t_end=3.0, dt=1e-3, record_stride=7, track_per_node=True)
@@ -949,7 +999,7 @@ class TestCompiledStretch:
         monkeypatch.setattr(_stretch, "_lib", None)
         monkeypatch.setattr(_stretch, "_load", no_compiler)
         assert _stretch.load() is None
-        run = _Run(net, protocol, x0, cfg.dt, record_stride=7)
+        run = _Run(net, protocol, x0, cfg.dt, record_stride=7, per_node=True)
         blocks = _joined(_blocks(run, [3000]))
         assert run.counters["stretches_compiled"] == 0 and run.counters["stretches_numpy"] > 0
         got = run.trajectory()
@@ -998,12 +1048,49 @@ class TestCounters:
         run.advance(15000)
         assert run.counters == {
             "steps": 15000,
+            "blocks": 1,  # no caller reads E_i: the advance is one block
+            "switches": 14,
+            "stretches_compiled": 15,  # a stretch per dwell
+            "stretches_numpy": 0,
+            "discarded": 0,
+        }
+
+    @requires_compiled
+    def test_per_node_blocks(self):
+        run = _Run(*_example1(), 1e-3, record_stride=100, per_node=True)
+        run.advance(15000)
+        assert run.counters == {
+            "steps": 15000,
             "blocks": 15,  # 15 001 observed steps at 1024 a block
             "switches": 14,
             "stretches_compiled": 29,  # a stretch per block and per switch
             "stretches_numpy": 0,
             "discarded": 0,
         }
+
+    @requires_compiled
+    def test_wide_run_holds_no_block_of_steps(self):
+        # the shape of the benchmark's scale_2000: n = 2000, 700 steps over
+        # three switches, no E_i
+        n = 2000
+        net = benchmark_module.benchmark_topology(n)
+        x0 = np.random.default_rng(0).uniform(-10.0, 10.0, n)
+        protocol = Protocol(PE, Power(1.0, 0.5))
+        _Run(net, protocol, x0, 1e-3)  # the graphs cache their arc arrays
+        tracemalloc.start()
+        try:
+            run = _Run(net, protocol, x0, 1e-3, record_stride=10**9)
+            run.advance(700)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert run.counters["stretches_compiled"] == 4 and run.counters["blocks"] == 1
+        assert run.counters["steps"] == 700 and run.counters["discarded"] == 0
+        # the state, the effort integrals, a recorded state and control, and
+        # two vectors per member are 10 rows of n floats, and V and E_tot
+        # 11 kB; a block of eight steps' states, controls and effort would
+        # be 24 rows more
+        assert held < 16 * 8 * n
 
     @requires_compiled
     def test_calibration_union_runs_compiled(self, monkeypatch):
@@ -1033,12 +1120,17 @@ class TestCounters:
         assert run.counters["stretches_compiled"] == 0
         assert run.counters["stretches_numpy"] == run.counters["blocks"] == 1
 
+    @pytest.mark.parametrize("compiled", [True, False])
     @pytest.mark.parametrize("law", [Linear(1.0), Linear(1e200)])
-    def test_steps_past_the_end_are_discarded(self, law):
-        # a sticky stop, or a divergence, inside a block of 1024 steps
+    def test_run_ends_on_its_step(self, law, compiled):
+        # a sticky stop, or a divergence, inside a stretch of 5000 steps:
+        # the compiled loop stops on it, the numpy loop after its chunk
         net = static_net(WeightedDigraph.undirected(2, [(0, 1)]))
-        run = _Run(net, Protocol(AGG, law), [1.0, -1.0], 1e-3, stop_epsilon=1e-3)
+        with contextlib.nullcontext() if compiled else _numpy_only():
+            run = _Run(net, Protocol(AGG, law), [1.0, -1.0], 1e-3, stop_epsilon=1e-3)
         run.advance(5000)
         end = run.next - 1 if run.error is None else round(run.error.time / 1e-3)
-        assert run.ended and 0 < end < run.counters["steps"]
+        assert run.ended and 0 < end < 5000
         assert run.counters["steps"] - run.counters["discarded"] == end
+        if compiled and _stretch.load() is not None:
+            assert run.counters["discarded"] == 0
