@@ -5,22 +5,22 @@ verification failed. Outputs are deterministic; identical invocations write
 byte-identical files.
 
 simulate advances simulate's run once and formats the rows of
-metrics.csv of each block of steps the run hands it, into an unlinked
-temporary file. So the per-node effort E_i is held for one block at a
-time, in the run's block buffer; V and E_tot, which trajectory.csv and the
-settling time read, are kept whole. The output files are created
-in the order trajectory.csv, metrics.csv, events.csv, meta.json, and only
-after the run: a run that diverges writes nothing, and an unwritable path
-fails where it always did.
+metrics.csv of each block of steps the run hands it, into a temporary file
+on the filesystem of --out, which is renamed into place after the run. So
+the per-node effort E_i is held for one block at a time, in the run's
+block buffer; V and E_tot, which trajectory.csv and the settling time
+read, are kept whole. The output files appear in the order
+trajectory.csv, metrics.csv, events.csv, meta.json, and only after the
+run: a run that diverges leaves nothing, not even the temporary file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import contextlib
 import math
 import os
-import shutil
 import sys
 import tempfile
 
@@ -104,6 +104,30 @@ def _lcg_from_args(args):
     )
 
 
+def _named_os_error(exc, path):
+    """exc, an OSError, as one that names path."""
+    return OSError(exc.errno, exc.strerror, path)
+
+
+def _temporary_beside(out):
+    """(file, path): a new file, open for binary reading and writing, on
+    the filesystem of the directory out, so that it can be renamed into
+    out: in out if it is a directory, and otherwise in its nearest
+    ancestor that is. Its mode is that of a file open() creates, 0o666
+    less the umask."""
+    where = os.path.abspath(out)
+    while not os.path.isdir(where):
+        where = os.path.dirname(where)
+    try:
+        fd, path = tempfile.mkstemp(prefix=".metrics-", suffix=".csv", dir=where)
+    except OSError as exc:
+        raise _named_os_error(exc, out) from None
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
+    return os.fdopen(fd, "w+b"), path
+
+
 def cmd_simulate(args) -> int:
     net = _read(args.network, "network", network_from_json)
     protocol = _read(args.protocol, "protocol", protocol_from_json)
@@ -127,18 +151,25 @@ def cmd_simulate(args) -> int:
         track_per_node=args.per_node,
     )
     run, last = _open_run(net, protocol, x0, cfg)
-    with tempfile.TemporaryFile("w+b") as tmp:
-        write_metrics_header(tmp, net.n if args.per_node else 0)
-        run.advance(last, lambda block: write_metrics_rows(tmp, block, args.per_node))
+    tmp, tmp_path = _temporary_beside(args.out)
+    try:
+        with tmp:
+            write_metrics_header(tmp, net.n if args.per_node else 0)
+            run.advance(last, lambda block: write_metrics_rows(tmp, block, args.per_node))
         if run.error is not None:
             raise run.error
         traj = run.trajectory()
 
         os.makedirs(args.out, exist_ok=True)
         write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
-        with open(os.path.join(args.out, "metrics.csv"), "wb") as fh:
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
+        metrics_path = os.path.join(args.out, "metrics.csv")
+        try:
+            os.replace(tmp_path, metrics_path)
+        except OSError as exc:
+            raise _named_os_error(exc, metrics_path) from None
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)
     write_events_csv(os.path.join(args.out, "events.csv"), traj.events)
     write_meta_json(
         os.path.join(args.out, "meta.json"),

@@ -303,6 +303,8 @@ class TestStreamedMetrics:
         assert {p.name: p.read_text() for p in old.iterdir()} == {
             name: f"old {name}\n" for name in self.OUTPUTS
         }
+        # the metrics rows went to a file beside each --out, which is gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "temp", "unstable.json"]
         assert not any(temp.iterdir())
         assert sorted(os.listdir("/proc/self/fd")) == fds
 
@@ -354,6 +356,17 @@ class TestStreamedMetrics:
         assert peak < 2 * 2**20
         rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
         assert len(rows) == 4102 and len(rows[0].split(",")) == 103
+
+    def test_metrics_csv_is_renamed_in_beside_the_others(self, tmp_path):
+        # into a new --out, whose nearest existing ancestor holds the
+        # temporary file, and again into the existing one
+        out = tmp_path / "a" / "out"
+        for _ in range(2):
+            assert _main_quietly(self.example1("--out", str(out)))[0] == cli.EXIT_OK
+            assert sorted(p.name for p in out.iterdir()) == sorted(self.OUTPUTS)
+            assert [p.name for p in tmp_path.iterdir()] == ["a"]
+            modes = {(out / name).stat().st_mode for name in self.OUTPUTS}
+            assert len(modes) == 1
 
     def test_metrics_csv_that_is_a_directory(self, tmp_path):
         done, out = tmp_path / "done", tmp_path / "out"
