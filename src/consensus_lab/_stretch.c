@@ -70,8 +70,8 @@ static double pairwise(const double *a, int64_t n)
 static inline __attribute__((always_inline)) int64_t
 steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
          const int64_t *dst, const double *w, double k, double k2, double dt,
-         int64_t every, double *acc, double *y, double eps, double limit,
-         int64_t sticky, int64_t steps, double *x, int64_t keep, double *states,
+         int64_t every, double *acc, double eps, double limit, int64_t sticky,
+         int64_t steps, double *x, double *y, int64_t keep, double *states,
          double *U, double *V, double *S, double *E_i, double *E_tot,
          int64_t *below, double *peak)
 {
@@ -152,12 +152,13 @@ steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
 /* Runs Euler steps x -> x + dt*u(x) from the state x until the run ends or
    steps steps are done; the number of steps done. The state swaps between
    x and the n doubles of y; on return x holds the last state that passed
-   the guard, and y the state that failed it, if one did. Each step writes the spread max - min of its state into V.
-   Before the step keep, keep + every, ... it writes the state into the
-   next row of states and the step's control into the next row of U.
-   Unless S is NULL, each step also advances the n squared-effort
-   integrals S in place by u*u*dt and writes the sum of their square roots
-   into E_tot, and, unless E_i is NULL, the roots into the rows of E_i.
+   the guard, and y the state that failed it, if one did. Each step writes
+   the spread max - min of its state into V. Before the step keep, keep +
+   every, ... it writes the state into the next row of states and the
+   step's control into the next row of U. Unless S is NULL, each step
+   also advances the n squared-effort integrals S in place by u*u*dt and
+   writes the sum of their square roots into E_tot, and, unless E_i is
+   NULL, the roots into the rows of E_i.
 
    A run ends on the first state whose largest magnitude, written into
    peak, is not at or below limit (the guard), or on the sticky-th
@@ -167,14 +168,14 @@ steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
    the law's gain, k2 the second gain of FIXED_TIME. acc holds n doubles. */
 int64_t stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
                 const int64_t *dst, const double *w, double k, double k2, double dt,
-                int64_t every, double *acc, double *y, double eps, double limit,
-                int64_t sticky, int64_t steps, double *x, int64_t keep, double *states,
+                int64_t every, double *acc, double eps, double limit, int64_t sticky,
+                int64_t steps, double *x, double *y, int64_t keep, double *states,
                 double *U, double *V, double *S, double *E_i, double *E_tot,
                 int64_t *below, double *peak)
 {
-#define STEPS(LAW, MODE)                                                                 \
-    return steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, every, acc, y, eps, limit, \
-                    sticky, steps, x, keep, states, U, V, S, E_i, E_tot, below, peak)
+#define STEPS(LAW, MODE)                                                              \
+    return steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, every, acc, eps, limit, \
+                    sticky, steps, x, y, keep, states, U, V, S, E_i, E_tot, below, peak)
     if (mode == PER_EDGE_SIGN)
         STEPS(SIGN, PER_EDGE_SIGN);
     if (mode == PER_EDGE)

@@ -51,11 +51,11 @@ PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
 VALUE_BYTES = 25
 # the states and effort integrals a chunk of the numpy loop holds at most
 CHUNK_ELEMENTS = 2**14
-# stretch: law, mode, n, m, src, dst, w, k, k2, dt, every, acc, y, eps,
-# limit, sticky, then steps, x, keep, states, U, V, S, E_i, E_tot, below, peak
+# stretch: law, mode, n, m, src, dst, w, k, k2, dt, every, acc, eps, limit,
+# sticky, then steps, x, y, keep, states, U, V, S, E_i, E_tot, below, peak
 _INT, _I64, _P, _D = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _I64, _P, _P, _D, _D, _I64]
-_STRETCH_ARGS += [_I64, _P, _I64, _P, _P, _P, _P, _P, _P, _P, _P]
+_STRETCH_ARGS = [_INT, _INT, _I64, _I64, _P, _P, _P, _D, _D, _D, _I64, _P, _D, _D, _I64]
+_STRETCH_ARGS += [_I64, _P, _P, _I64, _P, _P, _P, _P, _P, _P, _P, _P]
 # format_rows: values, rows, cols, out
 _FORMAT_ARGS = [_P, _I64, _I64, _P]
 
@@ -156,10 +156,11 @@ def stretch(protocol, g, dt, every, eps, limit, sticky):
     """(run, compiled): the Euler stretch of the protocol on the member
     graph g and whether it runs compiled.
 
-    run(x, keep, states, U, V, S, E_i, E_tot, below) runs Euler steps from
-    the state x, len(V) of them unless the run ends first, and returns
-    (steps, below, peak, discarded). It writes the state after each step
-    into x and its spread, as metrics.spread_and_peak gives it, into V.
+    run(x, y, keep, states, U, V, S, E_i, E_tot, below) runs Euler steps
+    from the state x, len(V) of them unless the run ends first, and
+    returns (steps, below, peak, discarded). It writes the state after
+    each step into x, through y, a buffer of g.n floats it may overwrite,
+    and the state's spread, as metrics.spread_and_peak gives it, into V.
     Before the steps keep, keep + every, ... it writes the state into the
     next row of states and the step's control into the next row of U;
     states and U may be None if no such step comes. Unless S is None, each
@@ -189,21 +190,21 @@ def stretch(protocol, g, dt, every, eps, limit, sticky):
     src, dst, w = _arcs(g)
     src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (src, dst))
     w = None if w is None else np.ascontiguousarray(w, dtype=float)
-    acc, y = np.empty(g.n), np.empty(g.n)
+    acc = np.empty(g.n)
     below, peak = ctypes.c_int64(), ctypes.c_double()
-    arrays = (src, dst, w, acc, y)
-    src_p, dst_p, w_p, acc_p, y_p = [None if a is None else a.ctypes.data for a in arrays]
+    arrays = (src, dst, w, acc)
+    src_p, dst_p, w_p, acc_p = [None if a is None else a.ctypes.data for a in arrays]
     eps = math.nan if eps is None else eps  # no spread is at or below NaN
     call = functools.partial(
-        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, every, acc_p, y_p,
+        _lib.stretch, law, mode, g.n, len(dst), src_p, dst_p, w_p, k, k2, dt, every, acc_p,
         eps, limit, sticky,
     )
     out = ctypes.addressof(below), ctypes.addressof(peak)
 
-    def run(x, keep, states, U, V, S, E_i, E_tot, below_in):
+    def run(x, y, keep, states, U, V, S, E_i, E_tot, below_in):
         below.value = below_in
         pointers = [None if a is None else _address(a) for a in (states, U, V, S, E_i, E_tot)]
-        steps = call(len(V), _address(x), keep, *pointers, *out)
+        steps = call(len(V), _address(x), _address(y), keep, *pointers, *out)
         if peak.value != peak.value:
             # a state that fails the guard with a NaN, now in y: numpy's
             # reductions pick which NaN
@@ -220,7 +221,7 @@ def _numpy_stretch(kernel, n, dt, every, eps, limit, sticky):
     follow each chunk."""
     size = max(1, CHUNK_ELEMENTS // n)
 
-    def run(x, keep, states, U, V, S, E_i, E_tot, below):
+    def run(x, y, keep, states, U, V, S, E_i, E_tot, below):
         done, kept = 0, 0
         while True:
             rows = min(size, len(V) - done)

@@ -155,7 +155,8 @@ class _Run:
     runs in one call of its _stretch.stretch, which writes the spread V,
     E_tot and, with per_node, E_i of each state straight into the run's
     records, and the state and control of each recorded step into the
-    strided records. The current state stays in one buffer, self.x.
+    strided records. The current state stays in one buffer, self.x, which
+    each step swaps with a second one.
     Without effort the run integrates none, and E_tot and E_i are None. V,
     the stop and the divergence do not depend on it.
 
@@ -189,6 +190,7 @@ class _Run:
         self._eps = stop_epsilon
         self._stride = record_stride
         self.x = x  # the state at step next - 1
+        self._y = np.empty(net.n)  # the buffer a stretch steps x through
         self.next = 0  # first step not yet observed
         self.stopped = False
         self.error: Optional[DivergenceError] = None
@@ -302,6 +304,7 @@ class _Run:
             run, compiled = self._stretches[now]
             steps, self._run_below, peak, discarded = run(
                 self.x,
+                self._y,
                 keep - j,
                 None if rec is None else self._states[rec],
                 None if rec is None else self._controls[rec],
