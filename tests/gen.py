@@ -149,3 +149,17 @@ def full_size_sweeps():
         rows, _ = run_experiment(experiment, [25, 50, 100, 200], dt=1e-4)
         sweeps[experiment] = {(r.n, r.direction): r for r in rows}
     return sweeps
+
+
+# the CPU features whose numpy kernels a child process turns off, through
+# NPY_DISABLE_CPU_FEATURES, to check that some bits do not depend on them
+AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def dispatches_avx512():
+    """Whether numpy dispatches the AVX512 kernels on this machine."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return all(__cpu_features__.get(name) for name in AVX512)

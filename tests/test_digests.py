@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,7 +36,7 @@ from consensus_lab import _stretch, cli
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
 import zero_drift  # noqa: E402
-from gen import full_size_sweeps  # noqa: E402
+from gen import AVX512, dispatches_avx512, full_size_sweeps  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("digests.json")
 CASES = (
@@ -106,6 +107,35 @@ def test_outputs_keep_their_digests_without_the_library(case, tmp_path, monkeypa
     as where the compiled library cannot be loaded."""
     monkeypatch.setattr(_stretch, "_lib", False)
     assert digests(case, tmp_path) == json.loads(DIGESTS.read_text())[case]
+
+
+# prints the digests of a case as the numpy stretch loop and the %-format
+# rows give them, in a child process
+_NUMPY_DIGESTS = """
+import json, sys, tempfile
+from consensus_lab import _stretch
+import test_digests
+
+_stretch._lib = False
+with tempfile.TemporaryDirectory() as where:
+    print(json.dumps(test_digests.digests(sys.argv[1], where)))
+"""
+
+
+@pytest.mark.skipif(not dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+def test_numpy_loop_keeps_its_digests_without_avx512():
+    """The numpy loop's np.sum of E_i, whose pairwise order the compiled
+    loop copies, and its other reductions give the pinned bytes also where
+    numpy dispatches no AVX-512 kernels."""
+    case = "example1-epsilon-per-node"
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512), PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", _NUMPY_DIGESTS, case], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == json.loads(DIGESTS.read_text())[case]
 
 
 def test_full_size_benchmark_rows_keep_their_digests(benchmark_sweeps):

@@ -29,7 +29,7 @@ from consensus_lab.protocols import (
     protocol_to_json,
 )
 
-from gen import ANY_WEIGHTS, digraphs
+from gen import ANY_WEIGHTS, AVX512, digraphs, dispatches_avx512
 
 X_SAMPLES = (0.3, 1.0, 2.7, -1.3, -0.4)
 LAM_SAMPLES = (0.25, 0.5, 2.0, 4.0, 10.0)
@@ -356,24 +356,15 @@ with mock.patch.object(_stretch, "load", lambda: None):
 arrays = (traj.states, traj.controls, traj.metrics.V, traj.metrics.E_tot, traj.metrics.E_i)
 print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
 """
-_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 
 
-def _dispatches_avx512():
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return all(__cpu_features__.get(name) for name in _AVX512)
-
-
-@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+@pytest.mark.skipif(not dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
 def test_fixed_time_bits_do_not_depend_on_simd_dispatch():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(_FIXED_TIME_DIGESTS, {})
     src = os.path.dirname(os.path.dirname(consensus_lab.__file__))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512), PYTHONPATH=src)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512), PYTHONPATH=src)
     res = subprocess.run(
         [sys.executable, "-c", _FIXED_TIME_DIGESTS], env=env, capture_output=True, text=True
     )
