@@ -135,7 +135,7 @@ def _law(f):
     return {Linear: LINEAR, Sign: SIGN}.get(type(f))
 
 
-def sticky_stop(V, eps, below, sticky):
+def _sticky_stop(V, eps, below, sticky):
     """The sticky stop in a chunk of spreads V: the row at which the
     sticky-th consecutive spread at or below eps falls (len(V) if none),
     and the run of such spreads that ends V, given below of them before
@@ -241,7 +241,7 @@ def _numpy_stretch(kernel, n, dt, every, eps, limit, sticky):
             bad = np.flatnonzero(~(peak <= limit))
             end = int(bad[0]) if bad.size else rows
             if eps is not None:
-                stop, below = sticky_stop(spread, eps, below, sticky)
+                stop, below = _sticky_stop(spread, eps, below, sticky)
                 end = min(end, stop)
             k = min(end + 1, rows)  # the rows the run takes
             V[done : done + k] = spread[:k]

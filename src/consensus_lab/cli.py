@@ -110,7 +110,7 @@ def _named_os_error(exc, path):
 
 
 def _temporary_beside(out):
-    """(file, path): a new file, open for binary reading and writing, on
+    """(file, path): a new file, open for binary writing, on
     the filesystem of the directory out, so that it can be renamed into
     out: in out if it is a directory, and otherwise in its nearest
     ancestor that is. Its mode is that of a file open() creates, 0o666
@@ -125,7 +125,7 @@ def _temporary_beside(out):
     umask = os.umask(0)
     os.umask(umask)
     os.fchmod(fd, 0o666 & ~umask)
-    return os.fdopen(fd, "w+b"), path
+    return os.fdopen(fd, "wb"), path
 
 
 def cmd_simulate(args) -> int:

@@ -156,9 +156,9 @@ class _Run:
     E_tot and, with per_node, E_i of each state straight into the run's
     records, and the state and control of each recorded step into the
     strided records. The current state stays in one buffer, self.x, which
-    each step swaps with a second one.
-    Without effort the run integrates none, and E_tot and E_i are None. V,
-    the stop and the divergence do not depend on it.
+    each step swaps with a second one. Without effort the run integrates
+    none, and E_tot and E_i are None. V, the stop and the divergence do
+    not depend on it.
 
     The stretch also decides, after every step, the divergence guard and
     the sticky stop, and ends there. A state that fails the guard ends the
