@@ -7,7 +7,8 @@ sha256 of its stdout, its stderr and every file and directory it leaves
 beside its inputs, as the last accepted tree gave them. It also holds the
 repr of the gain, settling time and E_tot of every row of both
 experiments over the full size grid at dt = 1e-4, which the session's
-benchmark_sweeps fixture runs for the acceptance criteria already. The runs go
+benchmark_sweeps fixture runs for the acceptance criteria already, and
+which run once more without the library. The runs go
 through cli.main in this process, with the compiled library and again
 without it. Their laws are linear, power 1/2 and the fixed-time law with
 p = 1/2 and q = 3/2, all computed through sqrt, whose bits do not depend
@@ -141,6 +142,13 @@ def test_numpy_loop_keeps_its_digests_without_avx512():
 def test_full_size_benchmark_rows_keep_their_digests(benchmark_sweeps):
     pinned = json.loads(DIGESTS.read_text())[FULL_SIZE_ROWS]
     assert full_size_rows(benchmark_sweeps) == pinned
+
+
+def test_full_size_benchmark_rows_keep_their_digests_without_the_library(monkeypatch):
+    """The same rows from the numpy stretch loop, in about 6 s."""
+    monkeypatch.setattr(_stretch, "_lib", False)
+    pinned = json.loads(DIGESTS.read_text())[FULL_SIZE_ROWS]
+    assert full_size_rows(full_size_sweeps()) == pinned
 
 
 if __name__ == "__main__":
