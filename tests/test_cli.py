@@ -334,7 +334,7 @@ class TestStreamedMetrics:
 
     def test_per_node_rows_are_held_for_one_block(self, tmp_path):
         # 4100 steps of 100 nodes: 4096 rows of E_i alone would take 3.3 MB.
-        # The run holds its block buffers (2 x 2^14 floats), one block of
+        # The run holds its E_i block buffer (2^14 floats), one block of
         # rows as it formats them, and V, E_tot and the step times (24
         # bytes a step, 0.1 MB here)
         net = write_json(tmp_path / "net.json", static_network_json(cycle_graph_json(100)))
