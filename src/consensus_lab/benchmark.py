@@ -8,23 +8,26 @@ fixed across sizes so settling time and control effort can be compared as
 the algebraic connectivity falls.
 
 Each calibration probe and each sweep row is one run of one system (see
-simulate._Run). The two directions share nothing at all, so
-run_experiment calibrates and sweeps the per-edge direction in a forked
-child process beside the aggregated one, and raises the first failure in
-serial order.
+simulate._Run), and reads its settling time from the run's own count of
+the steps at or below epsilon. The two directions share nothing at all,
+so run_experiment calibrates and sweeps the per-edge direction in a
+thread beside the aggregated one, and raises the first failure in serial
+order. A run spends nearly all its time in compiled stretches, which
+release the interpreter lock, so the two threads overlap.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, _stretch
-from .forked import ForkedCall
-from .metrics import _require_positive, settling_time
+# bench/layers.py traces consensus_lab.benchmark.settling_time, so the name
+# stays, although the runs read their settling steps themselves
+from .metrics import _require_positive, settling_time  # noqa: F401
 from .protocols import Direction, FixedTime, Power, Protocol
 # bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
 from .simulate import DivergenceError, _Run, _step_times, simulate  # noqa: F401
@@ -185,7 +188,8 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
             if run.error is None and run.V[run.next - 1] > target_v:
                 return math.inf
         run.advance(last)
-        return None if run.error else settling_time(run.metrics(), target_v)
+        step = None if run.error else run.settling_step()
+        return None if step is None else float(run.t0 + run.dt * step)
 
     def fast(t):
         return t is not None and t <= target_t
@@ -238,15 +242,13 @@ def _experiment_family(experiment: int) -> str:
     raise ValueError(f"experiment must be 1 or 2, got {experiment}")
 
 
-def _settled(run, epsilon, dt):
-    """(settling time, E_tot at it) of the run, or None if it has not
-    settled."""
-    metrics = run.metrics()
-    t_star = settling_time(metrics, epsilon)
-    if t_star is None:
+def _settled(run):
+    """(settling time, E_tot at it) of the run for its stop_epsilon, or
+    None if it has not settled."""
+    step = run.settling_step()
+    if step is None:
         return None
-    idx = int(round((t_star - metrics.times[0]) / dt))
-    return t_star, float(metrics.E_tot[idx])
+    return float(run.t0 + run.dt * step), float(run.E_tot[step])
 
 
 def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
@@ -270,7 +272,7 @@ def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
             exc = DivergenceError(run.error.time, run.error.max_abs, context=context)
             exc.__cause__ = run.error
             return exc
-        settled = _settled(run, epsilon, dt)
+        settled = _settled(run)
         if settled is not None:
             return settled
         steps *= 2
@@ -321,13 +323,15 @@ def run_experiment(
     Returns (rows, meta): rows sorted by n with the per-edge row first at
     each size, meta a JSON-ready record of everything needed to replay.
     The directions share nothing, so each one's calibration and rows (see
-    _direction_outcomes) run side by side: every direction but the last in
-    a forked child (see forked.ForkedCall), the last in this process. Their
-    outcomes are then read in serial order: the per-edge calibration, the
-    aggregated one, and the rows by size with the per-edge row first. The
-    first failure raises, unchanged, as in a serial run: a CalibrationError,
-    a row's DivergenceError or RuntimeError, or whatever else a direction
-    raised.
+    _direction_outcomes) run side by side: the per-edge ones in a daemon
+    thread, the aggregated ones in the calling thread. Their outcomes are
+    then read in serial order: the per-edge calibration, the aggregated
+    one, and the rows by size with the per-edge row first. The first
+    failure raises, unchanged, as in a serial run: a CalibrationError, a
+    row's DivergenceError or RuntimeError, or whatever else a direction
+    raised. An exception the calling thread's chain raises, such as a
+    KeyboardInterrupt, leaves at once, and the per-edge thread finishes in
+    the background.
     """
     family = _experiment_family(experiment)
     sizes = sorted(set(int(s) for s in sizes))
@@ -341,23 +345,20 @@ def run_experiment(
 
     directions = (Direction.PER_EDGE, Direction.AGGREGATED)
     base_steps = _base_steps(target_t, dt)
-    chains = [
-        functools.partial(
-            _direction_outcomes,
-            family, d, sizes, epsilon, dt, target_v, target_t, lcg, base_steps,
+    outcomes = [None] * len(directions)
+
+    def chain(i):
+        outcomes[i] = _direction_outcomes(
+            family, directions[i], sizes, epsilon, dt, target_v, target_t, lcg, base_steps
         )
-        for d in directions
-    ]
-    # build the compiled stretch loop here, so children inherit it rather
-    # than race to build it
+
+    # build the compiled stretch loop here, so the two threads do not both
+    # build it
     _stretch.load()
-    children = [ForkedCall(chain) for chain in chains[:-1]]
-    try:
-        last = chains[-1]()
-        outcomes = [child.result() for child in children] + [last]
-    finally:
-        for child in children:
-            child.close()
+    worker = threading.Thread(target=chain, args=(0,), daemon=True)
+    worker.start()
+    chain(1)
+    worker.join()
 
     calibration = {}
     for d, (cal, _) in zip(directions, outcomes):

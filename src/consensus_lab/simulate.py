@@ -68,15 +68,6 @@ class DivergenceError(RuntimeError):
         self.max_abs = float(max_abs)
         self.context = context
 
-    def __reduce__(self):
-        # the default pickles the message as the only argument and drops
-        # __cause__; a sweep row's error crosses a process boundary with both
-        return (
-            type(self),
-            (self.time, self.max_abs, self.context),
-            {"__cause__": self.__cause__},
-        )
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -217,6 +208,14 @@ class _Run:
     @property
     def ended(self):
         return self.stopped or self.error is not None
+
+    def settling_step(self):
+        """The first step from which on every observed spread is at or
+        below stop_epsilon, read from the run of such steps the stretches
+        carry: the step whose time metrics.settling_time gives for that
+        epsilon. None if the last observed spread is above it, or without
+        stop_epsilon."""
+        return self.next - self._run_below if self._run_below else None
 
     def _record(self, last_step, *width, every=1):
         """An empty record of the steps 0, every, 2 every, ... up to

@@ -1,6 +1,5 @@
 import math
-import os
-import signal
+import threading
 import time
 from unittest import mock
 
@@ -351,7 +350,7 @@ class TestSweepFailures:
     def test_per_edge_divergence(self):
         # per-edge, k = 130: the n = 12 row diverges and the n = 25 row never
         # settles; aggregated, k = 60: every row settles. The per-edge rows
-        # run in the forked child, so the error comes back pickled
+        # run in the worker thread, so the error comes back from it
         gains, sizes, eps, dt = {PE: 130.0, AGG: 60.0}, [7, 12, 25, 40], 0.05, 1e-3
         target_t = 0.005
         want = _first_serial_failure(
@@ -371,8 +370,8 @@ class TestSweepFailures:
         "failing", [(PE,), (AGG,), (PE, AGG)], ids=["per-edge", "aggregated", "both"]
     )
     def test_calibration_failure(self, failing):
-        # the per-edge calibration fails in the forked child, the aggregated
-        # one in this process; the serial order raises the per-edge one first
+        # the per-edge calibration fails in the worker thread, the aggregated
+        # one in this one; the serial order raises the per-edge one first
         def calibrate(family, direction, *args, **kwargs):
             if direction in failing:
                 raise CalibrationError(f"{direction.value} calibration failed")
@@ -405,49 +404,47 @@ class TestSweepFailures:
 
 
 class TestSideBySide:
-    """run_experiment runs the per-edge calibration and rows in a forked
-    child beside the aggregated ones."""
+    """run_experiment runs the per-edge calibration and rows in a worker
+    thread beside the aggregated ones."""
 
-    def test_same_outcome_without_fork(self, monkeypatch):
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: (forks.append(None), fork())[1])
-        forked = run_experiment(1, [10, 25], dt=1e-3)
-        assert len(forks) == 1
-        assert_no_child()
-        monkeypatch.delattr(os, "fork")
-        rows, meta = run_experiment(1, [10, 25], dt=1e-3)
-        assert [(r.n, r.direction) for r in rows] == [
-            (n, d) for n in (10, 25) for d in ("per_edge", "aggregated")
-        ]
-        assert (rows, meta) == forked
-        assert len(forks) == 1
+    def test_per_edge_chain_runs_in_a_worker_thread(self):
+        threads = {}
 
-    def test_child_killed_when_this_process_raises(self):
         def calibrate(family, direction, *args, **kwargs):
-            if direction is PE:
-                time.sleep(60)  # only a kill ends the child in time
-            raise KeyboardInterrupt
-
-        start = time.monotonic()
-        with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
-            with pytest.raises(KeyboardInterrupt):
-                run_experiment(1, [25], dt=1e-3)
-        assert time.monotonic() - start < 30
-        assert_no_child()
-
-    def test_child_that_sends_no_result(self):
-        def calibrate(family, direction, *args, **kwargs):
-            if direction is PE:
-                os.kill(os.getpid(), signal.SIGKILL)
+            threads[direction] = threading.get_ident()
             return 8.0, 1.0
 
+        before = threading.enumerate()
         with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
-            with pytest.raises(ChildProcessError) as got:
-                run_experiment(1, [25], dt=1e-3)
-        assert type(got.value) is ChildProcessError
-        assert str(got.value).endswith(f"sent no result: wait status {signal.SIGKILL}")
-        assert_no_child()
+            rows, _ = run_experiment(1, [25], dt=1e-3)
+        assert [r.direction for r in rows] == ["per_edge", "aggregated"]
+        assert threads[AGG] == threading.get_ident()
+        assert threads[PE] != threads[AGG]
+        assert threading.enumerate() == before
+
+    def test_caller_interrupt_leaves_at_once(self):
+        release = threading.Event()
+
+        def calibrate(family, direction, *args, **kwargs):
+            if direction is PE:
+                release.wait(60)  # holds the worker past the interrupt
+                raise CalibrationError("released")
+            raise KeyboardInterrupt
+
+        before = threading.enumerate()
+        start = time.monotonic()
+        try:
+            with mock.patch.object(benchmark_module, "calibrate_gain", calibrate):
+                with pytest.raises(KeyboardInterrupt):
+                    run_experiment(1, [25], dt=1e-3)
+            assert time.monotonic() - start < 5
+            # the worker still waits: it finishes in the background
+            assert len(threading.enumerate()) == len(before) + 1
+        finally:
+            release.set()
+            for worker in set(threading.enumerate()) - set(before):
+                worker.join(10)
+        assert threading.enumerate() == before
 
 
 class TestRunExperiment:

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -279,23 +278,6 @@ class TestDivergence:
         assert err.value.time == cfg.t_end
         assert err.value.max_abs == 2e12 - 1
 
-    def test_pickle_round_trip(self):
-        # a sweep row's error, as benchmark._sweep_rows builds it, crosses a
-        # process boundary pickled
-        cause = DivergenceError(1.25, 3.5e12)
-        err = DivergenceError(1.5, 2e12, context="benchmark row n=12 direction=per_edge")
-        err.__cause__ = cause
-        got = pickle.loads(pickle.dumps(err))
-        assert type(got) is DivergenceError
-        assert str(got) == str(err)
-        assert str(got).startswith("benchmark row n=12 direction=per_edge: state diverged")
-        assert (got.time, got.max_abs, got.context) == (1.5, 2e12, err.context)
-        assert type(got.__cause__) is DivergenceError
-        assert str(got.__cause__) == str(cause)
-        assert (got.__cause__.time, got.__cause__.max_abs) == (1.25, 3.5e12)
-        assert got.__cause__.__cause__ is None
-        assert got.__suppress_context__
-
 
 class TestStickyStop:
     def test_early_exit(self):
@@ -314,6 +296,60 @@ class TestStickyStop:
         cfg = SimConfig(t_end=1.0, dt=1e-3)
         traj = simulate(static_net(g), Protocol(AGG, Linear(5.0)), [1.0, -1.0], cfg)
         assert traj.metrics.times[-1] == pytest.approx(1.0)
+
+
+class TestSettlingStep:
+    """_Run.settling_step is the step of metrics.settling_time's answer
+    for the run's stop_epsilon, on both stretch loops. The system is the
+    aggregated sign law on the switched ring of ten nodes, whose spread
+    chatters across 0.1 from step 448 and stays at or below it from step
+    600 on."""
+
+    @staticmethod
+    def _run(eps, compiled):
+        net = benchmark_module.benchmark_topology(10)
+        x0 = benchmark_module.lcg_initial_conditions(benchmark_module.LcgConfig(), 10)
+        with contextlib.nullcontext() if compiled else _numpy_only():
+            return _Run(net, Protocol(AGG, Sign(20.0)), x0, 1e-3, stop_epsilon=eps)
+
+    @staticmethod
+    def _oracle(run):
+        metrics = run.metrics()
+        t_star = settling_time(metrics, run._eps)
+        return None if t_star is None else int(np.flatnonzero(metrics.times == t_star)[0])
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize(
+        "eps, last, step, stopped",
+        [
+            (100.0, 3000, 0, True),  # never above epsilon
+            (0.1, 400, None, False),  # still above it at the end
+            (0.1, 3000, 600, True),  # the sticky stop
+            (0.1, 650, 600, False),  # the horizon, before the sticky stop
+        ],
+        ids=["never-above", "ends-above", "sticky-stop", "horizon"],
+    )
+    def test_matches_settling_time(self, eps, last, step, stopped, compiled):
+        run = self._run(eps, compiled)
+        run.advance(last)
+        assert run.error is None and run.stopped == stopped
+        assert run.settling_step() == self._oracle(run) == step
+        if not compiled:
+            assert run.counters["stretches_compiled"] == 0
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_resumed_run(self, compiled):
+        # pieces of 37 steps end above and below epsilon while the spread
+        # chatters, so the step comes and goes and moves on
+        run = self._run(0.1, compiled)
+        steps = []
+        for last in range(0, 3000, 37):
+            run.advance(last)
+            steps.append(run.settling_step())
+            assert steps[-1] == self._oracle(run)
+        assert run.stopped
+        changes = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
+        assert changes == [None, 518, None, 592, 600]
 
 
 class TestEvents:
