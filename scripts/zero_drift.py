@@ -12,6 +12,9 @@ script runs
 - consensus-lab benchmark --experiment 1 --sizes 25 --dt 1e-3
   --target-t 0.0001, which fails its calibration and exits 1, so the
   error path is compared too;
+- consensus-lab benchmark --experiment 1 --sizes 25,50 --dt 1e-3
+  --epsilon 1e-6, whose per-edge row at n = 25 does not settle, so the
+  sweep's failure path is compared and the run exits 3;
 - consensus-lab benchmark --experiment 2 --sizes 25 --dt 1e-3 --target-t
   0.5, which calibrates the fixed-time law at a coarse step against a
   short target;
@@ -67,12 +70,12 @@ script runs
   --tau 1, whose windows union both and pass, and --tau 0.5, which fails
   on the window that holds 0->1<-2 alone.
 
-Every run writes into its own temporary directory, which holds the files
-of INPUTS before it starts, and the other inputs are this checkout's
-configs for both trees. The exit code, stdout, stderr and every file and
-directory of each run must be the same bytes for both trees. Exits 0 if
-they are, and 1 after listing every difference otherwise. A full check
-takes about a minute.
+Each of the 35 runs writes into its own temporary directory, which holds
+the files of INPUTS before it starts, and the other inputs are this
+checkout's configs for both trees. The exit code, stdout, stderr and
+every file and directory of each run must be the same bytes for both
+trees. Exits 0 if they are, and 1 after listing every difference
+otherwise. A full check takes about a minute.
 """
 
 import json
@@ -180,6 +183,9 @@ CASES = {
     ] + HERE,
     "benchmark-calibration-error": [
         "benchmark", "--experiment", "1", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.0001",
+    ] + HERE,
+    "benchmark-sweep-row-fails": [
+        "benchmark", "--experiment", "1", "--sizes", "25,50", "--dt", "1e-3", "--epsilon", "1e-6",
     ] + HERE,
     "benchmark-mispredicted-calibration": [
         "benchmark", "--experiment", "2", "--sizes", "25", "--dt", "1e-3", "--target-t", "0.5",

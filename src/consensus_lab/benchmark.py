@@ -9,11 +9,12 @@ the algebraic connectivity falls.
 
 Each calibration probe and each sweep row is one run of one system (see
 simulate._Run), and reads its settling time from the run's own count of
-the steps at or below epsilon. The two directions share nothing at all,
-so run_experiment calibrates and sweeps the per-edge direction in a
-thread beside the aggregated one, and raises the first failure in serial
-order. A run spends nearly all its time in compiled stretches, which
-release the interpreter lock, so the two threads overlap.
+the steps at or below epsilon. A failing row raises, and its direction
+runs no later row. The two directions share nothing at all, so
+run_experiment calibrates and sweeps the per-edge direction in a thread
+beside the aggregated one, and raises the first failure in serial order.
+A run spends nearly all its time in compiled stretches, which release
+the interpreter lock, so the two threads overlap.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
         run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9, effort=False)
         if cut is not None:
             run.advance(cut)
-            if run.error is None and run.V[run.next - 1] > target_v:
+            if run.error is None and run.settling_step() is None:
                 return math.inf
         run.advance(last)
         step = None if run.error else run.settling_step()
@@ -242,24 +243,15 @@ def _experiment_family(experiment: int) -> str:
     raise ValueError(f"experiment must be 1 or 2, got {experiment}")
 
 
-def _settled(run):
-    """(settling time, E_tot at it) of the run for its stop_epsilon, or
-    None if it has not settled."""
-    step = run.settling_step()
-    if step is None:
-        return None
-    return float(run.t0 + run.dt * step), float(run.E_tot[step])
-
-
 def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
     """Settling time and E_tot of one direction's sweep row at size n.
 
     The row's run is advanced base_steps steps and then on through doubled
     step counts, up to ten times, until it is resolved. Returns (settling
-    time, E_tot) once it has settled, its DivergenceError if it diverged,
-    or a RuntimeError if it is unresolved after the last horizon. The
-    outcome is that of a fresh run at each horizon, since a run's prefix
-    does not depend on where it ends.
+    time, E_tot) once it has settled. Raises its DivergenceError if it
+    diverged, or a RuntimeError if it is unresolved after the last horizon.
+    The outcome is that of a fresh run at each horizon, since a run's
+    prefix does not depend on where it ends.
     """
     protocol = benchmark_protocol(family, direction, k)
     x0 = lcg_initial_conditions(lcg, n)
@@ -269,32 +261,26 @@ def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
     for _ in range(11):
         run.advance(steps)
         if run.error is not None:
-            exc = DivergenceError(run.error.time, run.error.max_abs, context=context)
-            exc.__cause__ = run.error
-            return exc
-        settled = _settled(run)
-        if settled is not None:
-            return settled
+            raise DivergenceError(run.error.time, run.error.max_abs, context=context) from run.error
+        step = run.settling_step()
+        if step is not None:
+            return float(run.t0 + run.dt * step), float(run.E_tot[step])
         steps *= 2
-    return RuntimeError(f"{context} did not settle within {steps // 2 * dt} s")
-
-
-def _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_steps):
-    """The outcome of each of one direction's sweep rows (see _sweep_row),
-    in the order of sizes."""
-    return [_sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps) for n in sizes]
+    raise RuntimeError(f"{context} did not settle within {steps // 2 * dt} s")
 
 
 def _direction_outcomes(
     family, direction, sizes, epsilon, dt, target_v, target_t, lcg, base_steps
 ):
-    """Calibrate one direction at n = 25, then run its sweep rows.
+    """Calibrate one direction at n = 25, then run its sweep rows in the
+    order of sizes.
 
     Returns (calibration, rows). calibration is calibrate_gain's (k,
-    achieved time) or the exception it raised; rows is _sweep_rows' list of
-    row outcomes, the exception it raised, or None after a failed
-    calibration. Exceptions are returned, not raised, so run_experiment
-    can raise the first failure of all directions in serial order.
+    achieved time) or the exception it raised, and rows is None after a
+    failed calibration. Otherwise rows lists each row's (settling time,
+    E_tot) up to the first row that raises, and then that exception; no
+    later row runs. Exceptions are returned, not raised, so run_experiment
+    can raise the first failure of both directions in serial order.
     """
     try:
         k, achieved = calibrate_gain(
@@ -302,10 +288,12 @@ def _direction_outcomes(
         )
     except Exception as exc:  # carried to run_experiment, which raises it
         return exc, None
+    rows = []
     try:
-        rows = _sweep_rows(family, direction, k, sizes, epsilon, dt, lcg, base_steps)
+        for n in sizes:
+            rows.append(_sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps))
     except Exception as exc:  # carried to run_experiment, which raises it
-        rows = exc
+        rows.append(exc)
     return (k, achieved), rows
 
 
@@ -328,10 +316,10 @@ def run_experiment(
     then read in serial order: the per-edge calibration, the aggregated
     one, and the rows by size with the per-edge row first. The first
     failure raises, unchanged, as in a serial run: a CalibrationError, a
-    row's DivergenceError or RuntimeError, or whatever else a direction
-    raised. An exception the calling thread's chain raises, such as a
-    KeyboardInterrupt, leaves at once, and the per-edge thread finishes in
-    the background.
+    row's DivergenceError or RuntimeError, or whatever else a calibration
+    or a row raised, each in its place in that order. An exception the
+    calling thread's chain raises, such as a KeyboardInterrupt, leaves at
+    once, and the per-edge thread finishes in the background.
     """
     family = _experiment_family(experiment)
     sizes = sorted(set(int(s) for s in sizes))
@@ -365,9 +353,6 @@ def run_experiment(
         if isinstance(cal, Exception):
             raise cal
         calibration[d.value] = {"k": cal[0], "achieved_settling": cal[1]}
-    for _, sweep in outcomes:
-        if isinstance(sweep, Exception):
-            raise sweep
     rows = []
     for i, n in enumerate(sizes):
         for d, (_, sweep) in zip(directions, outcomes):

@@ -49,7 +49,8 @@ from .io import (  # noqa: F401
     write_results_csv,
     write_trajectory_csv,
 )
-from .metrics import settling_time
+# bench/layers.py traces consensus_lab.cli.settling_time, so the name stays
+from .metrics import settling_time  # noqa: F401
 from .protocols import protocol_from_json, protocol_to_json
 # bench/layers.py traces consensus_lab.cli.simulate, so the name stays
 from .simulate import (  # noqa: F401
@@ -187,14 +188,14 @@ def cmd_simulate(args) -> int:
     )
     final_v = float(traj.metrics.V[-1])
     if args.epsilon is not None:
-        t_star = settling_time(traj.metrics, args.epsilon)
-        if t_star is None:
+        step = run.settling_step()
+        if step is None:
             print(
                 f"did not settle below epsilon={args.epsilon:g} by "
                 f"t={traj.metrics.times[-1]:g} (final V={final_v:g})"
             )
             return EXIT_NO_SETTLE
-        print(f"settled at t={t_star:.17g} (epsilon={args.epsilon:g})")
+        print(f"settled at t={run.t0 + run.dt * step:.17g} (epsilon={args.epsilon:g})")
     else:
         print(f"finished at t={traj.metrics.times[-1]:g} with V={final_v:.17g}")
     return EXIT_OK

@@ -18,7 +18,7 @@ are those of a check after every step. A run whose caller reads no
 effort, such as a calibration probe, skips the effort integrals
 altogether, and only a caller that reads the per-node effort E_i has its
 rows written, into one block of steps at a time. Each run integrates one
-system; simulate_batch runs independent systems one after another.
+system.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "Trajectory",
     "DivergenceError",
     "simulate",
-    "simulate_batch",
     "replay_check",
 ]
 
@@ -390,23 +389,6 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Tra
     if E_i is not None:
         traj.metrics.E_i = E_i[: run.next]
     return traj
-
-
-def simulate_batch(systems, cfg: SimConfig) -> list:
-    """Integrate independent closed loops, each from its x0 until t_end or
-    its own sticky stop.
-
-    systems lists (net, protocol, x0) triples. Returns, per system, its
-    Trajectory, or the DivergenceError that ended it, as simulate gives
-    them.
-    """
-    outcomes = []
-    for system in systems:
-        try:
-            outcomes.append(simulate(*system, cfg))
-        except DivergenceError as exc:
-            outcomes.append(exc)
-    return outcomes
 
 
 def replay_check(traj: Trajectory, net: DynamicNetwork, protocol: Protocol, cfg: SimConfig):

@@ -36,7 +36,7 @@ from consensus_lab.protocols import (
     limit_function,
     protocol_from_json,
 )
-from consensus_lab.simulate import SimConfig, simulate, simulate_batch
+from consensus_lab.simulate import SimConfig, simulate
 from consensus_lab.switching import DynamicNetwork, FloorModulo, network_from_json
 
 from gen import brute_components, random_undirected
@@ -173,11 +173,8 @@ def test_criterion_05_joint_connectivity_necessity():
     )
     assert settling_time(traj.metrics, 0.05) is not None
 
-    # the frozen members are independent systems: one union run covers them
-    stuck_runs = simulate_batch(
-        [(static_net(g), protocol, EXAMPLE2_X0) for g in net.graphs],
-        SimConfig(t_end=5.0, dt=1e-4, record_stride=10**9),
-    )
+    stuck_cfg = SimConfig(t_end=5.0, dt=1e-4, record_stride=10**9)
+    stuck_runs = [simulate(static_net(g), protocol, EXAMPLE2_X0, stuck_cfg) for g in net.graphs]
     for m, stuck in enumerate(stuck_runs):
         assert float(stuck.metrics.V[-1]) > 1.0, f"stuck member {m}"
 
@@ -200,11 +197,9 @@ def test_criterion_06_fixed_time_saturation():
     dt, eps = 1e-3, 1e-2
 
     def t_stars(f, scales):
-        # the scaled runs are independent systems: one union run covers them
-        trajs = simulate_batch(
-            [(net, Protocol(Direction.AGGREGATED, f), scale * base) for scale in scales],
-            SimConfig(t_end=800.0, dt=dt, stop_epsilon=eps, record_stride=10**9),
-        )
+        protocol = Protocol(Direction.AGGREGATED, f)
+        cfg = SimConfig(t_end=800.0, dt=dt, stop_epsilon=eps, record_stride=10**9)
+        trajs = [simulate(net, protocol, scale * base, cfg) for scale in scales]
         times = [settling_time(traj.metrics, eps) for traj in trajs]
         for scale, t in zip(scales, times):
             assert t is not None, f"{f} at scale {scale} never settled"

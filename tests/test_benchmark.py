@@ -15,7 +15,7 @@ from consensus_lab.benchmark import (
     LcgConfig,
     _base_steps,
     _cut_step,
-    _sweep_rows,
+    _sweep_row,
     benchmark_protocol,
     benchmark_topology,
     calibrate_gain,
@@ -292,8 +292,8 @@ class TestSweepRow:
         k, n, eps, dt, base = 1.0, 10, 0.05, 1e-3, 0.125
         t_star, e_tot, horizon = _serial_row("power", AGG, k, n, eps, dt, base)
         assert horizon >= 4 * base
-        got = _sweep_rows("power", AGG, k, [n], eps, dt, LcgConfig(), round(base / dt))
-        assert got == [(t_star, e_tot)]
+        got = _sweep_row("power", AGG, k, n, eps, dt, LcgConfig(), round(base / dt))
+        assert got == (t_star, e_tot)
 
     # with k = 3 the smallest row settles within base and a larger one only
     # after two or more doublings
@@ -306,12 +306,15 @@ class TestSweepRow:
             ("fixed_time", AGG, 0.35),
         ],
     )
-    def test_union_matches_serial_rows(self, family, direction, base):
+    def test_resumed_rows_match_serial_rows(self, family, direction, base):
         k, sizes, eps, dt = 3.0, [7, 10, 12, 25, 40], 0.05, 1e-3
         want = [_serial_row(family, direction, k, n, eps, dt, base) for n in sizes]
         horizons = [h for _, _, h in want]
         assert min(horizons) == base and max(horizons) >= 4 * base
-        got = _sweep_rows(family, direction, k, sizes, eps, dt, LcgConfig(), round(base / dt))
+        got = [
+            _sweep_row(family, direction, k, n, eps, dt, LcgConfig(), round(base / dt))
+            for n in sizes
+        ]
         assert [(t.hex(), e.hex()) for t, e in got] == [
             (t.hex(), e.hex()) for t, e, _ in want
         ]
@@ -336,8 +339,8 @@ class TestSweepFailures:
         gains, sizes, eps, dt = {PE: 106.0, AGG: 130.0}, [7, 12, 25, 40], 0.05, 1e-3
         target_t = 0.005
         base = _base_steps(target_t, dt)
-        per_edge = _sweep_rows("fixed_time", PE, gains[PE], sizes, eps, dt, LcgConfig(), base)
-        assert isinstance(per_edge[2], RuntimeError)
+        with pytest.raises(RuntimeError):
+            _sweep_row("fixed_time", PE, gains[PE], sizes[2], eps, dt, LcgConfig(), base)
         want = _first_serial_failure("fixed_time", gains, sizes, eps, dt, base * dt)
         assert isinstance(want, DivergenceError)
         assert str(want).startswith("benchmark row n=12 direction=aggregated: state diverged")
@@ -391,14 +394,50 @@ class TestSweepFailures:
         gains, sizes, eps, dt = {PE: 1.0, AGG: 1.0}, [12, 25], 1e-6, 1e-3
         target_t = 0.005
         base = _base_steps(target_t, dt)
-        per_edge = _sweep_rows("power", PE, 1.0, sizes, eps, dt, LcgConfig(), base)
-        assert isinstance(per_edge[0], tuple) and isinstance(per_edge[1], RuntimeError)
+        settled = _sweep_row("power", PE, 1.0, sizes[0], eps, dt, LcgConfig(), base)
+        assert isinstance(settled, tuple)
+        with pytest.raises(RuntimeError):
+            _sweep_row("power", PE, 1.0, sizes[1], eps, dt, LcgConfig(), base)
         want = _first_serial_failure("power", gains, sizes, eps, dt, base * dt)
         assert type(want) is RuntimeError
         assert str(want) == "benchmark row n=12 direction=aggregated did not settle within 20.48 s"
         with pytest.raises(RuntimeError) as got:
             self._run(1, gains, sizes, eps, dt, target_t)
         assert type(got.value) is RuntimeError and str(got.value) == str(want)
+        assert_no_child()
+
+    def test_direction_stops_at_its_first_failing_row(self):
+        # test_unsettled_row's sweep: the aggregated row at n = 12 fails, so
+        # its n = 25 row never runs; the per-edge rows run to n = 25
+        gains, sizes, eps, dt = {PE: 1.0, AGG: 1.0}, [12, 25], 1e-6, 1e-3
+        calls = []
+        sweep_row = benchmark_module._sweep_row
+
+        def counted(family, direction, k, n, *args):
+            calls.append((direction, n))
+            return sweep_row(family, direction, k, n, *args)
+
+        with mock.patch.object(benchmark_module, "_sweep_row", counted):
+            with pytest.raises(RuntimeError, match="n=12 direction=aggregated"):
+                self._run(1, gains, sizes, eps, dt, 0.005)
+        assert [n for d, n in calls if d is AGG] == [12]
+        assert [n for d, n in calls if d is PE] == [12, 25]
+
+    def test_other_failure_is_ordered_by_its_row(self):
+        # a failure that is not a row's own, such as a record too large to
+        # allocate, raises in serial order too: the aggregated one at the
+        # first size before the per-edge one at the last
+        sizes = [7, 25, 40]
+
+        def row(family, direction, k, n, *args):
+            if (direction, n) in ((PE, sizes[-1]), (AGG, sizes[0])):
+                raise ValueError(f"{direction.value} row n={n} failed")
+            return 1.0, 1.0
+
+        with mock.patch.object(benchmark_module, "_sweep_row", row):
+            with pytest.raises(ValueError) as got:
+                self._run(1, {PE: 1.0, AGG: 1.0}, sizes, 0.05, 1e-3, 0.005)
+        assert str(got.value) == "aggregated row n=7 failed"
         assert_no_child()
 
 

@@ -1129,7 +1129,7 @@ class TestCounters:
         assert held < 16 * 8 * n
 
     @requires_compiled
-    def test_calibration_union_runs_compiled(self, monkeypatch):
+    def test_calibration_runs_compiled(self, monkeypatch):
         runs = []
 
         class Recorded(_Run):
