@@ -20,8 +20,10 @@ script runs
   short target;
 - consensus-lab simulate on configs/example1 with --dt 1e-4 --t-end 15
   --per-node --record-stride 1000, with --dt 1e-4 --t-end 10
-  --record-stride 100, and with --dt 1e-3 --t-end 15 --epsilon 0.01
-  --per-node;
+  --record-stride 100, with --dt 1e-3 --t-end 15 --epsilon 0.01
+  --per-node, which settles at t = 7.129 and stops 99 steps later, and
+  with --dt 1e-3 --t-end 7.17 --epsilon 0.01, which settles at the same
+  step but reaches the horizon 41 steps later, before the sticky stop;
 - three simulate runs on configs/example1 that fail: with a linear law
   of gain 1002, which diverges at t = 7.224 and exits 2 (its --out
   directory must not appear); with --epsilon 1e-9, which does not settle
@@ -70,7 +72,7 @@ script runs
   --tau 1, whose windows union both and pass, and --tau 0.5, which fails
   on the window that holds 0->1<-2 alone.
 
-Each of the 35 runs writes into its own temporary directory, which holds
+Each of the 36 runs writes into its own temporary directory, which holds
 the files of INPUTS before it starts, and the other inputs are this
 checkout's configs for both trees. The exit code, stdout, stderr and
 every file and directory of each run must be the same bytes for both
@@ -196,6 +198,8 @@ CASES = {
     + ["--dt", "1e-4", "--t-end", "10", "--record-stride", "100"] + HERE,
     "example1-epsilon-per-node": _SIMULATE
     + ["--dt", "1e-3", "--t-end", "15", "--epsilon", "0.01", "--per-node"] + HERE,
+    "example1-epsilon-settles-at-horizon": _SIMULATE
+    + ["--dt", "1e-3", "--t-end", "7.17", "--epsilon", "0.01"] + HERE,
     "example1-diverges": [
         _SIMULATE[0], _SIMULATE[1], "unstable-protocol.json", *_SIMULATE[3:],
         "--dt", "1e-3", "--t-end", "15", "--per-node", "--out", "run",

@@ -251,20 +251,28 @@ def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
     time, E_tot) once it has settled. Raises its DivergenceError if it
     diverged, or a RuntimeError if it is unresolved after the last horizon.
     The outcome is that of a fresh run at each horizon, since a run's
-    prefix does not depend on where it ends.
+    prefix does not depend on where it ends. E_tot is read from the block
+    that observed the settling step, as the run hands it over.
     """
     protocol = benchmark_protocol(family, direction, k)
     x0 = lcg_initial_conditions(lcg, n)
     run = _Run(benchmark_topology(n), protocol, x0, dt, stop_epsilon=epsilon, record_stride=10**9)
     context = f"benchmark row n={n} direction={direction.value}"
+    e_tot = {}  # the E_tot of each settling step a block ended on
+
+    def rows(block):
+        first, step = run.next - len(block.V), run.settling_step()
+        if step is not None and step >= first:
+            e_tot[step] = block.E_tot[step - first]
+
     steps = base_steps
     for _ in range(11):
-        run.advance(steps)
+        run.advance(steps, rows)
         if run.error is not None:
             raise DivergenceError(run.error.time, run.error.max_abs, context=context) from run.error
         step = run.settling_step()
         if step is not None:
-            return float(run.t0 + run.dt * step), float(run.E_tot[step])
+            return float(run.t0 + run.dt * step), float(e_tot[step])
         steps *= 2
     raise RuntimeError(f"{context} did not settle within {steps // 2 * dt} s")
 

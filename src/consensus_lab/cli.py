@@ -4,12 +4,12 @@ Exit codes: 0 ok, 1 input or I/O error, 2 divergence, 3 no settle, 4
 verification failed. Outputs are deterministic; identical invocations write
 byte-identical files.
 
-simulate advances simulate's run once and formats the rows of
-metrics.csv of each block of steps the run hands it, into a temporary file
-on the filesystem of --out, which is renamed into place after the run. So
-the per-node effort E_i is held for one block at a time, in the run's
-block buffer; V and E_tot, which trajectory.csv and the settling time
-read, are kept whole. The output files appear in the order
+simulate runs simulate() once and formats the rows of metrics.csv of
+each block of steps the run hands it, into a temporary file on the
+filesystem of --out, which is renamed into place after the run. So the
+per-node effort E_i is held for one block at a time, in the run's block
+buffers; simulate() gathers V and E_tot whole, for trajectory.csv and the
+settling time. The output files appear in the order
 trajectory.csv, metrics.csv, events.csv, meta.json, and only after the
 run: a run that diverges leaves nothing, not even the temporary file.
 """
@@ -49,16 +49,9 @@ from .io import (  # noqa: F401
     write_results_csv,
     write_trajectory_csv,
 )
-# bench/layers.py traces consensus_lab.cli.settling_time, so the name stays
-from .metrics import settling_time  # noqa: F401
+from .metrics import settling_time
 from .protocols import protocol_from_json, protocol_to_json
-# bench/layers.py traces consensus_lab.cli.simulate, so the name stays
-from .simulate import (  # noqa: F401
-    DivergenceError,
-    SimConfig,
-    _open_run,
-    simulate,
-)
+from .simulate import DivergenceError, SimConfig, simulate
 from .switching import is_tau_jointly_connected, network_from_json, network_to_json
 
 EXIT_OK = 0
@@ -151,15 +144,14 @@ def cmd_simulate(args) -> int:
         record_stride=args.record_stride,
         track_per_node=args.per_node,
     )
-    run, last = _open_run(net, protocol, x0, cfg)
     tmp, tmp_path = _temporary_beside(args.out)
     try:
         with tmp:
             write_metrics_header(tmp, net.n if args.per_node else 0)
-            run.advance(last, lambda block: write_metrics_rows(tmp, block, args.per_node))
-        if run.error is not None:
-            raise run.error
-        traj = run.trajectory()
+            traj = simulate(
+                net, protocol, x0, cfg,
+                rows=lambda block: write_metrics_rows(tmp, block, args.per_node),
+            )
 
         os.makedirs(args.out, exist_ok=True)
         write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
@@ -188,14 +180,14 @@ def cmd_simulate(args) -> int:
     )
     final_v = float(traj.metrics.V[-1])
     if args.epsilon is not None:
-        step = run.settling_step()
-        if step is None:
+        t_star = settling_time(traj.metrics, args.epsilon)
+        if t_star is None:
             print(
                 f"did not settle below epsilon={args.epsilon:g} by "
                 f"t={traj.metrics.times[-1]:g} (final V={final_v:g})"
             )
             return EXIT_NO_SETTLE
-        print(f"settled at t={run.t0 + run.dt * step:.17g} (epsilon={args.epsilon:g})")
+        print(f"settled at t={t_star:.17g} (epsilon={args.epsilon:g})")
     else:
         print(f"finished at t={traj.metrics.times[-1]:g} with V={final_v:.17g}")
     return EXIT_OK

@@ -9,16 +9,17 @@ of _stretch.stretch's run: compiled where the law's arithmetic in C is
 numpy's and the library builds, and protocols._kernel step by step
 otherwise, with the same bytes. A stretch decides the divergence guard
 and the sticky stop itself and ends the run on its step, writes each
-state's spread, the effort E_tot and the strided records straight into
-the run's records, and carries the state in a buffer of n floats. The
+state's spread V, the effort E_tot and the strided records straight into
+the run's buffers, and carries the state in a buffer of n floats. The
 compiled loop does all of it inside its steps, and the numpy loop in
 chunks, with the metrics module's forms, which stay the formula of both.
 The step at which a run stops or diverges, and every number it records,
 are those of a check after every step. A run whose caller reads no
 effort, such as a calibration probe, skips the effort integrals
-altogether, and only a caller that reads the per-node effort E_i has its
-rows written, into one block of steps at a time. Each run integrates one
-system.
+altogether, and only a caller that reads the per-node effort E_i has it
+written. The per-step records are kept for one block of steps at a time,
+which the run hands to its caller: simulate gathers the whole run from
+the blocks. Each run integrates one system.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 STICKY_STEPS = 100
-# a block of steps whose per-node effort E_i a caller reads holds at most
-# this many steps and E_i entries
+# a block of steps holds at most BLOCK_ELEMENTS steps, and where a caller
+# reads the per-node effort E_i, at most BLOCK_STEPS steps and
+# BLOCK_ELEMENTS entries of E_i
 BLOCK_STEPS = 1024
 BLOCK_ELEMENTS = 2**14
 # the work a run counts (see _Run)
@@ -133,18 +135,19 @@ class _Run:
 
     advance(last_step, rows) integrates up to step last_step and may be
     called again with a later step; the pieces give exactly the numbers of
-    one uninterrupted run. The run keeps V and E_tot for every step it
-    observed, and, with per_node, the per-node effort E_i only for the
-    block it observed last: a caller that wants E_i, such as simulate, or
-    the command line's simulate as it formats metrics.csv, reads it from
-    each block that advance hands to rows.
+    one uninterrupted run. The run keeps the per-step records V, E_tot
+    and, with per_node, the per-node effort E_i only for the block of
+    steps it observed last, in one set of block buffers written at the
+    same offset: a caller that reads them, such as simulate, or a sweep
+    row for the E_tot of its settling step, reads them from each block
+    that advance hands to rows.
 
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
     advance by the left-endpoint rule. A stretch of steps under one member
     runs in one call of its _stretch.stretch, which writes the spread V,
-    E_tot and, with per_node, E_i of each state straight into the run's
-    records, and the state and control of each recorded step into the
+    E_tot and, with per_node, E_i of each state straight into the block
+    buffers, and the state and control of each recorded step into the
     strided records. The current state stays in one buffer, self.x, which
     each step swaps with a second one. Without effort the run integrates
     none, and E_tot and E_i are None. V, the stop and the divergence do
@@ -154,9 +157,10 @@ class _Run:
     the sticky stop, and ends there. A state that fails the guard ends the
     run with its DivergenceError as error, and a spread that has stayed at
     or below stop_epsilon for STICKY_STEPS consecutive steps stops it for
-    good; the steps before either are observed. Without per_node a block is
-    the whole advance, one stretch per dwell; with it, a block holds at
-    most BLOCK_STEPS steps and BLOCK_ELEMENTS entries of E_i.
+    good; the steps before either are observed. With per_node a block
+    holds at most BLOCK_STEPS steps and BLOCK_ELEMENTS entries of E_i, and
+    without it at most BLOCK_ELEMENTS steps; the buffers never hold more
+    steps than an advance observes.
 
     counters counts the run's work: Euler steps, blocks, switches,
     stretches run compiled and on numpy, and discarded, the steps that the
@@ -173,7 +177,6 @@ class _Run:
         if not np.isfinite(x).all():
             raise ValueError("x0 must be finite")
         self.net = net
-        self.protocol = protocol
         self.dt = dt
         self.t0 = net.signal.t0
         self._schedule = step_schedule(net.signal, dt)
@@ -184,8 +187,6 @@ class _Run:
         self.next = 0  # first step not yet observed
         self.stopped = False
         self.error: Optional[DivergenceError] = None
-        self.V = np.empty(0)
-        self.E_tot = np.empty(0) if effort else None
         self.events: List[Tuple[float, int, int]] = []
         # the state and control of each recorded step, rows of the steps 0,
         # record_stride, ... before the last observed step
@@ -199,9 +200,13 @@ class _Run:
                              STICKY_STEPS)
             for g in net.graphs
         ]
-        self._E_i = None  # E_i of the steps of a block
-        if per_node and effort:
-            self._E_i = np.empty((max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n)), net.n))
+        # the block buffers of V, E_tot and E_i, a row per step of a block
+        self._V = np.empty(0)
+        self._E_tot = np.empty(0) if effort else None
+        self._E_i = np.empty((0, net.n)) if per_node and effort else None
+        self._block_steps = BLOCK_ELEMENTS
+        if self._E_i is not None:
+            self._block_steps = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // net.n))
         self.counters = dict.fromkeys(COUNTERS, 0)
 
     @property
@@ -233,19 +238,14 @@ class _Run:
         return -(-max(self.next - 1, 0) // self._stride)
 
     def _grow(self, last_step):
-        """Make room in V and E_tot for the steps up to last_step, and in
-        the state and control records for the recorded steps before it."""
-        n, stride, kept = self.net.n, self._stride, self._kept()
-        for name, width, every, used in (
-            ("V", (), 1, self.next),
-            ("E_tot", (), 1, self.next),
-            ("_states", (n,), stride, kept),
-            ("_controls", (n,), stride, kept),
-        ):
+        """Make room in the state and control records for the recorded
+        steps before last_step."""
+        kept = self._kept()
+        for name in ("_states", "_controls"):
             old = getattr(self, name)
-            if old is not None and len(old) <= last_step // every:
-                new = self._record(last_step, *width, every=every)
-                new[:used] = old[:used]
+            if len(old) <= last_step // self._stride:
+                new = self._record(last_step, self.net.n, every=self._stride)
+                new[:kept] = old[:kept]
                 setattr(self, name, new)
 
     def advance(self, last_step, rows=None):
@@ -253,36 +253,45 @@ class _Run:
         first.
 
         rows, if given, is called after each block with the MetricSeries
-        of the steps the block observed. Its E_i, with per_node, is a view
-        of the block buffer, which the next block overwrites, and None
-        otherwise.
+        of the steps the block observed. Its V, E_tot and E_i are views of
+        the block buffers, which the next block overwrites; E_tot is None
+        without effort, and E_i without per_node.
         """
         if self.ended or last_step < self.next:
             return
         self._grow(last_step)
-        E_i = self._E_i
+        size = min(self._block_steps, last_step + 1 - self.next)
+        if len(self._V) < size:
+            self._V, self._E_tot, self._E_i = (
+                None if b is None else np.empty((size,) + b.shape[1:])
+                for b in (self._V, self._E_tot, self._E_i)
+            )
         with np.errstate(all="ignore"):
             while not self.ended and self.next <= last_step:
                 first = self.next
-                end = last_step + 1 if E_i is None else min(first + len(E_i), last_step + 1)
-                self._block(first, end)
+                self._block(first, min(first + self._block_steps, last_step + 1))
                 if rows is not None and self.next > first:
-                    block = None if E_i is None else E_i[: self.next - first]
-                    rows(self._series(first, self.next, block))
+                    k = self.next - first
+                    rows(MetricSeries(
+                        _step_times(first, self.next, self.dt, self.t0),
+                        *(None if b is None else b[:k] for b in (self._V, self._E_tot, self._E_i)),
+                    ))
 
     def _block(self, first, end):
         """Observe steps first..end-1, or up to the run's end: run the
-        Euler steps into them, one stretch per member."""
-        counters, E_i, stride = self.counters, self._E_i, self._stride
+        Euler steps into them, one stretch per member. Step k is row
+        k - first of the block buffers."""
+        counters, stride = self.counters, self._stride
+        V, E_tot, E_i = self._V, self._E_tot, self._E_i
         counters["blocks"] += 1
         j = first - 1  # the Euler step from t_j fills step j + 1
         if first == 0:
             # step 0 is observed before any Euler step, with zero effort
             j = 0
             spread, peak = spread_and_peak(self.x[None])
-            self.V[0] = spread[0]
-            if self.E_tot is not None:
-                self.E_tot[0] = 0.0
+            V[0] = spread[0]
+            if E_tot is not None:
+                E_tot[0] = 0.0
             if E_i is not None:
                 E_i[0] = 0.0
             if not peak[0] <= DIVERGENCE_LIMIT:
@@ -299,6 +308,7 @@ class _Run:
             b = min(change, end - 1)  # the stretch's Euler steps are j..b-1
             keep = -(-j // stride) * stride  # its first recorded step, if below b
             rec = slice(keep // stride, None) if keep < b else None
+            at = slice(j + 1 - first, b + 1 - first)  # the rows of steps j+1..b
             run, compiled = self._stretches[now]
             steps, self._run_below, peak, discarded = run(
                 self.x,
@@ -306,10 +316,10 @@ class _Run:
                 keep - j,
                 None if rec is None else self._states[rec],
                 None if rec is None else self._controls[rec],
-                self.V[j + 1 : b + 1],
+                V[at],
                 self._s_accum,
-                None if E_i is None else E_i[j + 1 - first : b + 1 - first],
-                None if self.E_tot is None else self.E_tot[j + 1 : b + 1],
+                None if E_i is None else E_i[at],
+                None if E_tot is None else E_tot[at],
                 self._run_below,
             )
             counters["stretches_compiled" if compiled else "stretches_numpy"] += 1
@@ -326,69 +336,49 @@ class _Run:
                 break
         self.next = j + 1
 
-    def _series(self, first, end, E_i=None) -> MetricSeries:
-        return MetricSeries(
-            times=_step_times(first, end, self.dt, self.t0),
-            V=self.V[first:end],
-            E_tot=self.E_tot[first:end] if self.E_tot is not None else None,
-            E_i=E_i,
-        )
 
-    def metrics(self) -> MetricSeries:
-        """Per-step record of the steps observed so far, without E_i."""
-        return self._series(0, self.next)
-
-    def trajectory(self) -> Trajectory:
-        """Package the run so far; its current state is always the last sample."""
-        last, kept = self.next - 1, self._kept()
-        u_final = control(self.protocol, self.net.graphs[self._schedule(last)[0]], self.x)
-        return Trajectory(
-            times=self.t0 + self.dt * np.append(np.arange(0, last, self._stride), last),
-            states=np.vstack((self._states[:kept], self.x)),
-            controls=np.vstack((self._controls[:kept], u_final)),
-            metrics=self.metrics(),
-            events=list(self.events),
-        )
-
-
-def _open_run(net, protocol, x0, cfg: SimConfig):
-    """The _Run that simulate integrates, not yet advanced, and the last
-    step it runs to."""
-    run = _Run(
-        net,
-        protocol,
-        x0,
-        cfg.dt,
-        stop_epsilon=cfg.stop_epsilon,
-        record_stride=cfg.record_stride,
-        per_node=cfg.track_per_node,
-    )
-    return run, _step_count(cfg.t_end, run.t0, cfg.dt)
-
-
-def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig) -> Trajectory:
+def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig, rows=None) -> Trajectory:
     """Integrate the closed loop from x0 until t_end or the sticky stop.
 
     The step rules are those of _Run; the final state is always a sample,
-    also when an early stop falls between strides. With track_per_node,
-    metrics.E_i is gathered from the blocks the run hands over. Raises
-    DivergenceError when the state fails the guard.
+    also when an early stop falls between strides. metrics is gathered
+    from the blocks the run hands over, with E_i where track_per_node asks
+    for it. rows, if given, is called with each of those blocks, as
+    _Run.advance hands it, and metrics.E_i is then None: a caller that
+    formats the blocks, such as the command line's simulate, reads E_i
+    there. Raises DivergenceError when the state fails the guard.
     """
-    run, last = _open_run(net, protocol, x0, cfg)
-    rows = E_i = None
-    if cfg.track_per_node:
-        E_i = run._record(last, net.n)
+    run = _Run(net, protocol, x0, cfg.dt, stop_epsilon=cfg.stop_epsilon,
+               record_stride=cfg.record_stride, per_node=cfg.track_per_node)
+    last = _step_count(cfg.t_end, run.t0, cfg.dt)
+    V, E_tot = run._record(last), run._record(last)
+    E_i = run._record(last, net.n) if cfg.track_per_node and rows is None else None
 
-        def rows(block):
-            E_i[run.next - len(block.V) : run.next] = block.E_i
+    def gather(block):
+        at = slice(run.next - len(block.V), run.next)
+        V[at], E_tot[at] = block.V, block.E_tot
+        if E_i is not None:
+            E_i[at] = block.E_i
+        if rows is not None:
+            rows(block)
 
-    run.advance(last, rows)
+    run.advance(last, gather)
     if run.error is not None:
         raise run.error
-    traj = run.trajectory()
-    if E_i is not None:
-        traj.metrics.E_i = E_i[: run.next]
-    return traj
+    end, kept = run.next, run._kept()
+    u_final = control(protocol, net.graphs[run._schedule(end - 1)[0]], run.x)
+    return Trajectory(
+        times=run.t0 + cfg.dt * np.append(np.arange(0, end - 1, cfg.record_stride), end - 1),
+        states=np.vstack((run._states[:kept], run.x)),
+        controls=np.vstack((run._controls[:kept], u_final)),
+        metrics=MetricSeries(
+            times=_step_times(0, end, cfg.dt, run.t0),
+            V=V[:end],
+            E_tot=E_tot[:end],
+            E_i=None if E_i is None else E_i[:end],
+        ),
+        events=run.events,
+    )
 
 
 def replay_check(traj: Trajectory, net: DynamicNetwork, protocol: Protocol, cfg: SimConfig):

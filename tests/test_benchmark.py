@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import consensus_lab.benchmark as benchmark_module
+import consensus_lab.simulate as simulate_module
 from consensus_lab.benchmark import (
     BISECTION_STEPS,
     GAIN_BRACKET,
@@ -293,6 +294,20 @@ class TestSweepRow:
         t_star, e_tot, horizon = _serial_row("power", AGG, k, n, eps, dt, base)
         assert horizon >= 4 * base
         got = _sweep_row("power", AGG, k, n, eps, dt, LcgConfig(), round(base / dt))
+        assert got == (t_star, e_tot)
+
+    def test_settling_step_read_from_an_earlier_block(self):
+        # blocks of at most 64 steps: the row's run ends on its sticky stop,
+        # at least 64 steps after its settling step, in a later block
+        k, n, eps, dt, base = 1.0, 10, 0.05, 1e-3, 0.125
+        t_star, e_tot, horizon = _serial_row("power", AGG, k, n, eps, dt, base)
+        cfg = SimConfig(t_end=horizon, dt=dt, stop_epsilon=eps, record_stride=10**9)
+        x0 = lcg_initial_conditions(LcgConfig(), n)
+        traj = simulate(benchmark_topology(n), benchmark_protocol("power", AGG, k), x0, cfg)
+        step, end = round(t_star / dt), len(traj.metrics.times) - 1
+        assert end - step >= 64 and e_tot == traj.metrics.E_tot[step]
+        with mock.patch.object(simulate_module, "BLOCK_ELEMENTS", 64):
+            got = _sweep_row("power", AGG, k, n, eps, dt, LcgConfig(), round(base / dt))
         assert got == (t_star, e_tot)
 
     # with k = 3 the smallest row settles within base and a larger one only

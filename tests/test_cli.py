@@ -381,9 +381,9 @@ class TestStreamedMetrics:
 
 
 def test_keeps_the_names_the_benchmark_traces(monkeypatch):
-    """bench/layers.py wraps names looked up on cli, write_metrics_csv and
-    simulate among them, which cli itself no longer calls; a name cli drops
-    stops every traced benchmark run in layers.install."""
+    """bench/layers.py wraps names looked up on cli, write_metrics_csv
+    among them, which cli itself no longer calls; a name cli drops stops
+    every traced benchmark run in layers.install."""
     monkeypatch.syspath_prepend(str(EXAMPLE1.parent.parent / "bench"))
     import layers
     import spans

@@ -30,6 +30,7 @@ from consensus_lab.protocols import (
     control,
 )
 from consensus_lab.simulate import (
+    BLOCK_ELEMENTS,
     BLOCK_STEPS,
     DIVERGENCE_LIMIT,
     STICKY_STEPS,
@@ -313,9 +314,9 @@ class TestSettlingStep:
             return _Run(net, Protocol(AGG, Sign(20.0)), x0, 1e-3, stop_epsilon=eps)
 
     @staticmethod
-    def _oracle(run):
-        metrics = run.metrics()
-        t_star = settling_time(metrics, run._eps)
+    def _oracle(blocks, eps):
+        metrics = _joined(blocks)
+        t_star = settling_time(metrics, eps)
         return None if t_star is None else int(np.flatnonzero(metrics.times == t_star)[0])
 
     @pytest.mark.parametrize("compiled", [True, False])
@@ -331,9 +332,9 @@ class TestSettlingStep:
     )
     def test_matches_settling_time(self, eps, last, step, stopped, compiled):
         run = self._run(eps, compiled)
-        run.advance(last)
+        blocks = _blocks(run, [last])
         assert run.error is None and run.stopped == stopped
-        assert run.settling_step() == self._oracle(run) == step
+        assert run.settling_step() == self._oracle(blocks, eps) == step
         if not compiled:
             assert run.counters["stretches_compiled"] == 0
 
@@ -342,11 +343,11 @@ class TestSettlingStep:
         # pieces of 37 steps end above and below epsilon while the spread
         # chatters, so the step comes and goes and moves on
         run = self._run(0.1, compiled)
-        steps = []
+        steps, blocks = [], []
         for last in range(0, 3000, 37):
-            run.advance(last)
+            blocks += _blocks(run, [last])
             steps.append(run.settling_step())
-            assert steps[-1] == self._oracle(run)
+            assert steps[-1] == self._oracle(blocks, 0.1)
         assert run.stopped
         changes = [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
         assert changes == [None, 518, None, 592, 600]
@@ -521,15 +522,11 @@ class TestResumableRun:
             per_node=True,
         )
         blocks = _joined(_blocks(run, ends + [steps]))
-        pieced = run.trajectory()
 
-        for name in ("times", "V", "E_tot"):
-            assert _same_bytes(getattr(pieced.metrics, name), getattr(whole.metrics, name))
         for name in ("times", "V", "E_tot", "E_i"):
             assert _same_bytes(getattr(blocks, name), getattr(whole.metrics, name))
-        for name in ("times", "states", "controls"):
-            assert _same_bytes(getattr(pieced, name), getattr(whole, name))
-        assert pieced.events == whole.events
+        assert _strided_bytes(run) == _strided_bytes(whole)
+        assert run.events == whole.events
         if stop < steps:
             assert run.stopped
 
@@ -573,9 +570,39 @@ class TestResumableRun:
         assert {len(b.V) for b in blocks[:-1]} <= {block}
         assert run.stopped == ref.stopped == stopped
         joined = _joined(blocks)
-        for want in (whole.metrics, ref.trajectory().metrics):
-            for name in ("times", "V", "E_tot", "E_i"):
-                assert _same_bytes(getattr(joined, name), getattr(want, name)), name
+        want = ref.trajectory()
+        for name in ("times", "V", "E_tot", "E_i"):
+            for record in (whole.metrics, want.metrics):
+                assert _same_bytes(getattr(joined, name), getattr(record, name)), name
+            assert _same_bytes(getattr(whole.metrics, name), getattr(want.metrics, name)), name
+        for name in ("times", "states", "controls"):
+            assert _same_bytes(getattr(whole, name), getattr(want, name)), name
+        assert whole.events == want.events
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=switched_runs(), data=st.data())
+    def test_simulate_hands_its_blocks_to_rows(self, case, data):
+        # blocks of 8 and 64 entries split the runs with and without E_i
+        net, protocol, x0, cfg, steps = case
+        cfg = dataclasses.replace(cfg, track_per_node=data.draw(st.booleans()))
+        elements = data.draw(st.sampled_from([8, 64, BLOCK_ELEMENTS]), label="block entries")
+        blocks = []
+        with mock.patch.object(simulate_module, "BLOCK_ELEMENTS", elements):
+            whole = simulate(net, protocol, x0, cfg)
+            handed = simulate(net, protocol, x0, cfg, rows=_copied(blocks))
+        assert len(blocks) == -(-len(whole.metrics.times) // blocks[0].V.size)
+        joined = _joined(blocks)
+        for name in ("times", "V", "E_tot"):
+            assert _same_bytes(getattr(handed.metrics, name), getattr(whole.metrics, name))
+            assert _same_bytes(getattr(joined, name), getattr(whole.metrics, name))
+        assert handed.metrics.E_i is None
+        if cfg.track_per_node:
+            assert _same_bytes(joined.E_i, whole.metrics.E_i)
+        else:
+            assert joined.E_i is None and whole.metrics.E_i is None
+        for name in ("times", "states", "controls"):
+            assert _same_bytes(getattr(handed, name), getattr(whole, name))
+        assert handed.events == whole.events
 
 
 class _StepwiseRun:
@@ -664,18 +691,38 @@ class _StepwiseRun:
         )
 
 
-def _blocks(run, ends):
-    """Advance a _Run to each end in turn; the blocks it hands to rows,
-    each E_i copied out of the block buffer."""
-    blocks = []
+def _copied(blocks):
+    """A rows callback that appends each block to blocks, its V, E_tot
+    and E_i copied out of the block buffers, which the next block
+    overwrites."""
 
     def rows(block):
-        E_i = None if block.E_i is None else block.E_i.copy()
-        blocks.append(dataclasses.replace(block, E_i=E_i))
+        V, E_tot, E_i = (None if a is None else a.copy() for a in (block.V, block.E_tot, block.E_i))
+        blocks.append(dataclasses.replace(block, V=V, E_tot=E_tot, E_i=E_i))
 
+    return rows
+
+
+def _blocks(run, ends):
+    """Advance a _Run to each end in turn; the blocks it hands to rows,
+    copied."""
+    blocks = []
     for end in ends:
-        run.advance(end, rows)
+        run.advance(end, _copied(blocks))
     return blocks
+
+
+def _strided_bytes(record):
+    """The recorded states and controls and the current state of a _Run,
+    or of a Trajectory, as bytes: those of a Trajectory's states and
+    controls but their last rows, and its last state. A _Run leaves the
+    last sample, its final control among it, to simulate."""
+    if isinstance(record, Trajectory):
+        states, controls, x = record.states[:-1], record.controls[:-1], record.states[-1]
+    else:
+        kept = record._kept()
+        states, controls, x = record._states[:kept], record._controls[:kept], record.x
+    return _bytes(states), _bytes(controls), _bytes(x)
 
 
 def _joined(blocks):
@@ -752,20 +799,17 @@ class TestBlockedRun:
             assert (exc.time, exc.max_abs) == (ref_exc.time, ref_exc.max_abs)
             return
         assert exc is None
-        got, want = run.trajectory(), ref.trajectory()
+        want = ref.trajectory()
         joined = _joined(blocks)
         names = ("times", "V")
         if effort:
-            names += ("E_tot",)
-            assert _same_bytes(joined.E_i, want.metrics.E_i)
+            names += ("E_tot", "E_i")
         else:
-            assert got.metrics.E_tot is None and joined.E_tot is None and joined.E_i is None
+            assert joined.E_tot is None and joined.E_i is None
         for name in names:
-            assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
             assert _same_bytes(getattr(joined, name), getattr(want.metrics, name))
-        for name in ("times", "states", "controls"):
-            assert _same_bytes(getattr(got, name), getattr(want, name))
-        assert got.events == want.events
+        assert _strided_bytes(run) == _strided_bytes(want)
+        assert run.events == want.events
         assert run.stopped == ref.stopped
 
     @settings(max_examples=120, deadline=None)
@@ -866,10 +910,9 @@ def _outcome_bytes(run, blocks):
     differ."""
     if run.error is not None:
         return str(run.error), _bytes(run.error.time), _bytes(run.error.max_abs)
-    traj = run.trajectory()
-    m = traj.metrics
-    arrays = (traj.times, traj.states, traj.controls, m.times, m.V, m.E_tot, _joined(blocks).E_i)
-    return tuple(_bytes(a) for a in arrays) + (repr(traj.events), run.stopped)
+    m = _joined(blocks)
+    arrays = (m.times, m.V, m.E_tot, m.E_i)
+    return tuple(_bytes(a) for a in arrays) + _strided_bytes(run) + (repr(run.events), run.stopped)
 
 
 def _numpy_only():
@@ -994,7 +1037,7 @@ class TestCompiledStretch:
         else:
             assert ref_exc is None and run.error is None
             assert run.stopped == ref.stopped == (cfg.stop_epsilon is not None)
-            assert seen == run.next == ref._next and not run.V[: run.next].any()
+            assert seen == run.next == ref._next and not _joined(blocks).V.any()
         # the stepwise loop's records hold every step before the trip
         for field in ("V", "E_tot", "E_i") if effort else ("V",):
             got = [getattr(b, field) for b in blocks]
@@ -1038,14 +1081,10 @@ class TestCompiledStretch:
         run = _Run(net, protocol, x0, cfg.dt, record_stride=7, per_node=True)
         blocks = _joined(_blocks(run, [3000]))
         assert run.counters["stretches_compiled"] == 0 and run.counters["stretches_numpy"] > 0
-        got = run.trajectory()
-        for name in ("times", "V", "E_tot"):
-            assert _same_bytes(getattr(got.metrics, name), getattr(want.metrics, name))
         for name in ("times", "V", "E_tot", "E_i"):
             assert _same_bytes(getattr(blocks, name), getattr(want.metrics, name))
-        for name in ("times", "states", "controls"):
-            assert _same_bytes(getattr(got, name), getattr(want, name))
-        assert repr(got.events) == repr(want.events)
+        assert _strided_bytes(run) == _strided_bytes(want)
+        assert repr(run.events) == repr(want.events)
 
     def test_missing_compiler_falls_back(self, monkeypatch, tmp_path):
         monkeypatch.setattr(_stretch, "_lib", None)
@@ -1084,7 +1123,7 @@ class TestCounters:
         run.advance(15000)
         assert run.counters == {
             "steps": 15000,
-            "blocks": 1,  # no caller reads E_i: the advance is one block
+            "blocks": 1,  # without E_i, 15 001 steps fit one block of 2^14
             "switches": 14,
             "stretches_compiled": 15,  # a stretch per dwell
             "stretches_numpy": 0,
@@ -1127,6 +1166,22 @@ class TestCounters:
         # 11 kB; a block of eight steps' states, controls and effort would
         # be 24 rows more
         assert held < 16 * 8 * n
+
+    def test_long_run_holds_one_block_of_steps(self):
+        # 2 * 10^5 steps with effort and without E_i: V and E_tot of every
+        # step would be 3.2 MB, and one block of them is 256 kB
+        net, protocol, x0 = _example1()
+        _Run(net, protocol, x0, 1e-3)  # the graphs cache their arc arrays
+        tracemalloc.start()
+        try:
+            run = _Run(net, protocol, x0, 1e-3, record_stride=10**9)
+            run.advance(200_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert run.next == 200_001 and run.counters["blocks"] == 13
+        # the rest, about 24 kB, is the run's state, arcs and stretches
+        assert held < 2 * 8 * BLOCK_ELEMENTS + 64 * 1024
 
     @requires_compiled
     def test_calibration_runs_compiled(self, monkeypatch):
