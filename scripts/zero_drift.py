@@ -49,6 +49,8 @@ script runs
   exponent 0.5, with --x0-lcg --dt 1e-3 --t-end 0.7 --per-node
   --record-stride 7; at n = 200 a block holds 81 steps, so the per-node
   rows cross block edges off the 1024-step blocks of the 10-node runs;
+  and the same with --record-stride 1 and without --per-node, so that
+  a wide run records the state and control of every step;
 - example 1's network under an aggregated linear law of gain 0.01 from an
   x0 that holds -0.0, the subnormal 5e-324, 1e-300, 3e-6, 2.5e-5, -4e-5,
   0.1, 7.5, 123456.789 and -1e11, with --dt 1e-5 --t-end 0.01 --per-node
@@ -72,7 +74,7 @@ script runs
   --tau 1, whose windows union both and pass, and --tau 0.5, which fails
   on the window that holds 0->1<-2 alone.
 
-Each of the 36 runs writes into its own temporary directory, which holds
+Each of the 37 runs writes into its own temporary directory, which holds
 the files of INPUTS before it starts, and the other inputs are this
 checkout's configs for both trees. The exit code, stdout, stderr and
 every file and directory of each run must be the same bytes for both
@@ -246,6 +248,10 @@ CASES = {
     "benchmark-200-per-edge-power": [
         "simulate", "benchmark-200.json", "per-edge-power.json", "--x0-lcg",
         "--dt", "1e-3", "--t-end", "0.7", "--per-node", "--record-stride", "7",
+    ] + HERE,
+    "benchmark-200-per-edge-power-every-step": [
+        "simulate", "benchmark-200.json", "per-edge-power.json", "--x0-lcg",
+        "--dt", "1e-3", "--t-end", "0.7", "--record-stride", "1",
     ] + HERE,
     "example1-float-extremes": [
         "simulate", _SIMULATE[1], "small-gain-linear.json", "--x0-file", "float-extremes-x0.txt",

@@ -14,7 +14,7 @@
 #include <string.h>
 
 enum { LINEAR, SIGN, POWER_HALF, FIXED_TIME }; /* law; FIXED_TIME has p = 1/2, q = 3/2 */
-enum { PER_EDGE, PER_EDGE_SIGN, AGGREGATED }; /* where f and the gain apply */
+enum { PER_EDGE, AGGREGATED }; /* where f and the gain apply */
 
 static double sign(double v) /* np.sign: +0.0 for either zero, NaN stays NaN */
 {
@@ -94,7 +94,7 @@ steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
             double d = cur[src[a]] - cur[dst[a]], v;
             if (mode == AGGREGATED)
                 v = w ? w[a] * d : d;
-            else if (mode == PER_EDGE_SIGN)
+            else if (law == SIGN) /* bare signs: the weights drop out */
                 v = sign(d);
             else {
                 v = f(law, k, k2, d);
@@ -107,7 +107,7 @@ steps_of(int law, int mode, int64_t n, int64_t m, const int64_t *src,
             double u = acc[i], z;
             if (mode == AGGREGATED)
                 u = f(law, k, k2, u);
-            else if (mode == PER_EDGE_SIGN)
+            else if (law == SIGN) /* per-edge sign: the gain after the sum */
                 u = k * u;
             if (u_row)
                 u_row[i] = u;
@@ -176,8 +176,6 @@ int64_t stretch(int law, int mode, int64_t n, int64_t m, const int64_t *src,
 #define STEPS(LAW, MODE)                                                              \
     return steps_of(LAW, MODE, n, m, src, dst, w, k, k2, dt, every, acc, eps, limit, \
                     sticky, steps, x, y, keep, states, U, V, S, E_i, E_tot, below, peak)
-    if (mode == PER_EDGE_SIGN)
-        STEPS(SIGN, PER_EDGE_SIGN);
     if (mode == PER_EDGE)
         switch (law) {
         case LINEAR: STEPS(LINEAR, PER_EDGE);

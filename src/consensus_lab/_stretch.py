@@ -46,7 +46,7 @@ from .protocols import Direction, FixedTime, Linear, Power, Sign, _arcs, _kernel
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-funswitch-loops", "-shared", "-fPIC")
 # the enums of _stretch.c
 LINEAR, SIGN, POWER_HALF, FIXED_TIME = range(4)
-PER_EDGE, PER_EDGE_SIGN, AGGREGATED = range(3)
+PER_EDGE, AGGREGATED = range(2)
 # the bytes format_rows takes for a "%.17g" value and its separator at most
 VALUE_BYTES = 25
 # the states and effort integrals a chunk of the numpy loop holds at most
@@ -182,10 +182,7 @@ def stretch(protocol, g, dt, every, eps, limit, sticky):
     law = _law(f)
     if law is None or load() is None:
         return _numpy_stretch(_kernel(protocol, g), g.n, dt, every, eps, limit, sticky), False
-    if protocol.direction is Direction.AGGREGATED:
-        mode = AGGREGATED
-    else:
-        mode = PER_EDGE_SIGN if law == SIGN else PER_EDGE
+    mode = AGGREGATED if protocol.direction is Direction.AGGREGATED else PER_EDGE
     k, k2 = (f.k1, f.k2) if law == FIXED_TIME else (f.k, 0.0)
     src, dst, w = _arcs(g)
     src, dst = (np.ascontiguousarray(a, dtype=np.int64) for a in (src, dst))

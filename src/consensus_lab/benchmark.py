@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, _stretch
 # bench/layers.py traces consensus_lab.benchmark.settling_time, so the name
 # stays, although the runs read their settling steps themselves
-from .metrics import _require_positive, settling_time  # noqa: F401
+from .metrics import _allocate, _require_positive, settling_time  # noqa: F401
 from .protocols import Direction, FixedTime, Power, Protocol
 # bench/layers.py traces consensus_lab.benchmark.simulate, so the name stays
 from .simulate import DivergenceError, _Run, _step_times, simulate  # noqa: F401
@@ -90,7 +90,7 @@ def lcg_initial_conditions(cfg: LcgConfig, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
-    xs = np.empty(n)
+    xs = _allocate((n,), f"an initial state of {n} nodes")
     z = cfg.z0
     for i in range(n):
         z = (cfg.r * z + cfg.s) % cfg.M
@@ -161,13 +161,13 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
     with None for probes that diverged or never settled and RETIRED for
     retired ones.
 
-    Each probe is one run that integrates no effort. It first runs to the
-    cut step (see _cut_step). If V is still above target_v there, the probe
-    retires: its settling time lies past target_t + band, which every
-    pre-scan and bisection test treats like a probe that never settles.
-    Other probes run the full 4 target_t horizon. The pre-scan probes the
-    geometric grid up to the first gain that settles by target_t; plain
-    bisection follows.
+    Each probe is one run that integrates no effort and records no state.
+    It first runs to the cut step (see _cut_step). If V is still above
+    target_v there, the probe retires: its settling time lies past
+    target_t + band, which every pre-scan and bisection test treats like
+    a probe that never settles. Other probes run the full 4 target_t
+    horizon. The pre-scan probes the geometric grid up to the first gain
+    that settles by target_t; plain bisection follows.
     """
     for name, value in (("target_v", target_v), ("target_t", target_t), ("dt", dt)):
         _require_positive(name, value)
@@ -183,7 +183,7 @@ def calibrate_gain(family, direction, n, target_v, target_t, dt=1e-4, lcg=None):
         # the settling time; math.inf stands for a retired probe: past the
         # band, exact time unknown
         protocol = benchmark_protocol(family, direction, k)
-        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, record_stride=10**9, effort=False)
+        run = _Run(net, protocol, x0, dt, stop_epsilon=target_v, effort=False)
         if cut is not None:
             run.advance(cut)
             if run.error is None and run.settling_step() is None:
@@ -251,12 +251,13 @@ def _sweep_row(family, direction, k, n, epsilon, dt, lcg, base_steps):
     time, E_tot) once it has settled. Raises its DivergenceError if it
     diverged, or a RuntimeError if it is unresolved after the last horizon.
     The outcome is that of a fresh run at each horizon, since a run's
-    prefix does not depend on where it ends. E_tot is read from the block
-    that observed the settling step, as the run hands it over.
+    prefix does not depend on where it ends. The run records no state;
+    E_tot is read from the block that observed the settling step, as the
+    run hands it over.
     """
     protocol = benchmark_protocol(family, direction, k)
     x0 = lcg_initial_conditions(lcg, n)
-    run = _Run(benchmark_topology(n), protocol, x0, dt, stop_epsilon=epsilon, record_stride=10**9)
+    run = _Run(benchmark_topology(n), protocol, x0, dt, stop_epsilon=epsilon)
     context = f"benchmark row n={n} direction={direction.value}"
     e_tot = {}  # the E_tot of each settling step a block ended on
 

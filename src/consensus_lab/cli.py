@@ -224,8 +224,9 @@ def cmd_verify(args) -> int:
         g = _read(args.input, "graph", graph_from_json)
         if not g.undirected:
             raise CliError("--spectral needs an undirected graph")
-        comps = weak_components(g)
+        # first, so a graph too large for its Laplacian fails before any O(n) work
         lam2 = algebraic_connectivity(g)
+        comps = weak_components(g)
         print(f"n = {g.n}")
         print("connected: " + ("yes" if len(comps) == 1 else f"no ({len(comps)} components)"))
         print(f"lambda2 = {lam2:.17g}")

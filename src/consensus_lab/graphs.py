@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .io import json_field
+from .metrics import _allocate
 
 
 class WeightedDigraph:
@@ -89,7 +90,7 @@ class WeightedDigraph:
 
     @cached_property
     def _adjacency(self):
-        A = np.zeros((self.n, self.n))
+        A = _allocate((self.n, self.n), f"the adjacency matrix of {self.n} nodes", np.zeros)
         for i, j, w in self.edges:
             A[j, i] = w
         return A

@@ -58,6 +58,15 @@ def _require_int(name, value):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _allocate(shape, what, fill=np.empty):
+    """fill(shape), an array of floats; where it does not fit in memory, a
+    ValueError that names what it holds and its size."""
+    try:
+        return fill(shape)
+    except MemoryError:
+        raise ValueError(f"{what}, too many to hold ({math.prod(shape)} floats)") from None
+
+
 def lyapunov_v(x):
     """Spread max(x) - min(x) along the last axis; zero exactly at consensus.
 

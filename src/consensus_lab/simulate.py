@@ -9,17 +9,18 @@ of _stretch.stretch's run: compiled where the law's arithmetic in C is
 numpy's and the library builds, and protocols._kernel step by step
 otherwise, with the same bytes. A stretch decides the divergence guard
 and the sticky stop itself and ends the run on its step, writes each
-state's spread V, the effort E_tot and the strided records straight into
-the run's buffers, and carries the state in a buffer of n floats. The
-compiled loop does all of it inside its steps, and the numpy loop in
-chunks, with the metrics module's forms, which stay the formula of both.
-The step at which a run stops or diverges, and every number it records,
-are those of a check after every step. A run whose caller reads no
-effort, such as a calibration probe, skips the effort integrals
-altogether, and only a caller that reads the per-node effort E_i has it
-written. The per-step records are kept for one block of steps at a time,
-which the run hands to its caller: simulate gathers the whole run from
-the blocks. Each run integrates one system.
+state's spread V and the effort E_tot straight into the run's buffers,
+and the strided states and controls into records its caller owns, and
+carries the state in a buffer of n floats. The compiled loop does all of
+it inside its steps, and the numpy loop in chunks, with the metrics
+module's forms, which stay the formula of both. The step at which a run
+stops or diverges, and every number it records, are those of a check
+after every step. A run whose caller reads no effort, such as a
+calibration probe, skips the effort integrals altogether, and only a
+caller that reads the per-node effort E_i has it written. The per-step
+records are kept for one block of steps at a time, which the run hands
+to its caller; simulate owns the strided records of the whole run and
+gathers the rest from the blocks. Each run integrates one system.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _stretch
-from .metrics import MetricSeries, _require_int, _require_positive, spread_and_peak
+from .metrics import MetricSeries, _allocate, _require_int, _require_positive, spread_and_peak
 from .protocols import Protocol, control
 from .switching import DynamicNetwork, _whole_steps, step_schedule
 
@@ -142,13 +143,19 @@ class _Run:
     row for the E_tot of its settling step, reads them from each block
     that advance hands to rows.
 
+    The state and control of the recorded steps 0, record_stride, ...
+    before the last observed step go into records the caller owns and
+    sets before the first advance, states and controls: rows of n floats,
+    one per recorded step up to the last step advanced to. A run given
+    none, such as a calibration probe or a sweep row, records nothing.
+
     Each Euler step from t_j applies the kernel u = f(x) of the member
     active over [t_j, t_{j+1}) and steps x by dt*u; effort integrals
     advance by the left-endpoint rule. A stretch of steps under one member
     runs in one call of its _stretch.stretch, which writes the spread V,
     E_tot and, with per_node, E_i of each state straight into the block
     buffers, and the state and control of each recorded step into the
-    strided records. The current state stays in one buffer, self.x, which
+    caller's records. The current state stays in one buffer, self.x, which
     each step swaps with a second one. Without effort the run integrates
     none, and E_tot and E_i are None. V, the stop and the divergence do
     not depend on it.
@@ -188,10 +195,8 @@ class _Run:
         self.stopped = False
         self.error: Optional[DivergenceError] = None
         self.events: List[Tuple[float, int, int]] = []
-        # the state and control of each recorded step, rows of the steps 0,
-        # record_stride, ... before the last observed step
-        self._states = np.empty((0, net.n))
-        self._controls = np.empty((0, net.n))
+        # the caller's records of the recorded steps' states and controls
+        self.states = self.controls = None
         self._s_accum = np.zeros(net.n) if effort else None
         self._run_below = 0  # steps at or below epsilon up to step next - 1
         self._member = self._schedule(0)[0]  # member of the latest Euler step
@@ -221,33 +226,6 @@ class _Run:
         stop_epsilon."""
         return self.next - self._run_below if self._run_below else None
 
-    def _record(self, last_step, *width, every=1):
-        """An empty record of the steps 0, every, 2 every, ... up to
-        last_step, each a row of the given width."""
-        try:
-            return np.empty((last_step // every + 1,) + width)
-        except MemoryError:
-            raise ValueError(
-                f"t_end = {self.t0 + self.dt * last_step} and dt = {self.dt} give "
-                f"{last_step} steps, too many to record"
-            ) from None
-
-    def _kept(self):
-        """The number of recorded steps so far: those before the last
-        observed step."""
-        return -(-max(self.next - 1, 0) // self._stride)
-
-    def _grow(self, last_step):
-        """Make room in the state and control records for the recorded
-        steps before last_step."""
-        kept = self._kept()
-        for name in ("_states", "_controls"):
-            old = getattr(self, name)
-            if len(old) <= last_step // self._stride:
-                new = self._record(last_step, self.net.n, every=self._stride)
-                new[:kept] = old[:kept]
-                setattr(self, name, new)
-
     def advance(self, last_step, rows=None):
         """Integrate to step last_step, or to the run's end if that comes
         first.
@@ -255,11 +233,13 @@ class _Run:
         rows, if given, is called after each block with the MetricSeries
         of the steps the block observed. Its V, E_tot and E_i are views of
         the block buffers, which the next block overwrites; E_tot is None
-        without effort, and E_i without per_node.
+        without effort, and E_i without per_node. Records too short for
+        last_step are a ValueError.
         """
         if self.ended or last_step < self.next:
             return
-        self._grow(last_step)
+        if self.states is not None and len(self.states) <= (last_step - 1) // self._stride:
+            raise ValueError(f"the records hold too few rows for step {last_step}")
         size = min(self._block_steps, last_step + 1 - self.next)
         if len(self._V) < size:
             self._V, self._E_tot, self._E_i = (
@@ -306,7 +286,8 @@ class _Run:
                 counters["switches"] += 1
                 self._member = now
             b = min(change, end - 1)  # the stretch's Euler steps are j..b-1
-            keep = -(-j // stride) * stride  # its first recorded step, if below b
+            # its first recorded step, if below b; without records none is
+            keep = b if self.states is None else -(-j // stride) * stride
             rec = slice(keep // stride, None) if keep < b else None
             at = slice(j + 1 - first, b + 1 - first)  # the rows of steps j+1..b
             run, compiled = self._stretches[now]
@@ -314,8 +295,8 @@ class _Run:
                 self.x,
                 self._y,
                 keep - j,
-                None if rec is None else self._states[rec],
-                None if rec is None else self._controls[rec],
+                None if rec is None else self.states[rec],
+                None if rec is None else self.controls[rec],
                 V[at],
                 self._s_accum,
                 None if E_i is None else E_i[at],
@@ -341,18 +322,25 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig, rows=N
     """Integrate the closed loop from x0 until t_end or the sticky stop.
 
     The step rules are those of _Run; the final state is always a sample,
-    also when an early stop falls between strides. metrics is gathered
-    from the blocks the run hands over, with E_i where track_per_node asks
-    for it. rows, if given, is called with each of those blocks, as
-    _Run.advance hands it, and metrics.E_i is then None: a caller that
-    formats the blocks, such as the command line's simulate, reads E_i
-    there. Raises DivergenceError when the state fails the guard.
+    also when an early stop falls between strides. simulate owns the
+    records of the whole horizon: the strided states and controls, which
+    the run writes in place, and metrics, gathered from the blocks the run
+    hands over, with E_i where track_per_node asks for it; records too
+    large for memory are a ValueError. rows, if given, is called with each
+    of those blocks, as _Run.advance hands it, and metrics.E_i is then
+    None: a caller that formats the blocks, such as the command line's
+    simulate, reads E_i there. Raises DivergenceError when the state fails
+    the guard.
     """
+    stride = cfg.record_stride
     run = _Run(net, protocol, x0, cfg.dt, stop_epsilon=cfg.stop_epsilon,
-               record_stride=cfg.record_stride, per_node=cfg.track_per_node)
+               record_stride=stride, per_node=cfg.track_per_node)
     last = _step_count(cfg.t_end, run.t0, cfg.dt)
-    V, E_tot = run._record(last), run._record(last)
-    E_i = run._record(last, net.n) if cfg.track_per_node and rows is None else None
+    what = f"t_end = {cfg.t_end} and dt = {cfg.dt} give {last} steps"
+    V, E_tot = _allocate((last + 1,), what), _allocate((last + 1,), what)
+    E_i = _allocate((last + 1, net.n), what) if cfg.track_per_node and rows is None else None
+    samples = -(-last // stride) + 1  # the recorded steps before the last, and the last
+    run.states, run.controls = (_allocate((samples, net.n), what) for _ in range(2))
 
     def gather(block):
         at = slice(run.next - len(block.V), run.next)
@@ -365,12 +353,14 @@ def simulate(net: DynamicNetwork, protocol: Protocol, x0, cfg: SimConfig, rows=N
     run.advance(last, gather)
     if run.error is not None:
         raise run.error
-    end, kept = run.next, run._kept()
-    u_final = control(protocol, net.graphs[run._schedule(end - 1)[0]], run.x)
+    end = run.next
+    kept = -(-(end - 1) // stride)  # the recorded steps before the last
+    run.states[kept] = run.x
+    run.controls[kept] = control(protocol, net.graphs[run._schedule(end - 1)[0]], run.x)
     return Trajectory(
-        times=run.t0 + cfg.dt * np.append(np.arange(0, end - 1, cfg.record_stride), end - 1),
-        states=np.vstack((run._states[:kept], run.x)),
-        controls=np.vstack((run._controls[:kept], u_final)),
+        times=run.t0 + cfg.dt * np.append(np.arange(0, end - 1, stride), end - 1),
+        states=run.states[: kept + 1],
+        controls=run.controls[: kept + 1],
         metrics=MetricSeries(
             times=_step_times(0, end, cfg.dt, run.t0),
             V=V[:end],

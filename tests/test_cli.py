@@ -698,6 +698,34 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert "10000000000000000 steps" in err and "dt = 0.0001" in err and "t_end = " in err
 
+    # each array is 800 TB, past the 128 TiB of any address space, so it
+    # fails at its allocation, before any work over the nodes, whatever
+    # the host's overcommit setting
+    def test_initial_state_too_large_to_hold(self, capsys, tmp_path):
+        n = 10**14
+        network = static_network_json({"n": n, "undirected": True, "edges": []})
+        args = ["simulate", write_json(tmp_path / "net.json", network),
+                str(EXAMPLE1 / "protocol.json"), "--x0-lcg", "--t-end", "0.01", "--dt", "1e-3",
+                "--out", str(tmp_path / "o")]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and f"initial state of {n} nodes" in err
+        assert f"({n} floats)" in err and not (tmp_path / "o").exists()
+
+    def test_spectral_graph_too_large_to_hold(self, capsys, tmp_path, monkeypatch):
+        n = 10**7
+        graph = write_json(tmp_path / "g.json", {"n": n, "undirected": True, "edges": []})
+        # lambda2 comes first, so no search over the vertices runs
+        monkeypatch.setattr(cli, "weak_components", None)
+        code = cli.main(["verify", graph, "--spectral"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err.startswith("error: ") and f"matrix of {n} nodes" in captured.err
+        assert f"({n * n} floats)" in captured.err
+
     @pytest.mark.parametrize(
         "signal",
         [

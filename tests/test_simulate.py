@@ -521,7 +521,7 @@ class TestResumableRun:
             record_stride=cfg.record_stride,
             per_node=True,
         )
-        blocks = _joined(_blocks(run, ends + [steps]))
+        blocks = _joined(_blocks(_recorded(run, steps), ends + [steps]))
 
         for name in ("times", "V", "E_tot", "E_i"):
             assert _same_bytes(getattr(blocks, name), getattr(whole.metrics, name))
@@ -712,16 +712,24 @@ def _blocks(run, ends):
     return blocks
 
 
+def _recorded(run, last):
+    """run, handed records of the states and controls of its recorded
+    steps up to step last, sized as simulate sizes them."""
+    rows = -(-last // run._stride) + 1
+    run.states, run.controls = np.empty((rows, run.net.n)), np.empty((rows, run.net.n))
+    return run
+
+
 def _strided_bytes(record):
-    """The recorded states and controls and the current state of a _Run,
-    or of a Trajectory, as bytes: those of a Trajectory's states and
-    controls but their last rows, and its last state. A _Run leaves the
-    last sample, its final control among it, to simulate."""
+    """The recorded states and controls and the current state of a _Run
+    given records, or of a Trajectory, as bytes: those of a Trajectory's
+    states and controls but their last rows, and its last state. A _Run
+    leaves the last sample, its final control among it, to simulate."""
     if isinstance(record, Trajectory):
         states, controls, x = record.states[:-1], record.controls[:-1], record.states[-1]
     else:
-        kept = record._kept()
-        states, controls, x = record._states[:kept], record._controls[:kept], record.x
+        kept = -(-max(record.next - 1, 0) // record._stride)  # those before the last step
+        states, controls, x = record.states[:kept], record.controls[:kept], record.x
     return _bytes(states), _bytes(controls), _bytes(x)
 
 
@@ -790,7 +798,7 @@ class TestBlockedRun:
                     effort=effort,
                     per_node=effort,
                 )
-            blocks = _blocks(run, ends)
+            blocks = _blocks(_recorded(run, steps), ends)
             exc = run.error
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -822,6 +830,47 @@ class TestBlockedRun:
     def test_effort_free_run_matches_stepwise_loop(self, case, data):
         # no controls are stored or integrated; everything else is the same
         self._check_against_stepwise(case, data, False)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("gain, eps", [(None, 0.01), (1002.0, None)], ids=["stops", "diverges"])
+    def test_record_less_run_matches_recorded_run(self, gain, eps, compiled):
+        # example 1 at dt = 1e-3 settles and stops at step 7228; under an
+        # aggregated linear law of gain 1002 it diverges at t = 7.224
+        net, protocol, x0 = _example1()
+        if gain is not None:
+            protocol = Protocol(AGG, Linear(gain))
+
+        def outcome(records):
+            with contextlib.nullcontext() if compiled else _numpy_only():
+                run = _Run(net, protocol, x0, 1e-3, stop_epsilon=eps, record_stride=7,
+                           per_node=True)
+            if records:
+                _recorded(run, 15000)
+            return run, _blocks(run, [5000, 15000])
+
+        (bare, bare_blocks), (recorded, blocks) = outcome(False), outcome(True)
+        assert bare.states is None and bare.ended
+        for name in ("times", "V", "E_tot", "E_i"):
+            assert _same_bytes(getattr(_joined(bare_blocks), name), getattr(_joined(blocks), name))
+        assert (bare.next, bare.stopped, repr(bare.events)) == (
+            recorded.next, recorded.stopped, repr(recorded.events)
+        )
+        assert str(bare.error) == str(recorded.error) and _same_bytes(bare.x, recorded.x)
+        assert (bare.stopped, bare.error is None) == ((eps is not None,) * 2)
+        if not compiled:
+            assert bare.counters["stretches_compiled"] == 0
+        elif _stretch.load() is not None:
+            assert bare.counters["stretches_numpy"] == 0
+
+    def test_records_too_short_are_refused(self):
+        # the compiled loop would write past their end
+        # rows for the recorded steps 0, 10, ..., 100, the last of which the
+        # Euler step to step 101 records; step 110 has no row
+        run = _recorded(_Run(*_example1(), 1e-3, record_stride=10), 100)
+        run.advance(110)
+        with pytest.raises(ValueError, match="too few rows for step 111"):
+            run.advance(111)
+        assert run.next == 111
 
     def test_step_out_of_the_stop_leaves_no_trace(self):
         # a switch and a recorded sample fall on the Euler step out of the
@@ -974,7 +1023,7 @@ class TestCompiledStretch:
                     effort=effort,
                     per_node=effort,
                 )
-                blocks = _blocks(run, ends)
+                blocks = _blocks(_recorded(run, steps), ends)
             return run.counters, _outcome_bytes(run, blocks)
 
         counted, got = outcome(compiled=True)
@@ -1013,7 +1062,7 @@ class TestCompiledStretch:
                     effort=effort,
                     per_node=effort,
                 )
-                blocks = _blocks(run, [steps])
+                blocks = _blocks(_recorded(run, steps), [steps])
             return run, blocks
 
         (run, blocks), (run_numpy, blocks_numpy) = outcome(True), outcome(False)
@@ -1079,7 +1128,7 @@ class TestCompiledStretch:
         monkeypatch.setattr(_stretch, "_load", no_compiler)
         assert _stretch.load() is None
         run = _Run(net, protocol, x0, cfg.dt, record_stride=7, per_node=True)
-        blocks = _joined(_blocks(run, [3000]))
+        blocks = _joined(_blocks(_recorded(run, 3000), [3000]))
         assert run.counters["stretches_compiled"] == 0 and run.counters["stretches_numpy"] > 0
         for name in ("times", "V", "E_tot", "E_i"):
             assert _same_bytes(getattr(blocks, name), getattr(want.metrics, name))
@@ -1182,6 +1231,23 @@ class TestCounters:
         assert run.next == 200_001 and run.counters["blocks"] == 13
         # the rest, about 24 kB, is the run's state, arcs and stretches
         assert held < 2 * 8 * BLOCK_ELEMENTS + 64 * 1024
+
+    def test_record_less_run_holds_one_block_of_steps(self):
+        # a run given no records, as a calibration probe or a sweep row is,
+        # holds no state or control of its 2 * 10^5 steps, however far its
+        # 200 pieces reach: at record stride 1 they would be 32 MB
+        net, protocol, x0 = _example1()
+        _Run(net, protocol, x0, 1e-3)  # the graphs cache their arc arrays
+        tracemalloc.start()
+        try:
+            run = _Run(net, protocol, x0, 1e-3)
+            for piece in range(1, 201):
+                run.advance(1000 * piece)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.next == 200_001 and run.states is None and run.controls is None
+        assert held <= peak <= 2 * 8 * BLOCK_ELEMENTS + 64 * 1024
 
     @requires_compiled
     def test_calibration_runs_compiled(self, monkeypatch):
